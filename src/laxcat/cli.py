@@ -173,7 +173,8 @@ def cmd_quasi_iso(args, ws):
     f = ws.resolve(args.chainmap, "chainmap")
     direct = is_quasi_iso(f)
     via_cone = is_acyclic(cone(f).complex)
-    assert direct == via_cone, "the two quasi-isomorphism routes disagree"
+    if direct != via_cone:
+        raise AssertionError("the two quasi-isomorphism routes disagree")
     return {"quasi_iso": direct, "cone_acyclic": via_cone}, 0
 
 
@@ -181,7 +182,9 @@ def cmd_snf(args, ws):
     m = ws.resolve(args.matrix, "matrix")
     dec = smith_normal_form(m)
     rep = dec.verify()
-    assert rep.ok, f"decomposition failed self-verification: {rep.failures}"
+    if not rep.ok:
+        raise AssertionError(
+            f"decomposition failed self-verification: {rep.failures}")
     return snf_to_json(dec), 0
 
 
@@ -380,6 +383,9 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
+    # exact results outgrow the default 4300-digit int <-> str limit
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

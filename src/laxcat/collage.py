@@ -12,7 +12,8 @@ lax matrix: one profunctor entry per fiber, plus the transition actions
 along the canonical morphisms (gamma, id).  restrict_matrix / assemble_matrix
 convert between the ambient and blockwise views losslessly, and
 block_multiply computes coend composites fiberwise without ever assembling
-the middle.
+the middle.  Its classes are named and its outer actions read off by the
+same gluing kernel as profunctor.compose_with_pairing (profunctor._glue).
 """
 
 from dataclasses import dataclass, field
@@ -23,7 +24,8 @@ from .fincat import (CatFunctor, FinCategory, build_category,
                      compose_functors, identity_functor, standard_category,
                      validate_functor)
 from .profunctor import (CoendComposite, Profunctor, build_profunctor,
-                         compose_with_pairing, hom_profunctor, _composite_id)
+                         compose_with_pairing, hom_profunctor, _composite_id,
+                         _glue)
 from .report import Report
 from .unionfind import UnionFind
 
@@ -559,7 +561,7 @@ def block_multiply(N: LaxMatrix, M: LaxMatrix) -> CoendComposite:
     S = G.shape
     C, E = M.other, N.other
 
-    class_of, rep_of, elements = {}, {}, {}
+    classes = {}
     for e in E.objects:
         for c in C.objects:
             gens = []
@@ -596,37 +598,16 @@ def block_multiply(N: LaxMatrix, M: LaxMatrix) -> CoendComposite:
                                       N.transition[gamma][x][n], m),
                                      (f"({t},{fx})", n,
                                       M.transition[gamma][x][m]))
-            ids = []
-            for rep, members in sorted(uf.classes().items()):
-                cid = _composite_id(*rep)
-                ids.append(cid)
-                rep_of[cid] = rep
-                for gen in members:
-                    class_of[gen] = cid
-            elements[(e, c)] = tuple(sorted(ids))
+            classes[(e, c)] = uf.classes()
 
-    lact = {}
-    for eps in E.morphisms:
-        table = {}
-        e = E.src[eps]
-        for c in C.objects:
-            for cid in elements[(e, c)]:
-                mid_ob, n, m = rep_of[cid]
-                s = G.obj_parts[mid_ob][0]
-                table[cid] = class_of[(mid_ob, N.entries[s].lact[eps][n], m)]
-        lact[eps] = table
-    ract = {}
-    for sigma in C.morphisms:
-        table = {}
-        c2 = C.dst[sigma]
-        for e in E.objects:
-            for cid in elements[(e, c2)]:
-                mid_ob, n, m = rep_of[cid]
-                s = G.obj_parts[mid_ob][0]
-                table[cid] = class_of[(mid_ob, n, M.entries[s].ract[sigma][m])]
-        ract[sigma] = table
-    P = build_profunctor(C, E, elements, lact, ract)
-    return CoendComposite(P, class_of, rep_of)
+    def lact(eps, gens):
+        return [(mid, N.entries[G.obj_parts[mid][0]].lact[eps][n], m)
+                for mid, n, m in gens]
+
+    def ract(sigma, gens):
+        return [(mid, n, M.entries[G.obj_parts[mid][0]].ract[sigma][m])
+                for mid, n, m in gens]
+    return _glue(C, E, classes, _composite_id, lact, ract)
 
 
 def check_block_multiply(N: LaxMatrix, M: LaxMatrix) -> Report:

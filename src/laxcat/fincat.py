@@ -324,10 +324,6 @@ def validate_functor(F: CatFunctor) -> Report:
     return rep
 
 
-def functor_is_valid(F: CatFunctor) -> bool:
-    return validate_functor(F).ok
-
-
 def enumerate_functors(C: FinCategory, D: FinCategory, limit: int = 100000):
     """Yield every functor C -> D in a deterministic order.
 

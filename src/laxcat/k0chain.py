@@ -42,7 +42,7 @@ def as_matrix(data, rows=None, cols=None) -> np.ndarray:
         if cols is None:
             cols = len(data[0]) if data else 0
         arr = np.empty((rows, cols), dtype=object)
-        if rows and len(data) != rows:
+        if len(data) != rows:
             raise DimensionMismatch(f"expected {rows} rows, got {len(data)}")
         for i, r in enumerate(data):
             if len(r) != cols:
@@ -619,11 +619,6 @@ class BlockGradedMatrix:
                    for r in self.rows for c in self.cols)
 
 
-def block_identity(indices: tuple[GradedIndex, ...]) -> BlockGradedMatrix:
-    return BlockGradedMatrix(indices, indices,
-                             {(i.name, i.name): eye(i.size) for i in indices})
-
-
 def block_plain_multiply(N: BlockGradedMatrix, M: BlockGradedMatrix) -> BlockGradedMatrix:
     if N.cols != M.rows:
         raise BlockMismatch("inner index sets differ")
@@ -893,8 +888,8 @@ def _left_inverse(K: np.ndarray) -> np.ndarray:
     """Left inverse of a primitive full-column-rank matrix."""
     snf = smith_normal_form(K)
     k = K.shape[1]
-    assert snf.rank() == k and all(v == 1 for v in snf.diagonal()), \
-        "kernel basis must be primitive"
+    if snf.rank() != k or any(v != 1 for v in snf.diagonal()):
+        raise AssertionError("kernel basis must be primitive")
     splus = zeros(k, K.shape[0])
     for i in range(k):
         splus[i, i] = 1
@@ -909,9 +904,11 @@ def _homology_map_surjective(f: ChainMap, n: int) -> bool:
     KA = kernel_basis(A.diff(n))
     LB = _left_inverse(KB)
     Y = LB @ (f.mat(n) @ KA)
-    assert mat_eq(KB @ Y, f.mat(n) @ KA), "chain map must preserve kernels"
+    if not mat_eq(KB @ Y, f.mat(n) @ KA):
+        raise AssertionError("chain map must preserve kernels")
     X = LB @ B.diff(n + 1)
-    assert mat_eq(KB @ X, B.diff(n + 1)), "boundaries must lie in the kernel"
+    if not mat_eq(KB @ X, B.diff(n + 1)):
+        raise AssertionError("boundaries must lie in the kernel")
     stacked = np.hstack([Y, X])
     snf = smith_normal_form(stacked)
     diag = snf.diagonal()

@@ -12,9 +12,13 @@ middle objects d of N(e, d) x M(d, c), glued by moving middle morphisms
 across the pair in both variances.  Gluing is computed by union-find and
 each class is named after its lexicographically least member, so composites
 are canonical and reproducible.
+
+Every gluing construction (the coend composite, the blockwise product of
+collage.block_multiply and the quotient by a relation) runs its own union
+loop and hands the classes to _glue, the one place where classes are named
+and the outer actions are read off them and checked to be well defined.
 """
 
-import itertools
 from dataclasses import dataclass, field
 
 from .errors import CompositionMismatch, InvalidParameter, ShapeMismatch
@@ -315,21 +319,23 @@ def compose_transformations(b: ProTransformation, a: ProTransformation) -> ProTr
 
 # -- coend composition --------------------------------------------------------
 
-def _composite_id(d: str, n: str, m: str) -> str:
+def _composite_id(gen: tuple[str, str, str]) -> str:
+    d, n, m = gen
     return f"({n}*{m}@{d})"
 
 
 @dataclass
 class CoendComposite:
-    """A composite profunctor together with its gluing data.
+    """A glued profunctor together with its gluing data.
 
-    class_of maps each generator triple (middle object, left element,
-    right element) to the id of its class; rep_of recovers the least
-    generator of each class.
+    class_of maps each glued member to the id of its class; rep_of recovers
+    the least member of each class.  The members of a coend composite are
+    generator triples (middle object, left element, right element); those
+    of a quotient are the elements of the quotiented profunctor.
     """
     profunctor: Profunctor
-    class_of: dict[tuple[str, str, str], str]
-    rep_of: dict[str, tuple[str, str, str]]
+    class_of: dict
+    rep_of: dict
 
 
 def compose_with_pairing(N: Profunctor, M: Profunctor) -> CoendComposite:
@@ -350,10 +356,7 @@ def compose_with_pairing(N: Profunctor, M: Profunctor) -> CoendComposite:
     C, D, E = M.source, M.target, N.target
 
     moving = [g for g in D.morphisms if not D.is_identity(g)]
-    class_of: dict[tuple[str, str, str], str] = {}
-    rep_of: dict[str, tuple[str, str, str]] = {}
-    elements: dict[tuple[str, str], tuple[str, ...]] = {}
-
+    classes = {}
     for e in E.objects:
         for c in C.objects:
             gens = [(d, n, m) for d in D.objects
@@ -366,58 +369,53 @@ def compose_with_pairing(N: Profunctor, M: Profunctor) -> CoendComposite:
                     for m in M.elements[(d, c)]:
                         uf.union((d, N.ract[gamma][n2], m),
                                  (d2, n2, M.lact[gamma][m]))
-            ids = []
-            for rep, members in sorted(uf.classes().items()):
-                cid = _composite_id(*rep)
-                ids.append(cid)
-                rep_of[cid] = rep
-                for g in members:
-                    class_of[g] = cid
-            elements[(e, c)] = tuple(sorted(ids))
-
-    lact = {}
-    for eps in E.morphisms:
-        e, e2 = E.src[eps], E.dst[eps]
-        table = {}
-        for c in C.objects:
-            for cid in elements[(e, c)]:
-                d, n, m = rep_of[cid]
-                table[cid] = class_of[(d, N.lact[eps][n], m)]
-        lact[eps] = table
-    ract = {}
-    for sigma in C.morphisms:
-        c, c2 = C.src[sigma], C.dst[sigma]
-        table = {}
-        for e in E.objects:
-            for cid in elements[(e, c2)]:
-                d, n, m = rep_of[cid]
-                table[cid] = class_of[(d, n, M.ract[sigma][m])]
-        ract[sigma] = table
-
-    # full validation doubles as a well-definedness check for the actions
-    P = build_profunctor(C, E, elements, lact, ract)
-    _check_action_well_defined(P, N, M, class_of)
-    return CoendComposite(P, class_of, rep_of)
+            classes[(e, c)] = uf.classes()
+    return _glue(C, E, classes, _composite_id,
+                 lambda eps, gs: [(d, N.lact[eps][n], m) for d, n, m in gs],
+                 lambda sigma, gs: [(d, n, M.ract[sigma][m]) for d, n, m in gs])
 
 
-def _check_action_well_defined(P, N, M, class_of) -> None:
-    """Outer actions computed from any generator must agree classwise."""
-    E, C, D = N.target, M.source, M.target
-    for (d, n, m), cid in class_of.items():
-        e = N.cell_of(n)[0]
-        c = M.cell_of(m)[1]
-        for eps in E.morphisms:
-            if E.src[eps] != e:
-                continue
-            if class_of[(d, N.lact[eps][n], m)] != P.lact[eps][cid]:
-                raise CompositionMismatch(
-                    f"outer left action ill-defined at generator ({d!r}, {n!r}, {m!r})")
-        for sigma in C.morphisms:
-            if C.dst[sigma] != c:
-                continue
-            if class_of[(d, n, M.ract[sigma][m])] != P.ract[sigma][cid]:
-                raise CompositionMismatch(
-                    f"outer right action ill-defined at generator ({d!r}, {n!r}, {m!r})")
+def _glue(source: FinCategory, target: FinCategory, classes, name,
+          act_left, act_right) -> CoendComposite:
+    """Name the glued classes of every outer cell and read off the actions.
+
+    classes maps each (target, source) cell to {least member: members};
+    a class is named name(least member).  act_left(eps, members) and
+    act_right(sigma, members) move the members of one class along an outer
+    morphism.  Every member must land in one class, so the actions are well
+    defined on the quotient.
+    """
+    C, E = source, target
+    class_of, rep_of, elements = {}, {}, {}
+    for cell, found in classes.items():
+        ids = []
+        for rep, members in found.items():
+            cid = name(rep)
+            ids.append(cid)
+            rep_of[cid] = rep
+            class_of.update(dict.fromkeys(members, cid))
+        elements[cell] = tuple(sorted(ids))
+
+    leaving = {e: [eps for eps in E.morphisms if E.src[eps] == e]
+               for e in E.objects}
+    arriving = {c: [sigma for sigma in C.morphisms if C.dst[sigma] == c]
+                for c in C.objects}
+    lact = {eps: {} for eps in E.morphisms}
+    ract = {sigma: {} for sigma in C.morphisms}
+    for (e, c), found in classes.items():
+        sides = (("left", act_left, lact, leaving[e]),
+                 ("right", act_right, ract, arriving[c]))
+        for rep, members in found.items():
+            cid = class_of[rep]
+            for side, act, table, along in sides:
+                for a in along:
+                    images = {class_of[g] for g in act(a, members)}
+                    if len(images) != 1:
+                        raise CompositionMismatch(
+                            f"outer {side} action of {a!r} ill-defined on {cid!r}")
+                    table[a][cid] = images.pop()
+    return CoendComposite(build_profunctor(C, E, elements, lact, ract),
+                          class_of, rep_of)
 
 
 def compose_profunctors(N: Profunctor, M: Profunctor) -> Profunctor:
@@ -425,30 +423,25 @@ def compose_profunctors(N: Profunctor, M: Profunctor) -> Profunctor:
     return compose_with_pairing(N, M).profunctor
 
 
+def _on_reps(comp: CoendComposite, target: Profunctor, value) -> ProTransformation:
+    """The transformation out of a composite that sends each class to
+    value(*representative)."""
+    return build_protransformation(
+        comp.profunctor, target,
+        {pair: {cid: value(*comp.rep_of[cid]) for cid in ids}
+         for pair, ids in comp.profunctor.elements.items()})
+
+
 def left_unitor(M: Profunctor) -> ProTransformation:
     """Canonical map hom(target) . M -> M; a natural bijection."""
     comp = compose_with_pairing(hom_profunctor(M.target), M)
-    components = {}
-    for pair, ids in comp.profunctor.elements.items():
-        table = {}
-        for cid in ids:
-            _, g, m = comp.rep_of[cid]
-            table[cid] = M.lact[g][m]
-        components[pair] = table
-    return build_protransformation(comp.profunctor, M, components)
+    return _on_reps(comp, M, lambda d, g, m: M.lact[g][m])
 
 
 def right_unitor(M: Profunctor) -> ProTransformation:
     """Canonical map M . hom(source) -> M; a natural bijection."""
     comp = compose_with_pairing(M, hom_profunctor(M.source))
-    components = {}
-    for pair, ids in comp.profunctor.elements.items():
-        table = {}
-        for cid in ids:
-            _, m, h = comp.rep_of[cid]
-            table[cid] = M.ract[h][m]
-        components[pair] = table
-    return build_protransformation(comp.profunctor, M, components)
+    return _on_reps(comp, M, lambda d, m, h: M.ract[h][m])
 
 
 def associator(P: Profunctor, N: Profunctor, M: Profunctor) -> ProTransformation:
@@ -458,15 +451,10 @@ def associator(P: Profunctor, N: Profunctor, M: Profunctor) -> ProTransformation
     nm = compose_with_pairing(N, M)
     right = compose_with_pairing(P, nm.profunctor)
 
-    components = {}
-    for pair, ids in left.profunctor.elements.items():
-        table = {}
-        for cid in ids:
-            d, pn_elem, m = left.rep_of[cid]
-            e, p, n = pn.rep_of[pn_elem]
-            table[cid] = right.class_of[(e, p, nm.class_of[(d, n, m)])]
-        components[pair] = table
-    return build_protransformation(left.profunctor, right.profunctor, components)
+    def value(d, pn_elem, m):
+        e, p, n = pn.rep_of[pn_elem]
+        return right.class_of[(e, p, nm.class_of[(d, n, m)])]
+    return _on_reps(left, right.profunctor, value)
 
 
 # -- colimits of profunctors --------------------------------------------------
@@ -523,26 +511,15 @@ def quotient_by_relation(P: Profunctor, pairs):
             for table in actions:
                 if a in table:
                     queue.append((table[a], table[b]))
-    least = uf.class_map()
-
-    elements = {pair: tuple(sorted({least[e] for e in es}))
-                for pair, es in P.elements.items()}
-    lact = {g: {least[e]: least[img] for e, img in table.items()}
-            for g, table in P.lact.items()}
-    ract = {s: {least[e]: least[img] for e, img in table.items()}
-            for s, table in P.ract.items()}
-    # well-definedness on every member, not just representatives
-    for g, table in P.lact.items():
-        for e, img in table.items():
-            if lact[g][least[e]] != least[img]:
-                raise ShapeMismatch(f"quotient left action ill-defined at {e!r}")
-    for s, table in P.ract.items():
-        for e, img in table.items():
-            if ract[s][least[e]] != least[img]:
-                raise ShapeMismatch(f"quotient right action ill-defined at {e!r}")
-    Q = build_profunctor(P.source, P.target, elements, lact, ract)
+    classes = {pair: {} for pair in P.elements}
+    for rep, members in uf.classes().items():
+        classes[P.cell_of(rep)][rep] = members
+    quotient = _glue(P.source, P.target, classes, lambda rep: rep,
+                     lambda g, es: [P.lact[g][e] for e in es],
+                     lambda s, es: [P.ract[s][e] for e in es])
+    Q = quotient.profunctor
     proj = build_protransformation(
-        P, Q, {pair: {e: least[e] for e in es}
+        P, Q, {pair: {e: quotient.class_of[e] for e in es}
                for pair, es in P.elements.items()})
     return Q, proj
 
@@ -561,30 +538,16 @@ def coequalizer(alpha: ProTransformation, beta: ProTransformation):
 
 def whisker_left(N: Profunctor, a: ProTransformation) -> ProTransformation:
     """N . a : N . M -> N . M' for a: M -> M'."""
-    left = compose_with_pairing(N, a.source)
     right = compose_with_pairing(N, a.target)
-    components = {}
-    for pair, ids in left.profunctor.elements.items():
-        table = {}
-        for cid in ids:
-            d, n, m = left.rep_of[cid]
-            table[cid] = right.class_of[(d, n, a.apply(m))]
-        components[pair] = table
-    return build_protransformation(left.profunctor, right.profunctor, components)
+    return _on_reps(compose_with_pairing(N, a.source), right.profunctor,
+                    lambda d, n, m: right.class_of[(d, n, a.apply(m))])
 
 
 def whisker_right(a: ProTransformation, M: Profunctor) -> ProTransformation:
     """a . M : N . M -> N' . M for a: N -> N'."""
-    left = compose_with_pairing(a.source, M)
     right = compose_with_pairing(a.target, M)
-    components = {}
-    for pair, ids in left.profunctor.elements.items():
-        table = {}
-        for cid in ids:
-            d, n, m = left.rep_of[cid]
-            table[cid] = right.class_of[(d, a.apply(n), m)]
-        components[pair] = table
-    return build_protransformation(left.profunctor, right.profunctor, components)
+    return _on_reps(compose_with_pairing(a.source, M), right.profunctor,
+                    lambda d, n, m: right.class_of[(d, a.apply(n), m)])
 
 
 # -- cocontinuity of composition ----------------------------------------------
@@ -604,40 +567,25 @@ def check_cocontinuity_coproduct(N: Profunctor, M1: Profunctor,
     rep = Report()
     try:
         if variable == "right":
-            left1 = compose_with_pairing(N, M1)
-            left2 = compose_with_pairing(N, M2)
-            S, _, _ = coproduct_injections(M1, M2)
-            right = compose_with_pairing(N, S)
-            L = coproduct(left1.profunctor, left2.profunctor)
-            components = {}
-            for pair, ids in L.elements.items():
-                table = {}
-                for cid in ids:
-                    tagname, inner = cid.split(":", 1)
-                    part = left1 if tagname == "inl" else left2
-                    d, n, m = part.rep_of[inner]
-                    table[cid] = right.class_of[(d, n, f"{tagname}:{m}")]
-                components[pair] = table
-            t = build_protransformation(L, right.profunctor, components)
+            slot, factors = 2, lambda X: (N, X)
         elif variable == "left":
-            M, N1, N2 = N, M1, M2
-            left1 = compose_with_pairing(N1, M)
-            left2 = compose_with_pairing(N2, M)
-            S, _, _ = coproduct_injections(N1, N2)
-            right = compose_with_pairing(S, M)
-            L = coproduct(left1.profunctor, left2.profunctor)
-            components = {}
-            for pair, ids in L.elements.items():
-                table = {}
-                for cid in ids:
-                    tagname, inner = cid.split(":", 1)
-                    part = left1 if tagname == "inl" else left2
-                    d, n, m = part.rep_of[inner]
-                    table[cid] = right.class_of[(d, f"{tagname}:{n}", m)]
-                components[pair] = table
-            t = build_protransformation(L, right.profunctor, components)
+            slot, factors = 1, lambda X: (X, N)
         else:
             raise InvalidParameter(f"unknown variable {variable!r}")
+        parts = {"inl": compose_with_pairing(*factors(M1)),
+                 "inr": compose_with_pairing(*factors(M2))}
+        right = compose_with_pairing(*factors(coproduct(M1, M2)))
+        L = coproduct(parts["inl"].profunctor, parts["inr"].profunctor)
+
+        def lift(cid):
+            tagname, inner = cid.split(":", 1)
+            gen = list(parts[tagname].rep_of[inner])
+            gen[slot] = f"{tagname}:{gen[slot]}"
+            return right.class_of[tuple(gen)]
+        t = build_protransformation(
+            L, right.profunctor,
+            {pair: {cid: lift(cid) for cid in ids}
+             for pair, ids in L.elements.items()})
         _compare(rep, f"coproduct/{variable}", t)
     except (CompositionMismatch, ShapeMismatch, InvalidParameter) as exc:
         rep.fail(f"coproduct/{variable}: {exc}")
@@ -656,28 +604,26 @@ def check_cocontinuity_coequalizer(N: Profunctor, alpha: ProTransformation,
     try:
         Q, q = coequalizer(alpha, beta)
         if variable == "right":
-            wa, wb = whisker_left(N, alpha), whisker_left(N, beta)
-            CQ, _ = coequalizer(wa, wb)
-            target = compose_with_pairing(N, Q)
-            src_pairing = compose_with_pairing(N, alpha.target)
-            lift = lambda d, n, m: target.class_of[(d, n, q.apply(m))]
+            slot, factors = 2, lambda X: (N, X)
+            whisker = lambda a: whisker_left(N, a)
         elif variable == "left":
-            wa, wb = whisker_right(alpha, N), whisker_right(beta, N)
-            CQ, _ = coequalizer(wa, wb)
-            target = compose_with_pairing(Q, N)
-            src_pairing = compose_with_pairing(alpha.target, N)
-            lift = lambda d, n, m: target.class_of[(d, q.apply(n), m)]
+            slot, factors = 1, lambda X: (X, N)
+            whisker = lambda a: whisker_right(a, N)
         else:
             raise InvalidParameter(f"unknown variable {variable!r}")
-        components = {}
-        for pair, ids in CQ.elements.items():
-            table = {}
-            for cid in ids:
-                # cid is the least composite element of its quotient class
-                d, n, m = src_pairing.rep_of[cid]
-                table[cid] = lift(d, n, m)
-            components[pair] = table
-        t = build_protransformation(CQ, target.profunctor, components)
+        CQ, _ = coequalizer(whisker(alpha), whisker(beta))
+        target = compose_with_pairing(*factors(Q))
+        src_pairing = compose_with_pairing(*factors(alpha.target))
+
+        def lift(cid):
+            # cid is the least composite element of its quotient class
+            gen = list(src_pairing.rep_of[cid])
+            gen[slot] = q.apply(gen[slot])
+            return target.class_of[tuple(gen)]
+        t = build_protransformation(
+            CQ, target.profunctor,
+            {pair: {cid: lift(cid) for cid in ids}
+             for pair, ids in CQ.elements.items()})
         _compare(rep, f"coequalizer/{variable}", t)
     except (CompositionMismatch, ShapeMismatch, InvalidParameter) as exc:
         rep.fail(f"coequalizer/{variable}: {exc}")

@@ -47,11 +47,3 @@ class UnionFind:
             members.sort()
             canonical[members[0]] = members
         return canonical
-
-    def class_map(self) -> dict:
-        """Map each element to the least member of its class."""
-        least: dict = {}
-        for root, members in self.classes().items():
-            for x in members:
-                least[x] = root
-        return least

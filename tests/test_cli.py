@@ -144,7 +144,7 @@ def test_check_failure_exits_1(ws):
     assert lax.returncode == 0
 
 
-def test_invalid_inputs_exit_2(ws):
+def test_invalid_inputs_exit_2(ws, tmp_path):
     assert run("--workspace", str(ws), "homology", "garbage").returncode == 2
     assert run("--workspace", str(ws), "homology", "missing").returncode == 2
     assert run("homology", "missing").returncode == 2  # no workspace at all
@@ -152,6 +152,35 @@ def test_invalid_inputs_exit_2(ws):
     assert run("frobnicate").returncode == 2
     r = run("--workspace", str(ws), "check", "cocontinuity", "n")
     assert r.returncode == 2
+    off_support = tmp_path / "off_support.json"
+    off_support.write_text(dumps_canonical(
+        {"window": [-1, 0], "ranks": {"0": 1}, "differentials": {"0": [[1]]}}))
+    r = run("homology", str(off_support))
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+
+
+def test_snf_of_an_entry_over_4300_digits(tmp_path):
+    digits = "7" * 5000
+    big = tmp_path / "big.json"
+    big.write_text(f"[[{digits}]]")
+    r = run("snf", str(big))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.count(digits) == 2  # in S and on the diagonal
+
+
+def test_failed_self_verification_survives_optimize(ws):
+    """The result guards are explicit raises, so `python -O` keeps them."""
+    script = ("import sys; import laxcat.k0chain as k; "
+              "from laxcat.cli import main; from laxcat.report import Report; "
+              "k.SmithDecomposition.verify = lambda self: Report(False, ['forced']); "
+              "sys.exit(main(sys.argv[1:]))")
+    r = subprocess.run([sys.executable, "-O", "-c", script,
+                        "--workspace", str(ws), "snf", "mat"],
+                       capture_output=True, text=True)
+    assert r.returncode != 0
+    assert r.stdout == ""
+    assert "self-verification" in r.stderr
 
 
 def test_cap_breach_exits_3(ws, tmp_path):

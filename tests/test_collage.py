@@ -9,7 +9,8 @@ from laxcat.collage import (assemble_matrix, block_multiply, build_diagram,
                             identity_block_decomposition, restrict_matrix)
 from laxcat.errors import InvalidParameter
 from laxcat.fincat import CatFunctor, standard_category
-from laxcat.profunctor import compose_profunctors, from_functor
+from laxcat.profunctor import (compose_profunctors, compose_with_pairing,
+                               from_functor)
 from laxcat.rand import (rand_category, rand_diagram, rand_profunctor,
                          rng_from_seed)
 
@@ -101,7 +102,12 @@ def test_block_multiply_equals_global_composite():
         M = rand_profunctor(rng, A, G.total, 3)
         Nd = restrict_matrix(N, G, "source")
         Md = restrict_matrix(M, G, "target")
-        assert block_multiply(Nd, Md).profunctor == compose_profunctors(N, M)
+        blockwise = block_multiply(Nd, Md)
+        glued = compose_with_pairing(N, M)
+        assert blockwise.profunctor == compose_profunctors(N, M)
+        # both products hand the same classes to one gluing kernel
+        assert blockwise.class_of == glued.class_of
+        assert blockwise.rep_of == glued.rep_of
         assert check_block_multiply(Nd, Md).ok
 
 

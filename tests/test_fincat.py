@@ -4,8 +4,8 @@ from laxcat.errors import (InvalidParameter, MissingComposite, NonAssociative,
                            SearchBoundExceeded, UnitLawViolation)
 from laxcat.fincat import (CatFunctor, build_category, compose_functors,
                            enumerate_functors, find_isomorphism, from_poset,
-                           functor_is_valid, identity_functor, opposite,
-                           product, standard_category, validate_functor)
+                           identity_functor, opposite, product,
+                           standard_category, validate_functor)
 
 
 def test_discrete_category():
@@ -82,7 +82,7 @@ def test_product_sizes():
 
 def test_identity_functor_valid():
     D2 = standard_category("simplex", 2)
-    assert functor_is_valid(identity_functor(D2))
+    assert validate_functor(identity_functor(D2)).ok
 
 
 def test_validate_functor_catches_bad_composition():
@@ -102,9 +102,9 @@ def test_compose_functors():
     G = CatFunctor(D2, I, {"0": "0", "1": "1", "2": "1"},
                    {"0<=0": "id_0", "1<=1": "id_1", "2<=2": "id_1",
                     "0<=1": "u", "0<=2": "u", "1<=2": "id_1"})
-    assert functor_is_valid(F) and functor_is_valid(G)
+    assert validate_functor(F).ok and validate_functor(G).ok
     GF = compose_functors(G, F)
-    assert functor_is_valid(GF)
+    assert validate_functor(GF).ok
     assert GF.obmap == {"0": "0", "1": "1"}
 
 
@@ -113,7 +113,7 @@ def test_enumerate_functors_interval_endo():
     found = list(enumerate_functors(I, I))
     # constant 0, constant 1, identity; nothing maps u backwards
     assert len(found) == 3
-    assert all(functor_is_valid(F) for F in found)
+    assert all(validate_functor(F).ok for F in found)
 
 
 def test_enumerate_functors_out_of_discrete():
@@ -126,7 +126,7 @@ def test_find_isomorphism_self_dual_interval():
     I = standard_category("interval")
     iso = find_isomorphism(I, opposite(I))
     assert iso is not None
-    assert functor_is_valid(iso)
+    assert validate_functor(iso).ok
 
 
 def test_find_isomorphism_distinguishes():
