@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .collage import (Diagram, block_multiply, check_absoluteness,
+from .collage import (block_multiply, check_absoluteness,
                       check_bilimit_roundtrip, check_semiorthogonal,
                       collage_of_profunctor, grothendieck,
                       identity_block_decomposition, restrict_matrix)
@@ -25,8 +25,8 @@ from .fincat import FinCategory, standard_category
 from .jsonio import (LOADERS, chainmap_to_json, collage_to_json,
                      complex_to_json, dumps_canonical, homology_to_json,
                      profunctor_to_json, sniff_kind, snf_to_json)
-from .k0chain import (ChainComplex, ChainMap, cone, hom_complex, homology_all,
-                      is_acyclic, is_quasi_iso, smith_normal_form, tot)
+from .k0chain import (cone, hom_complex, homology_all, is_acyclic,
+                      is_quasi_iso, smith_normal_form, tot)
 from .profunctor import (Profunctor, associator, check_cocontinuity,
                          compose_profunctors, hom_profunctor, is_natural_iso,
                          left_unitor, right_unitor)
@@ -40,43 +40,39 @@ DEGREE_CAP = 16
 
 # -- caps -----------------------------------------------------------------------
 
-def _cap_category(C: FinCategory, caps, label: str):
-    if len(C.objects) > caps["objects"]:
-        raise CapExceeded(f"{label}: {len(C.objects)} objects exceed "
-                          f"the cap of {caps['objects']}")
-
-
-def enforce_caps(obj, caps, label: str):
-    if isinstance(obj, FinCategory):
-        _cap_category(obj, caps, label)
-    elif isinstance(obj, Profunctor):
-        _cap_category(obj.source, caps, f"{label}: source")
-        _cap_category(obj.target, caps, f"{label}: target")
-        for (d, c), es in obj.elements.items():
-            if len(es) > caps["elements"]:
-                raise CapExceeded(f"{label}: cell ({d}, {c}) holds {len(es)} "
+def _check_caps(data, kind: str, caps, label: str):
+    """Refuse an oversized raw JSON input before any loader validates or
+    allocates it.  Nested inputs pass through Workspace.resolve on their
+    own, so only this level is looked at; malformed fields are left to
+    the loader to reject."""
+    if not isinstance(data, dict):
+        return
+    if kind == "category" and isinstance(data.get("objects"), list):
+        if len(data["objects"]) > caps["objects"]:
+            raise CapExceeded(f"{label}: {len(data['objects'])} objects exceed "
+                              f"the cap of {caps['objects']}")
+    elif kind == "profunctor" and isinstance(data.get("elements"), dict):
+        for key, es in data["elements"].items():
+            if isinstance(es, list) and len(es) > caps["elements"]:
+                raise CapExceeded(f"{label}: cell {key} holds {len(es)} "
                                   f"elements, cap is {caps['elements']}")
-    elif isinstance(obj, Diagram):
-        _cap_category(obj.shape, caps, f"{label}: shape")
-        for s, F in obj.fiber.items():
-            _cap_category(F, caps, f"{label}: fiber over {s}")
-    elif isinstance(obj, ChainComplex):
-        if obj.ranks:
-            lo, hi = obj.window
-            if hi - lo + 1 > DEGREE_CAP:
-                raise CapExceeded(f"{label}: window spans {hi - lo + 1} "
-                                  f"degrees, cap is {DEGREE_CAP}")
-        for n, r in obj.ranks.items():
+    elif kind == "complex" and isinstance(data.get("ranks"), dict):
+        ranks = {}
+        for key, r in data["ranks"].items():
+            try:
+                n = int(key)
+            except (TypeError, ValueError):
+                continue
+            if isinstance(r, int) and not isinstance(r, bool) and r > 0:
+                ranks[n] = r
+        span = max(ranks) - min(ranks) + 1 if ranks else 0
+        if span > DEGREE_CAP:
+            raise CapExceeded(f"{label}: window spans {span} degrees, "
+                              f"cap is {DEGREE_CAP}")
+        for n, r in ranks.items():
             if r > RANK_CAP:
                 raise CapExceeded(f"{label}: rank {r} in degree {n} "
                                   f"exceeds the cap of {RANK_CAP}")
-    elif isinstance(obj, ChainMap):
-        enforce_caps(obj.source, caps, f"{label}: source")
-        enforce_caps(obj.target, caps, f"{label}: target")
-    elif isinstance(obj, tuple) and len(obj) == 2:
-        complexes, maps = obj
-        for i, cx in enumerate(complexes):
-            enforce_caps(cx, caps, f"{label}: complex {i}")
 
 
 # -- workspace -------------------------------------------------------------------
@@ -91,9 +87,8 @@ class Workspace:
 
     def resolve(self, ref, kind):
         if isinstance(ref, (dict, list)):
-            obj = LOADERS[kind](ref, self.resolve)
-            enforce_caps(obj, self.caps, f"inline {kind}")
-            return obj
+            _check_caps(ref, kind, self.caps, f"inline {kind}")
+            return LOADERS[kind](ref, self.resolve)
         if not isinstance(ref, str):
             raise SchemaError(f"expected a name or inline {kind}, got {ref!r}")
         key = (ref, kind)
@@ -111,8 +106,8 @@ class Workspace:
         actual = sniff_kind(data)
         if actual != kind:
             raise SchemaError(f"{ref!r} holds a {actual}, expected a {kind}")
+        _check_caps(data, kind, self.caps, ref)
         obj = LOADERS[kind](data, self.resolve)
-        enforce_caps(obj, self.caps, ref)
         self._cache[key] = obj
         return obj
 

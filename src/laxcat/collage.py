@@ -90,9 +90,6 @@ class Collage:
     diagram: Diagram | None = field(default=None, repr=False)
     profunctor: Profunctor | None = field(default=None, repr=False)
 
-    def obj_id(self, s: str, x: str) -> str:
-        return f"({s},{x})"
-
 
 def _total_mor_id(gamma: str, payload: str, x: str) -> str:
     return f"({gamma},{payload}@{x})"

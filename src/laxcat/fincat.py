@@ -56,9 +56,6 @@ class FinCategory:
         """The composite g.f (first f, then g)."""
         return self.comp[(g, f)]
 
-    def id_of(self, x: str) -> str:
-        return self.identity[x]
-
     def is_identity(self, m: str) -> bool:
         return self.identity.get(self.src[m]) == m
 

@@ -261,13 +261,16 @@ def _int_matrix(value, where: str):
     return value
 
 
+def _matrix_to_json(m) -> list[list[int]]:
+    return [[int(v) for v in row] for row in m.tolist()]
+
+
 def complex_to_json(C: ChainComplex) -> dict:
     lo, hi = C.window if C.ranks else (0, -1)
     return {
         "window": [lo, hi],
         "ranks": {str(n): C.rank(n) for n in sorted(C.ranks)},
-        "differentials": {str(n): [[int(v) for v in row]
-                                   for row in C.diffs[n].tolist()]
+        "differentials": {str(n): _matrix_to_json(C.diffs[n])
                           for n in sorted(C.diffs)},
     }
 
@@ -299,8 +302,7 @@ def chainmap_to_json(f: ChainMap) -> dict:
     return {
         "source": complex_to_json(f.source),
         "target": complex_to_json(f.target),
-        "matrices": {str(n): [[int(v) for v in row]
-                              for row in f.matrices[n].tolist()]
+        "matrices": {str(n): _matrix_to_json(f.matrices[n])
                      for n in sorted(f.matrices)},
     }
 
@@ -350,9 +352,9 @@ def homology_to_json(groups: dict[int, HomologyGroup]) -> dict:
 
 def snf_to_json(dec: SmithDecomposition) -> dict:
     return {
-        "S": [[int(v) for v in row] for row in dec.S.tolist()],
-        "U": [[int(v) for v in row] for row in dec.U.tolist()],
-        "V": [[int(v) for v in row] for row in dec.V.tolist()],
+        "S": _matrix_to_json(dec.S),
+        "U": _matrix_to_json(dec.U),
+        "V": _matrix_to_json(dec.V),
         "diagonal": dec.diagonal(),
     }
 

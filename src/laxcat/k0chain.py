@@ -6,15 +6,13 @@ overflows or rounds; vectors are columns and composition is matrix product.
 
 Conventions fixed here and relied on everywhere else:
 
-  * cone(f: A -> B) has Cone_n = A_{n-1} (+) B_n and differential
-    [[-d_A, 0], [-f, d_B]].
+  * cone(f: A -> B) is defined as shift(tot([A, B], [f]), 1): Cone_n =
+    A_{n-1} (+) B_n with differential [[-d_A, 0], [-f, d_B]].
   * hom_complex(A, B) has degree-n part the graded maps raising degree by
     n, with differential (dg)_k = d_B g_k + (-1)^n g_{k-1} d_A.  Chain maps
     correspond to degree-0 cycles through the sign reindexing
     g_k |-> (-1)^k g_k.
-  * tot places X_p in horizontal degree -p with vertical sign (-1)^p, so
-    the total complex of a two-term tower equals shift(cone, -1) on the
-    nose.
+  * tot places X_p in horizontal degree -p with vertical sign (-1)^p.
   * null homotopies are oriented dH + Hd = g (not its negative).
   * Smith normal form returns U d V = S with |det U| = |det V| = 1,
     nonnegative diagonal, and each entry dividing the next.
@@ -184,20 +182,6 @@ def build_complex(ranks: dict[int, int], diffs: dict[int, object]) -> ChainCompl
         if not is_zero_matrix(square):
             raise DifferentialSquareNonzero(f"d.d != 0 from degree {n}")
     return C
-
-
-def validate_complex(C: ChainComplex) -> Report:
-    rep = Report()
-    for n in C.diffs:
-        if C.diffs[n].shape != (C.rank(n - 1), C.rank(n)):
-            rep.fail(f"differential at {n} has the wrong shape")
-        elif not is_zero_matrix(C.diff(n - 1) @ C.diff(n)):
-            rep.fail(f"d.d != 0 from degree {n}")
-    return rep
-
-
-def zero_complex() -> ChainComplex:
-    return ChainComplex({}, {})
 
 
 def shift(C: ChainComplex, k: int) -> ChainComplex:
@@ -375,30 +359,15 @@ class MappingCone:
 
 
 def cone(f: ChainMap) -> MappingCone:
-    """Cone(f)_n = A_{n-1} (+) B_n with differential [[-d_A, 0], [-f, d_B]].
+    """Cone(f) = shift(tot([A, B], [f]), 1): Cone(f)_n = A_{n-1} (+) B_n
+    with differential [[-d_A, 0], [-f, d_B]].
 
     inclusion: B -> Cone(f) and projection: Cone(f) -> shift(A, 1) are the
     canonical chain maps; the un-negated f block would break d.d = 0, the
     signs here are what the alternating block calculus expects.
     """
     A, B = f.source, f.target
-    ranks = {}
-    for n in set(k + 1 for k in A.ranks) | set(B.ranks):
-        r = A.rank(n - 1) + B.rank(n)
-        if r:
-            ranks[n] = r
-    diffs = {}
-    for n in ranks:
-        rows, cols = ranks.get(n - 1, 0), ranks[n]
-        if not (rows and cols):
-            continue
-        m = zeros(rows, cols)
-        ar_top, ac = A.rank(n - 2), A.rank(n - 1)
-        m[:ar_top, :ac] = -A.diff(n - 1)
-        m[ar_top:, :ac] = -f.mat(n - 1)
-        m[ar_top:, ac:] = B.diff(n)
-        diffs[n] = m
-    cx = build_complex(ranks, diffs)
+    cx = shift(tot([A, B], [f]), 1)
     incl = build_chain_map(B, cx, {
         n: np.vstack([zeros(A.rank(n - 1), B.rank(n)), eye(B.rank(n))])
         for n in B.ranks if cx.rank(n)})
@@ -462,7 +431,7 @@ def hom_basis(A: ChainComplex, B: ChainComplex, n: int):
 def hom_complex_with_basis(A: ChainComplex, B: ChainComplex):
     """(hom complex, basis per degree); differential dg + (-1)^|g| gd."""
     if not A.ranks or not B.ranks:
-        return zero_complex(), {}
+        return ChainComplex({}, {}), {}
     alo, ahi = A.window
     blo, bhi = B.window
     degrees = range(blo - ahi, bhi - alo + 1)
@@ -693,6 +662,11 @@ class SmithDecomposition:
     def rank(self) -> int:
         return sum(1 for v in self.diagonal() if v != 0)
 
+    def kernel(self) -> np.ndarray:
+        """Columns of V past the rank: a basis of ker(matrix) that is a
+        direct summand of the domain."""
+        return self.V[:, self.rank():]
+
     def verify(self) -> Report:
         rep = Report()
         if not mat_eq(self.U @ self.matrix @ self.V, self.S):
@@ -726,58 +700,47 @@ def smith_normal_form(matrix) -> SmithDecomposition:
     U, V = eye(m), eye(n)
     k = 0
     while k < min(m, n):
+        # each pass moves the smallest nonzero |entry| of D[k:, k:] (first in
+        # row-major order) to (k, k) and reduces its row and column by it
         pivot = None
         for i in range(k, m):
             for j in range(k, n):
-                if D[i, j] != 0 and (pivot is None
-                                     or abs(D[i, j]) < abs(D[pivot[0], pivot[1]])):
+                if D[i, j] != 0 and (pivot is None or abs(D[i, j]) < abs(D[pivot])):
                     pivot = (i, j)
         if pivot is None:
             break
-        while True:
-            i, j = pivot
-            if i != k:
-                D[[k, i], :] = D[[i, k], :]
-                U[[k, i], :] = U[[i, k], :]
-            if j != k:
-                D[:, [k, j]] = D[:, [j, k]]
-                V[:, [k, j]] = V[:, [j, k]]
-            if D[k, k] < 0:
-                D[k, :] = -D[k, :]
-                U[k, :] = -U[k, :]
-            p = D[k, k]
-            for i in range(k + 1, m):
-                q = D[i, k] // p
-                if q:
-                    D[i, :] = D[i, :] - q * D[k, :]
-                    U[i, :] = U[i, :] - q * U[k, :]
-            for j in range(k + 1, n):
-                q = D[k, j] // p
-                if q:
-                    D[:, j] = D[:, j] - q * D[:, k]
-                    V[:, j] = V[:, j] - q * V[:, k]
-            col_clear = all(D[i, k] == 0 for i in range(k + 1, m))
-            row_clear = all(D[k, j] == 0 for j in range(k + 1, n))
-            if col_clear and row_clear:
-                bad = None
-                for i in range(k + 1, m):
-                    for j in range(k + 1, n):
-                        if D[i, j] % p != 0:
-                            bad = i
-                            break
-                    if bad is not None:
-                        break
-                if bad is None:
-                    break
-                D[k, :] = D[k, :] + D[bad, :]
-                U[k, :] = U[k, :] + U[bad, :]
-            pivot = None
-            for i in range(k, m):
-                for j in range(k, n):
-                    if D[i, j] != 0 and (pivot is None
-                                         or abs(D[i, j]) < abs(D[pivot[0], pivot[1]])):
-                        pivot = (i, j)
-        k += 1
+        i, j = pivot
+        if i != k:
+            D[[k, i], :] = D[[i, k], :]
+            U[[k, i], :] = U[[i, k], :]
+        if j != k:
+            D[:, [k, j]] = D[:, [j, k]]
+            V[:, [k, j]] = V[:, [j, k]]
+        if D[k, k] < 0:
+            D[k, :] = -D[k, :]
+            U[k, :] = -U[k, :]
+        p = D[k, k]
+        for i in range(k + 1, m):
+            q = D[i, k] // p
+            if q:
+                D[i, :] = D[i, :] - q * D[k, :]
+                U[i, :] = U[i, :] - q * U[k, :]
+        for j in range(k + 1, n):
+            q = D[k, j] // p
+            if q:
+                D[:, j] = D[:, j] - q * D[:, k]
+                V[:, j] = V[:, j] - q * V[:, k]
+        if (any(D[i, k] != 0 for i in range(k + 1, m))
+                or any(D[k, j] != 0 for j in range(k + 1, n))):
+            continue
+        # p must divide the rest; otherwise fold in the first offending row
+        bad = next((i for i in range(k + 1, m) for j in range(k + 1, n)
+                    if D[i, j] % p != 0), None)
+        if bad is None:
+            k += 1
+        else:
+            D[k, :] = D[k, :] + D[bad, :]
+            U[k, :] = U[k, :] + U[bad, :]
     return SmithDecomposition(A, U, D, V)
 
 
@@ -856,19 +819,34 @@ class HomologyGroup:
         return " + ".join(parts) if parts else "0"
 
 
+def _diff_factors(C: ChainComplex):
+    """n -> smith_normal_form(C.diff(n)), factoring each differential at
+    most once; ranks, torsion and kernel bases all read the same result."""
+    cache = {}
+
+    def factor(n: int) -> SmithDecomposition:
+        if n not in cache:
+            cache[n] = smith_normal_form(C.diff(n))
+        return cache[n]
+    return factor
+
+
+def _homology(C: ChainComplex, n: int, factor) -> HomologyGroup:
+    snf_in = factor(n + 1)
+    free = C.rank(n) - factor(n).rank() - snf_in.rank()
+    return HomologyGroup(free, tuple(v for v in snf_in.diagonal() if v > 1))
+
+
 def homology(C: ChainComplex, n: int) -> HomologyGroup:
     """H_n = ker d_n / im d_{n+1}, as free rank plus invariant factors > 1."""
-    out_rank = smith_normal_form(C.diff(n)).rank()
-    snf_in = smith_normal_form(C.diff(n + 1))
-    free = C.rank(n) - out_rank - snf_in.rank()
-    torsion = tuple(v for v in snf_in.diagonal() if v > 1)
-    return HomologyGroup(free, torsion)
+    return _homology(C, n, _diff_factors(C))
 
 
 def homology_all(C: ChainComplex) -> dict[int, HomologyGroup]:
+    factor = _diff_factors(C)
     out = {}
     for n in C.degrees():
-        h = homology(C, n)
+        h = _homology(C, n, factor)
         if not h.is_zero():
             out[n] = h
     return out
@@ -880,8 +858,7 @@ def is_acyclic(C: ChainComplex) -> bool:
 
 def kernel_basis(A: np.ndarray) -> np.ndarray:
     """Columns form a basis of ker(A) as a direct summand of the domain."""
-    snf = smith_normal_form(A)
-    return snf.V[:, snf.rank():]
+    return smith_normal_form(A).kernel()
 
 
 def _left_inverse(K: np.ndarray) -> np.ndarray:
@@ -896,12 +873,12 @@ def _left_inverse(K: np.ndarray) -> np.ndarray:
     return snf.V @ splus @ snf.U
 
 
-def _homology_map_surjective(f: ChainMap, n: int) -> bool:
-    A, B = f.source, f.target
-    KB = kernel_basis(B.diff(n))
+def _homology_map_surjective(f: ChainMap, n: int, factor_A, factor_B) -> bool:
+    B = f.target
+    KB = factor_B(n).kernel()
     if KB.shape[1] == 0:
         return True
-    KA = kernel_basis(A.diff(n))
+    KA = factor_A(n).kernel()
     LB = _left_inverse(KB)
     Y = LB @ (f.mat(n) @ KA)
     if not mat_eq(KB @ Y, f.mat(n) @ KA):
@@ -926,9 +903,11 @@ def is_quasi_iso(f: ChainMap) -> bool:
     """
     degrees = set(f.source.ranks) | set(f.target.ranks)
     degrees = degrees | {n + 1 for n in degrees} | {n - 1 for n in degrees}
+    factor_A = _diff_factors(f.source)
+    factor_B = factor_A if f.target == f.source else _diff_factors(f.target)
     for n in sorted(degrees):
-        if homology(f.source, n) != homology(f.target, n):
+        if _homology(f.source, n, factor_A) != _homology(f.target, n, factor_B):
             return False
-        if not _homology_map_surjective(f, n):
+        if not _homology_map_surjective(f, n, factor_A, factor_B):
             return False
     return True

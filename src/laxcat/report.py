@@ -21,8 +21,5 @@ class Report:
         for msg in other.failures:
             self.fail(prefix + msg)
 
-    def to_json(self) -> dict:
-        return {"ok": self.ok, "failures": list(self.failures)}
-
     def __bool__(self) -> bool:
         return self.ok

@@ -192,3 +192,13 @@ def test_cap_breach_exits_3(ws, tmp_path):
         {"window": [0, 0], "ranks": {"0": 64}, "differentials": {}}))
     r = run("homology", str(big))
     assert r.returncode == 3
+    # caps are read off the raw JSON, before the loader allocates a rank
+    for rank in (10**30, 33):
+        huge = tmp_path / "huge_rank.json"
+        huge.write_text(dumps_canonical(
+            {"window": [1, 2], "ranks": {"1": 1, "2": rank},
+             "differentials": {"2": [[4]]}}))
+        r = run("homology", str(huge))
+        assert r.returncode == 3, r.stderr
+        assert len(r.stderr.splitlines()) == 1
+        assert "Traceback" not in r.stderr

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from laxcat.errors import (CompositeNonzero, DifferentialSquareNonzero,
                            DimensionMismatch, InvalidParameter,
                            NotANullHomotopy)
+import laxcat.k0chain as k0chain
 from laxcat.k0chain import (BlockGradedMatrix, GradedIndex, add_chain_maps,
                             as_matrix, block_plain_multiply, build_chain_map,
                             build_complex, build_homotopy, compose_chain_maps,
@@ -18,8 +19,7 @@ from laxcat.k0chain import (BlockGradedMatrix, GradedIndex, add_chain_maps,
                             is_quasi_iso, is_zero_matrix, kernel_basis,
                             mat_eq, shift, sign_scale_rows,
                             smith_normal_form, snf_diagonal_naive,
-                            star_multiply, tot, validate_complex,
-                            zero_chain_map, zeros)
+                            star_multiply, tot, zero_chain_map, zeros)
 from laxcat.rand import (rand_chain_map, rand_complex, rand_graded,
                          rand_quasi_iso_case, rand_universal_case,
                          rng_from_seed)
@@ -62,7 +62,6 @@ def test_build_complex_trims_zero_ranks():
     C = build_complex({0: 1, 1: 0, 5: 0}, {})
     assert C.ranks == {0: 1}
     assert C.window == (0, 0)
-    assert validate_complex(C).ok
 
 
 def test_shift_sign_and_involution():
@@ -109,6 +108,23 @@ def test_homotopy_orientation_enforced():
 
 
 # -- cone -------------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(seeds)
+def test_cone_differential_is_the_signed_block_matrix(seed):
+    rng = rng_from_seed(seed)
+    A, _ = rand_complex(rng)
+    B, _ = rand_complex(rng)
+    f = rand_chain_map(rng, A, B)
+    cx = cone(f).complex
+    lo = min(A.window[0] + 1, B.window[0])
+    hi = max(A.window[1] + 1, B.window[1])
+    for n in range(lo - 1, hi + 2):
+        assert cx.rank(n) == A.rank(n - 1) + B.rank(n)
+        blocks = np.block([[-A.diff(n - 1), zeros(A.rank(n - 2), B.rank(n))],
+                           [-f.mat(n - 1), B.diff(n)]])
+        assert mat_eq(cx.diff(n), blocks)
+
 
 def test_cone_identity_acyclic():
     rng = rng_from_seed(30)
@@ -215,16 +231,6 @@ def test_cycles_are_reindexed_chain_maps():
 
 # -- tot ---------------------------------------------------------------------------
 
-@settings(max_examples=40, deadline=None)
-@given(seeds)
-def test_tot_of_two_term_tower_is_shifted_cone(seed):
-    rng = rng_from_seed(seed)
-    A, _ = rand_complex(rng)
-    B, _ = rand_complex(rng)
-    f = rand_chain_map(rng, A, B)
-    assert tot([A, B], [f]) == shift(cone(f).complex, -1)
-
-
 def test_tot_requires_zero_composites():
     Z = build_complex({0: 1}, {})
     i = identity_chain_map(Z)
@@ -314,3 +320,37 @@ def test_homology_of_twisted_disk():
     h = homology(C, 0)
     assert h.free == 0 and h.torsion == (6,)
     assert homology(C, 1).is_zero()
+
+
+def _count_snf(monkeypatch):
+    """Record the argument of every smith_normal_form call."""
+    calls = []
+    real = k0chain.smith_normal_form
+
+    def counting(matrix):
+        calls.append(matrix)
+        return real(matrix)
+    monkeypatch.setattr(k0chain, "smith_normal_form", counting)
+    return calls
+
+
+def test_homology_all_factors_each_differential_once(monkeypatch):
+    calls = _count_snf(monkeypatch)
+    rng = rng_from_seed(35)
+    for _ in range(10):
+        C, known = rand_complex(rng)
+        calls.clear()
+        assert homology_all(C) == known
+        assert len(calls) <= len(C.degrees()) + 1
+
+
+def test_quasi_iso_factors_no_differential_twice(monkeypatch):
+    calls = _count_snf(monkeypatch)
+    rng = rng_from_seed(36)
+    for _ in range(20):
+        f, expected = rand_quasi_iso_case(rng)
+        calls.clear()
+        assert is_quasi_iso(f) == expected
+        stored = [d for C in (f.source, f.target) for d in C.diffs.values()]
+        for d in stored:
+            assert sum(1 for m in calls if m is d) <= 1
