@@ -10,11 +10,8 @@ here make both halves of that comparison available.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import CompositionMismatch, ShapeMismatch
 from .fincat import FinCategory
-from .k0chain import mat_eq, zeros
 from .profunctor import Profunctor, compose_profunctors
 from .report import Report
 from .unionfind import UnionFind
@@ -23,24 +20,26 @@ from .unionfind import UnionFind
 @dataclass
 class CardMatrix:
     """Integer matrix with named rows (target objects) and columns (source
-    objects)."""
+    objects).  data is given as any nested sequence of int rows (a list of
+    lists, a 2-d array) and stored as a tuple of int tuples."""
     rows: tuple[str, ...]
     cols: tuple[str, ...]
-    data: np.ndarray
+    data: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        self.data = tuple(tuple(int(v) for v in row) for row in self.data)
 
     def entry(self, row: str, col: str) -> int:
-        return int(self.data[self.rows.index(row), self.cols.index(col)])
+        return self.data[self.rows.index(row)][self.cols.index(col)]
 
     def __eq__(self, other):
         if not isinstance(other, CardMatrix):
             return NotImplemented
         return (self.rows == other.rows and self.cols == other.cols
-                and mat_eq(self.data, other.data))
+                and self.data == other.data)
 
     def __repr__(self):
-        body = "; ".join(
-            " ".join(str(self.data[i, j]) for j in range(len(self.cols)))
-            for i in range(len(self.rows)))
+        body = "; ".join(" ".join(str(v) for v in row) for row in self.data)
         return f"CardMatrix([{body}])"
 
 
@@ -72,13 +71,10 @@ def cardinality_matrix(P: Profunctor, mode: str = "raw") -> CardMatrix:
         raise ShapeMismatch(f"unknown cardinality mode {mode!r}")
     rows = tuple(P.target.objects)
     cols = tuple(P.source.objects)
-    data = zeros(len(rows), len(cols))
-    for i, d in enumerate(rows):
-        for j, c in enumerate(cols):
-            if mode == "raw":
-                data[i, j] = len(P.elems(d, c))
-            else:
-                data[i, j] = _cell_components(P, d, c)
+    if mode == "raw":
+        data = [[len(P.elems(d, c)) for c in cols] for d in rows]
+    else:
+        data = [[_cell_components(P, d, c) for c in cols] for d in rows]
     return CardMatrix(rows, cols, data)
 
 
@@ -86,7 +82,10 @@ def multiply_cards(N: CardMatrix, M: CardMatrix) -> CardMatrix:
     """Plain integer matrix product, with the middle index checked."""
     if N.cols != M.rows:
         raise ShapeMismatch("middle object lists do not match")
-    return CardMatrix(N.rows, M.cols, N.data @ M.data)
+    columns = [[row[j] for row in M.data] for j in range(len(M.cols))]
+    return CardMatrix(N.rows, M.cols,
+                      [[sum(a * b for a, b in zip(row, col)) for col in columns]
+                       for row in N.data])
 
 
 def is_discrete(C: FinCategory) -> bool:
@@ -137,9 +136,9 @@ def check_lax_multiplicativity(N: Profunctor, M: Profunctor) -> Report:
     got, want = composite_vs_product(N, M, "raw")
     for i, d in enumerate(got.rows):
         for j, c in enumerate(got.cols):
-            if got.data[i, j] > want.data[i, j]:
-                rep.fail(f"cell ({d}, {c}): composite {got.data[i, j]} "
-                         f"exceeds product {want.data[i, j]}")
+            if got.data[i][j] > want.data[i][j]:
+                rep.fail(f"cell ({d}, {c}): composite {got.data[i][j]} "
+                         f"exceeds product {want.data[i][j]}")
     return rep
 
 

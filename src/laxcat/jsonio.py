@@ -12,15 +12,19 @@ either the inline object or a string naming a workspace entry; the
 mean.
 """
 
+from __future__ import annotations
+
 import json
+from typing import TYPE_CHECKING
 
 from .collage import Collage, Diagram, build_diagram
 from .errors import SchemaError, UnboundedComplex
 from .fincat import CatFunctor, FinCategory, build_category
-from .k0chain import (ChainComplex, ChainMap, HomologyGroup,
-                      SmithDecomposition, as_matrix, build_chain_map,
-                      build_complex)
 from .profunctor import Profunctor, build_profunctor
+
+if TYPE_CHECKING:
+    from .k0chain import (ChainComplex, ChainMap, HomologyGroup,
+                          SmithDecomposition)
 
 KINDS = ("category", "functor", "profunctor", "diagram", "complex",
          "chainmap", "tower", "matrix")
@@ -295,6 +299,7 @@ def complex_from_json(data, resolve=None) -> ChainComplex:
     diffs = {n: _int_matrix(m, f"complex.differentials[{n}]")
              for n, m in _int_keyed(data["differentials"],
                                     "complex.differentials").items()}
+    from .k0chain import build_complex
     return build_complex(ranks, diffs)
 
 
@@ -313,6 +318,7 @@ def chainmap_from_json(data, resolve=default_resolver) -> ChainMap:
     B = _resolve(data["target"], "complex", resolve, "chainmap.target")
     mats = {n: _int_matrix(m, f"chainmap.matrices[{n}]")
             for n, m in _int_keyed(data["matrices"], "chainmap.matrices").items()}
+    from .k0chain import build_chain_map
     return build_chain_map(A, B, mats)
 
 
@@ -324,6 +330,7 @@ def tower_from_json(data, resolve=default_resolver):
         raise SchemaError("tower: complexes and maps must be lists")
     complexes = [_resolve(ref, "complex", resolve, f"tower.complexes[{i}]")
                  for i, ref in enumerate(data["complexes"])]
+    from .k0chain import build_chain_map
     maps = []
     for i, entry in enumerate(data["maps"]):
         _expect(entry, f"tower.maps[{i}]", ("matrices",))
@@ -340,6 +347,7 @@ def matrix_from_json(data, resolve=None):
     if isinstance(data, dict):
         _expect(data, "matrix", ("matrix",))
         data = data["matrix"]
+    from .k0chain import as_matrix
     return as_matrix(_int_matrix(data, "matrix"))
 
 

@@ -358,16 +358,20 @@ class MappingCone:
     projection: ChainMap
 
 
-def cone(f: ChainMap) -> MappingCone:
+def cone_complex(f: ChainMap) -> ChainComplex:
     """Cone(f) = shift(tot([A, B], [f]), 1): Cone(f)_n = A_{n-1} (+) B_n
-    with differential [[-d_A, 0], [-f, d_B]].
+    with differential [[-d_A, 0], [-f, d_B]]."""
+    return shift(tot([f.source, f.target], [f]), 1)
 
-    inclusion: B -> Cone(f) and projection: Cone(f) -> shift(A, 1) are the
-    canonical chain maps; the un-negated f block would break d.d = 0, the
-    signs here are what the alternating block calculus expects.
+
+def cone(f: ChainMap) -> MappingCone:
+    """The cone complex with its canonical chain maps inclusion:
+    B -> Cone(f) and projection: Cone(f) -> shift(A, 1).  The un-negated f
+    block would break d.d = 0; the signs are what the alternating block
+    calculus expects.
     """
     A, B = f.source, f.target
-    cx = shift(tot([A, B], [f]), 1)
+    cx = cone_complex(f)
     incl = build_chain_map(B, cx, {
         n: np.vstack([zeros(A.rank(n - 1), B.rank(n)), eye(B.rank(n))])
         for n in B.ranks if cx.rank(n)})
@@ -384,7 +388,7 @@ def cone_to_data(f: ChainMap, phi: ChainMap):
     a null homotopy of g.f oriented dH + Hd = g.f.
     """
     A, B = f.source, f.target
-    cx = cone(f).complex
+    cx = cone_complex(f)
     if phi.source != cx:
         raise DimensionMismatch("map does not start at the cone")
     C = phi.target
@@ -405,7 +409,7 @@ def cone_from_data(f: ChainMap, g: ChainMap, H: Homotopy) -> ChainMap:
     gf = compose_chain_maps(g, f)
     if H.source_map != zero_chain_map(A, C) or H.target_map != gf:
         raise NotANullHomotopy("H must run from the zero map to g.f")
-    cx = cone(f).complex
+    cx = cone_complex(f)
     mats = {}
     for n in cx.ranks:
         if not C.rank(n):
@@ -468,16 +472,6 @@ def hom_complex(A: ChainComplex, B: ChainComplex) -> ChainComplex:
 def graded_sign_reindex(gmap: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
     """g_k |-> (-1)^k g_k; matches chain maps with degree-0 cycles."""
     return {k: (m if k % 2 == 0 else -m) for k, m in gmap.items()}
-
-
-def graded_to_vector(A: ChainComplex, B: ChainComplex, n: int,
-                     gmap: dict[int, np.ndarray]) -> np.ndarray:
-    basis = hom_basis(A, B, n)
-    vec = zeros(len(basis), 1)
-    for pos, (k, i, j) in enumerate(basis):
-        if k in gmap:
-            vec[pos, 0] = int(gmap[k][i, j])
-    return vec
 
 
 # -- total complex ----------------------------------------------------------------
@@ -588,20 +582,6 @@ class BlockGradedMatrix:
                    for r in self.rows for c in self.cols)
 
 
-def block_plain_multiply(N: BlockGradedMatrix, M: BlockGradedMatrix) -> BlockGradedMatrix:
-    if N.cols != M.rows:
-        raise BlockMismatch("inner index sets differ")
-    blocks = {}
-    for u in N.rows:
-        for s in M.cols:
-            acc = zeros(u.size, s.size)
-            for t in N.cols:
-                acc = acc + N.block(u.name, t.name) @ M.block(t.name, s.name)
-            if not is_zero_matrix(acc):
-                blocks[(u.name, s.name)] = acc
-    return BlockGradedMatrix(N.rows, M.cols, blocks)
-
-
 def star_multiply(N: BlockGradedMatrix, M: BlockGradedMatrix) -> BlockGradedMatrix:
     """Alternating block product: entry (u,s) = sum_t (-1)^grade(t) N[u,t] M[t,s]."""
     if N.cols != M.rows:
@@ -616,15 +596,6 @@ def star_multiply(N: BlockGradedMatrix, M: BlockGradedMatrix) -> BlockGradedMatr
             if not is_zero_matrix(acc):
                 blocks[(u.name, s.name)] = acc
     return BlockGradedMatrix(N.rows, M.cols, blocks)
-
-
-def sign_scale_rows(M: BlockGradedMatrix) -> BlockGradedMatrix:
-    """Multiply each block row by (-1)^grade; star equals plain after this."""
-    blocks = {}
-    for (rn, cn), m in M.blocks.items():
-        grade = next(r.grade for r in M.rows if r.name == rn)
-        blocks[(rn, cn)] = m if grade % 2 == 0 else -m
-    return BlockGradedMatrix(M.rows, M.cols, blocks)
 
 
 def cone_star_matrix(f: ChainMap) -> BlockGradedMatrix:
@@ -742,63 +713,6 @@ def smith_normal_form(matrix) -> SmithDecomposition:
             D[k, :] = D[k, :] + D[bad, :]
             U[k, :] = U[k, :] + U[bad, :]
     return SmithDecomposition(A, U, D, V)
-
-
-def snf_diagonal_naive(matrix) -> list[int]:
-    """Strategy-free diagonalization used only as an independent oracle.
-
-    Always works at the leading position, clearing by repeated remainder
-    steps, then fixes the divisibility chain with gcd/lcm folding.  No
-    transform matrices, no pivot selection.
-    """
-    import math
-
-    A = as_matrix(matrix)
-    m, n = A.shape
-
-    def reduce_block(D):
-        m2, n2 = D.shape
-        if m2 == 0 or n2 == 0:
-            return []
-        if all(D[i, j] == 0 for i in range(m2) for j in range(n2)):
-            return [0] * min(m2, n2)
-        # bring some nonzero entry to (0,0)
-        found = next((i, j) for i in range(m2) for j in range(n2) if D[i, j] != 0)
-        D[[0, found[0]], :] = D[[found[0], 0], :]
-        D[:, [0, found[1]]] = D[:, [found[1], 0]]
-        while True:
-            if D[0, 0] < 0:
-                D[0, :] = -D[0, :]
-            moved = False
-            for i in range(1, m2):
-                if D[i, 0] != 0:
-                    q = D[i, 0] // D[0, 0]
-                    D[i, :] = D[i, :] - q * D[0, :]
-                    if D[i, 0] != 0:
-                        D[[0, i], :] = D[[i, 0], :]
-                        moved = True
-            for j in range(1, n2):
-                if D[0, j] != 0:
-                    q = D[0, j] // D[0, 0]
-                    D[:, j] = D[:, j] - q * D[:, 0]
-                    if D[0, j] != 0:
-                        D[:, [0, j]] = D[:, [j, 0]]
-                        moved = True
-            if not moved:
-                break
-        return [int(D[0, 0])] + reduce_block(D[1:, 1:])
-
-    diag = reduce_block(A.copy())
-    diag = [abs(v) for v in diag]
-    # gcd/lcm folding gives the divisibility chain without touching rank
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            a, b = diag[i], diag[j]
-            g = math.gcd(a, b)
-            l = 0 if g == 0 else a * b // g
-            diag[i], diag[j] = g, l
-    nonzero = sorted(v for v in diag if v)
-    return nonzero + [0] * (len(diag) - len(nonzero))
 
 
 # -- homology ------------------------------------------------------------------------

@@ -536,18 +536,32 @@ def coequalizer(alpha: ProTransformation, beta: ProTransformation):
 
 # -- whiskering ---------------------------------------------------------------
 
+def _apply_at(target: CoendComposite, a: ProTransformation, slot: int):
+    """Sends a generator (d, n, m) to the class in target of the generator
+    with a applied to the factor at slot: 1 for the left, 2 for the right."""
+    def value(*gen):
+        gen = list(gen)
+        gen[slot] = a.apply(gen[slot])
+        return target.class_of[tuple(gen)]
+    return value
+
+
+def _whisker(source: CoendComposite, target: CoendComposite,
+             a: ProTransformation, slot: int) -> ProTransformation:
+    """The map between composites that applies a at slot."""
+    return _on_reps(source, target.profunctor, _apply_at(target, a, slot))
+
+
 def whisker_left(N: Profunctor, a: ProTransformation) -> ProTransformation:
     """N . a : N . M -> N . M' for a: M -> M'."""
-    right = compose_with_pairing(N, a.target)
-    return _on_reps(compose_with_pairing(N, a.source), right.profunctor,
-                    lambda d, n, m: right.class_of[(d, n, a.apply(m))])
+    return _whisker(compose_with_pairing(N, a.source),
+                    compose_with_pairing(N, a.target), a, 2)
 
 
 def whisker_right(a: ProTransformation, M: Profunctor) -> ProTransformation:
     """a . M : N . M -> N' . M for a: N -> N'."""
-    right = compose_with_pairing(a.target, M)
-    return _on_reps(compose_with_pairing(a.source, M), right.profunctor,
-                    lambda d, n, m: right.class_of[(d, a.apply(n), m)])
+    return _whisker(compose_with_pairing(a.source, M),
+                    compose_with_pairing(a.target, M), a, 1)
 
 
 # -- cocontinuity of composition ----------------------------------------------
@@ -605,24 +619,22 @@ def check_cocontinuity_coequalizer(N: Profunctor, alpha: ProTransformation,
         Q, q = coequalizer(alpha, beta)
         if variable == "right":
             slot, factors = 2, lambda X: (N, X)
-            whisker = lambda a: whisker_left(N, a)
         elif variable == "left":
             slot, factors = 1, lambda X: (X, N)
-            whisker = lambda a: whisker_right(a, N)
         else:
             raise InvalidParameter(f"unknown variable {variable!r}")
-        CQ, _ = coequalizer(whisker(alpha), whisker(beta))
+        # alpha and beta share source and target, so their whiskerings
+        # share both composites
+        source = compose_with_pairing(*factors(alpha.source))
+        middle = compose_with_pairing(*factors(alpha.target))
         target = compose_with_pairing(*factors(Q))
-        src_pairing = compose_with_pairing(*factors(alpha.target))
-
-        def lift(cid):
-            # cid is the least composite element of its quotient class
-            gen = list(src_pairing.rep_of[cid])
-            gen[slot] = q.apply(gen[slot])
-            return target.class_of[tuple(gen)]
+        CQ, _ = coequalizer(_whisker(source, middle, alpha, slot),
+                            _whisker(source, middle, beta, slot))
+        # each element of CQ is the least composite element of its class
+        lift = _apply_at(target, q, slot)
         t = build_protransformation(
             CQ, target.profunctor,
-            {pair: {cid: lift(cid) for cid in ids}
+            {pair: {cid: lift(*middle.rep_of[cid]) for cid in ids}
              for pair, ids in CQ.elements.items()})
         _compare(rep, f"coequalizer/{variable}", t)
     except (CompositionMismatch, ShapeMismatch, InvalidParameter) as exc:

@@ -7,22 +7,23 @@ complexes as basis-changed sums of spheres and twisted disks with their
 homology known by construction.
 """
 
+from __future__ import annotations
+
 import math
 import random
+from typing import TYPE_CHECKING
 
 from .collage import Diagram, build_diagram
 from .fincat import (CatFunctor, FinCategory, build_category,
                      compose_functors, enumerate_functors, from_poset,
                      product, standard_category)
-from .k0chain import (ChainComplex, ChainMap, HomologyGroup, add_chain_maps,
-                      as_matrix, build_chain_map, build_complex,
-                      build_homotopy, compose_chain_maps, direct_sum,
-                      graded_map_image, identity_chain_map, zero_chain_map,
-                      zeros)
 from .profunctor import (ProTransformation, Profunctor,
                          build_profunctor, build_protransformation,
                          compose_transformations, coproduct,
                          quotient_by_relation)
+
+if TYPE_CHECKING:
+    from .k0chain import ChainComplex, ChainMap
 
 
 def rng_from_seed(seed) -> random.Random:
@@ -241,6 +242,7 @@ def rand_complex(rng: random.Random, lo: int = -1, hi: int = 3,
                  max_rank: int = 4, shears: int = 6):
     """(complex, known homology); sums of spheres and m-twisted disks,
     then an integer change of basis that provably preserves homology."""
+    from .k0chain import HomologyGroup, build_complex, direct_sum
     summands = rng.randint(1, 3)
     C = None
     free: dict[int, int] = {}
@@ -285,6 +287,7 @@ def rand_graded(rng: random.Random, A: ChainComplex, B: ChainComplex,
                 degree: int = 1, density: float = 0.5,
                 lo: int = -2, hi: int = 2) -> dict:
     """Random graded map raising degree: component A_n -> B_{n+degree}."""
+    from .k0chain import zeros
     h = {}
     for n in A.ranks:
         rows, cols = B.rank(n + degree), A.rank(n)
@@ -301,6 +304,7 @@ def rand_graded(rng: random.Random, A: ChainComplex, B: ChainComplex,
 def rand_chain_map(rng: random.Random, A: ChainComplex,
                    B: ChainComplex) -> ChainMap:
     """dh + hd of a random graded map: a chain map by construction."""
+    from .k0chain import graded_map_image
     return graded_map_image(A, B, rand_graded(rng, A, B))
 
 
@@ -311,6 +315,9 @@ def rand_quasi_iso_case(rng: random.Random):
     negative cases mix zero maps, scalings, and homology mismatches so the
     surjectivity branch gets exercised alongside descriptor mismatches.
     """
+    from .k0chain import (add_chain_maps, build_chain_map, build_complex,
+                          graded_map_image, identity_chain_map,
+                          zero_chain_map)
     branch = rng.randrange(4)
     if branch == 0:
         A, _ = rand_complex(rng)
@@ -334,6 +341,8 @@ def rand_quasi_iso_case(rng: random.Random):
 def rand_universal_case(rng: random.Random):
     """(f, g, H) with H a null homotopy of g.f, built from dh + hd data
     plus a dm - md wobble that leaves the homotopy condition intact."""
+    from .k0chain import (build_homotopy, compose_chain_maps,
+                          graded_map_image, zero_chain_map, zeros)
     A, _ = rand_complex(rng, shears=2)
     B, _ = rand_complex(rng, shears=2)
     C, _ = rand_complex(rng, shears=2)

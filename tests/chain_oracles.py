@@ -1,0 +1,100 @@
+"""Test-only helpers for the chain-complex layer: an independent Smith
+normal form oracle, the coordinate vector of a graded map, and the plain
+block product that the star product is compared against.
+"""
+
+import numpy as np
+
+from laxcat.errors import BlockMismatch
+from laxcat.k0chain import (BlockGradedMatrix, ChainComplex, as_matrix,
+                            hom_basis, is_zero_matrix, zeros)
+
+
+def graded_to_vector(A: ChainComplex, B: ChainComplex, n: int,
+                     gmap: dict[int, np.ndarray]) -> np.ndarray:
+    basis = hom_basis(A, B, n)
+    vec = zeros(len(basis), 1)
+    for pos, (k, i, j) in enumerate(basis):
+        if k in gmap:
+            vec[pos, 0] = int(gmap[k][i, j])
+    return vec
+
+
+def block_plain_multiply(N: BlockGradedMatrix, M: BlockGradedMatrix) -> BlockGradedMatrix:
+    if N.cols != M.rows:
+        raise BlockMismatch("inner index sets differ")
+    blocks = {}
+    for u in N.rows:
+        for s in M.cols:
+            acc = zeros(u.size, s.size)
+            for t in N.cols:
+                acc = acc + N.block(u.name, t.name) @ M.block(t.name, s.name)
+            if not is_zero_matrix(acc):
+                blocks[(u.name, s.name)] = acc
+    return BlockGradedMatrix(N.rows, M.cols, blocks)
+
+
+def sign_scale_rows(M: BlockGradedMatrix) -> BlockGradedMatrix:
+    """Multiply each block row by (-1)^grade; star equals plain after this."""
+    blocks = {}
+    for (rn, cn), m in M.blocks.items():
+        grade = next(r.grade for r in M.rows if r.name == rn)
+        blocks[(rn, cn)] = m if grade % 2 == 0 else -m
+    return BlockGradedMatrix(M.rows, M.cols, blocks)
+
+
+def snf_diagonal_naive(matrix) -> list[int]:
+    """Strategy-free diagonalization used only as an independent oracle.
+
+    Always works at the leading position, clearing by repeated remainder
+    steps, then fixes the divisibility chain with gcd/lcm folding.  No
+    transform matrices, no pivot selection.
+    """
+    import math
+
+    A = as_matrix(matrix)
+    m, n = A.shape
+
+    def reduce_block(D):
+        m2, n2 = D.shape
+        if m2 == 0 or n2 == 0:
+            return []
+        if all(D[i, j] == 0 for i in range(m2) for j in range(n2)):
+            return [0] * min(m2, n2)
+        # bring some nonzero entry to (0,0)
+        found = next((i, j) for i in range(m2) for j in range(n2) if D[i, j] != 0)
+        D[[0, found[0]], :] = D[[found[0], 0], :]
+        D[:, [0, found[1]]] = D[:, [found[1], 0]]
+        while True:
+            if D[0, 0] < 0:
+                D[0, :] = -D[0, :]
+            moved = False
+            for i in range(1, m2):
+                if D[i, 0] != 0:
+                    q = D[i, 0] // D[0, 0]
+                    D[i, :] = D[i, :] - q * D[0, :]
+                    if D[i, 0] != 0:
+                        D[[0, i], :] = D[[i, 0], :]
+                        moved = True
+            for j in range(1, n2):
+                if D[0, j] != 0:
+                    q = D[0, j] // D[0, 0]
+                    D[:, j] = D[:, j] - q * D[:, 0]
+                    if D[0, j] != 0:
+                        D[:, [0, j]] = D[:, [j, 0]]
+                        moved = True
+            if not moved:
+                break
+        return [int(D[0, 0])] + reduce_block(D[1:, 1:])
+
+    diag = reduce_block(A.copy())
+    diag = [abs(v) for v in diag]
+    # gcd/lcm folding gives the divisibility chain without touching rank
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            a, b = diag[i], diag[j]
+            g = math.gcd(a, b)
+            l = 0 if g == 0 else a * b // g
+            diag[i], diag[j] = g, l
+    nonzero = sorted(v for v in diag if v)
+    return nonzero + [0] * (len(diag) - len(nonzero))

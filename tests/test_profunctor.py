@@ -16,6 +16,7 @@ from laxcat.profunctor import (ProTransformation, associator,
                                whisker_left, whisker_right)
 from laxcat.rand import (rand_category, rand_parallel_pair, rand_profunctor,
                          rng_from_seed)
+import laxcat.profunctor as profunctor
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -112,6 +113,29 @@ def test_cocontinuity_in_both_variables(seed):
     M2 = rand_profunctor(rng, C, D, 3)
     rep = check_cocontinuity(N, M1, M2)
     assert rep.ok, rep.failures
+
+
+def test_coequalizer_check_composes_each_pair_once(monkeypatch):
+    # one composite with each of alpha.source, alpha.target and the
+    # coequalizer; both whiskerings share the first two
+    calls = []
+    real = profunctor.compose_with_pairing
+
+    def counting(N, M):
+        calls.append((N, M))
+        return real(N, M)
+    monkeypatch.setattr(profunctor, "compose_with_pairing", counting)
+    rng = rng_from_seed(37)
+    C, D, E = (rand_category(rng, 3) for _ in range(3))
+    N = rand_profunctor(rng, D, E, 3)
+    M = rand_profunctor(rng, C, D, 3)
+    _, inl, inr = coproduct_injections(M, M)
+    _, jnl, jnr = coproduct_injections(N, N)
+    for args in ((N, inl, inr, "right"), (M, jnl, jnr, "left")):
+        calls.clear()
+        rep = profunctor.check_cocontinuity_coequalizer(*args)
+        assert rep.ok, rep.failures
+        assert len(calls) == 3
 
 
 def test_coproduct_injections_are_natural():
