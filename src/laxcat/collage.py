@@ -12,15 +12,17 @@ lax matrix: one profunctor entry per fiber, plus the transition actions
 along the canonical morphisms (gamma, id).  restrict_matrix / assemble_matrix
 convert between the ambient and blockwise views losslessly, and
 block_multiply computes coend composites fiberwise without ever assembling
-the middle.  Its classes are named and its outer actions read off by the
-same gluing kernel as profunctor.compose_with_pairing (profunctor._glue).
+the middle.  Like profunctor.compose_with_pairing it glues along the
+generators of each fiber and of the shape only, and its classes are named
+and its outer actions read off by the same gluing kernel
+(profunctor._glue).
 """
 
 from dataclasses import dataclass, field
 
 from .errors import (CompositionMismatch, IncompatibleActionData,
                      InvalidParameter, LaxcatError, NotACollage)
-from .fincat import (CatFunctor, FinCategory, build_category,
+from .fincat import (CatFunctor, FinCategory, _index, build_category,
                      compose_functors, identity_functor, standard_category,
                      validate_functor)
 from .profunctor import (CoendComposite, Profunctor, build_profunctor,
@@ -129,12 +131,11 @@ def grothendieck(X: Diagram) -> Collage:
         for x in X.fiber[s].objects:
             identity[f"({s},{x})"] = _total_mor_id(
                 S.identity[s], X.fiber[s].identity[x], x)
+    leaving = _index(objects, morphisms, src)
     comp = {}
     for m1 in morphisms:
         gamma, x, f = mor_parts[m1]
-        for m2 in morphisms:
-            if src[m2] != dst[m1]:
-                continue
+        for m2 in leaving[dst[m1]]:
             delta, y, g = mor_parts[m2]
             u = S.dst[delta]
             U = X.fiber[u]
@@ -193,12 +194,11 @@ def collage_of_profunctor(P: Profunctor) -> Collage:
         identity[f"(0,{a})"] = _total_mor_id("id_0", A.identity[a], a)
     for b in B.objects:
         identity[f"(1,{b})"] = _total_mor_id("id_1", B.identity[b], b)
+    leaving = _index(objects, morphisms, src)
     comp = {}
     for m1 in morphisms:
         g1, x1, p1 = mor_parts[m1]
-        for m2 in morphisms:
-            if src[m2] != dst[m1]:
-                continue
+        for m2 in leaving[dst[m1]]:
             g2, x2, p2 = mor_parts[m2]
             if g1 == "id_0" and g2 == "id_0":
                 comp[(m2, m1)] = _total_mor_id("id_0", A.comp[(p2, p1)], x1)
@@ -547,7 +547,9 @@ def block_multiply(N: LaxMatrix, M: LaxMatrix) -> CoendComposite:
     the fiber morphisms inside each entry and by the transition actions
     along each shape morphism; by the factorization of total morphisms this
     yields exactly the global coend, with identical canonical
-    representatives.
+    representatives.  Transitions are strictly functorial, so the canonical
+    morphism of a composite shape morphism is the composite of canonical
+    morphisms, and gluing along the shape's generators suffices.
     """
     if N.side != "source" or M.side != "target":
         raise CompositionMismatch(
@@ -573,18 +575,14 @@ def block_multiply(N: LaxMatrix, M: LaxMatrix) -> CoendComposite:
             for s in S.objects:
                 Cs = G.fiber[s]
                 Ne, Me = N.entries[s], M.entries[s]
-                for f in Cs.morphisms:
-                    if Cs.is_identity(f):
-                        continue
+                for f in Cs.generators():
                     x, y = Cs.src[f], Cs.dst[f]
                     for n in Ne.elements[(e, y)]:
                         for m in Me.elements[(x, c)]:
                             uf.union((f"({s},{x})", Ne.ract[f][n], m),
                                      (f"({s},{y})", n, Me.lact[f][m]))
             # gluing along shape transitions
-            for gamma in S.morphisms:
-                if S.is_identity(gamma):
-                    continue
+            for gamma in S.generators():
                 s, t = S.src[gamma], S.dst[gamma]
                 F = G.diagram.transition[gamma]
                 for x in G.fiber[s].objects:

@@ -2,7 +2,9 @@
 
 Objects and morphisms are opaque strings.  A category is valid only if its
 table passes full enumeration of the unit and associativity laws, so every
-FinCategory in circulation is a genuine category, not a promise.
+FinCategory in circulation is a genuine category, not a promise.  The
+enumeration walks a per-object index (leaving / arriving), so it visits the
+composable pairs and triples only, never all pairs of morphisms.
 
 >>> C = standard_category("interval")
 >>> sorted(C.objects)
@@ -42,6 +44,12 @@ class FinCategory:
     comp: dict[tuple[str, str], str]
     _homs: dict[tuple[str, str], tuple[str, ...]] = field(
         default=None, repr=False, compare=False)
+    _leaving: dict[str, tuple[str, ...]] = field(
+        default=None, repr=False, compare=False)
+    _arriving: dict[str, tuple[str, ...]] = field(
+        default=None, repr=False, compare=False)
+    _generators: tuple[str, ...] = field(
+        default=None, repr=False, compare=False)
 
     def hom(self, x: str, y: str) -> tuple[str, ...]:
         if self._homs is None:
@@ -52,6 +60,18 @@ class FinCategory:
             self._homs = {k: tuple(sorted(v)) for k, v in table.items()}
         return self._homs[(x, y)]
 
+    def leaving(self, x: str) -> tuple[str, ...]:
+        """The morphisms with source x, in morphisms order."""
+        if self._leaving is None:
+            self._leaving = _index(self.objects, self.morphisms, self.src)
+        return self._leaving[x]
+
+    def arriving(self, x: str) -> tuple[str, ...]:
+        """The morphisms with target x, in morphisms order."""
+        if self._arriving is None:
+            self._arriving = _index(self.objects, self.morphisms, self.dst)
+        return self._arriving[x]
+
     def compose(self, g: str, f: str) -> str:
         """The composite g.f (first f, then g)."""
         return self.comp[(g, f)]
@@ -61,13 +81,55 @@ class FinCategory:
 
     def composable_pairs(self):
         for f in self.morphisms:
-            for g in self.morphisms:
-                if self.dst[f] == self.src[g]:
-                    yield g, f
+            for g in self.leaving(self.dst[f]):
+                yield g, f
+
+    def generators(self) -> tuple[str, ...]:
+        """Non-identity morphisms whose composites give every non-identity
+        morphism, in morphisms order.
+
+        The irreducible ones, which are no composite g.f of two
+        non-identities, come first of necessity; then, in morphisms order,
+        each non-identity that composites of those chosen so far miss.
+        """
+        if self._generators is None:
+            reducible = {self.comp[(g, f)] for g, f in self.composable_pairs()
+                         if not self.is_identity(g) and not self.is_identity(f)}
+            chosen = {m for m in self.morphisms
+                      if not self.is_identity(m) and m not in reducible}
+            reached = self._composites_of(chosen)
+            for m in self.morphisms:
+                if not self.is_identity(m) and m not in reached:
+                    chosen.add(m)
+                    reached = self._composites_of(chosen)
+            self._generators = tuple(m for m in self.morphisms if m in chosen)
+        return self._generators
+
+    def _composites_of(self, gens) -> set[str]:
+        """Every composite of one or more morphisms of gens."""
+        after = {x: [g for g in self.leaving(x) if g in gens]
+                 for x in self.objects}
+        reached, todo = set(gens), list(gens)
+        while todo:
+            f = todo.pop()
+            for g in after[self.dst[f]]:
+                gf = self.comp[(g, f)]
+                if gf not in reached:
+                    reached.add(gf)
+                    todo.append(gf)
+        return reached
 
     def __repr__(self):
         return (f"FinCategory({len(self.objects)} objects, "
                 f"{len(self.morphisms)} morphisms)")
+
+
+def _index(objects, morphisms, end) -> dict[str, tuple[str, ...]]:
+    """Each object's morphisms m with end[m] equal to it, in the given order."""
+    index = {x: [] for x in objects}
+    for m in morphisms:
+        index[end[m]].append(m)
+    return {x: tuple(ms) for x, ms in index.items()}
 
 
 def build_category(objects, morphisms, src, dst, identity, comp) -> FinCategory:
@@ -132,13 +194,9 @@ def build_category(objects, morphisms, src, dst, identity, comp) -> FinCategory:
 
     # associativity, by enumeration of composable triples
     for f in morphisms:
-        for g in morphisms:
-            if dst[f] != src[g]:
-                continue
+        for g in cat.leaving(dst[f]):
             gf = cat.comp[(g, f)]
-            for h in morphisms:
-                if dst[g] != src[h]:
-                    continue
+            for h in cat.leaving(dst[g]):
                 if cat.comp[(h, gf)] != cat.comp[(cat.comp[(h, g)], f)]:
                     raise NonAssociative(
                         f"h(gf) != (hg)f for ({h!r}, {g!r}, {f!r})")
@@ -250,10 +308,10 @@ def product(C: FinCategory, D: FinCategory) -> FinCategory:
                 for x in C.objects for y in D.objects}
     comp = {}
     for (f1, g1) in itertools.product(C.morphisms, D.morphisms):
-        for (f2, g2) in itertools.product(C.morphisms, D.morphisms):
-            if C.dst[f2] == C.src[f1] and D.dst[g2] == D.src[g1]:
-                comp[(f"({f1},{g1})", f"({f2},{g2})")] = (
-                    f"({C.comp[(f1, f2)]},{D.comp[(g1, g2)]})")
+        for (f2, g2) in itertools.product(C.arriving(C.src[f1]),
+                                          D.arriving(D.src[g1])):
+            comp[(f"({f1},{g1})", f"({f2},{g2})")] = (
+                f"({C.comp[(f1, f2)]},{D.comp[(g1, g2)]})")
     return build_category(objects, tuple(morphisms), src, dst, identity, comp)
 
 
@@ -301,12 +359,13 @@ def validate_functor(F: CatFunctor) -> Report:
     """Every violated preservation equation, one failure line each."""
     rep = Report()
     C, D = F.source, F.target
+    obset, morset = set(D.objects), set(D.morphisms)
     for x in C.objects:
-        if F.obmap.get(x) not in set(D.objects):
+        if F.obmap.get(x) not in obset:
             rep.fail(f"object {x!r} maps outside the target")
     for m in C.morphisms:
         fm = F.mormap.get(m)
-        if fm not in set(D.morphisms):
+        if fm not in morset:
             rep.fail(f"morphism {m!r} maps outside the target")
             continue
         if D.src[fm] != F.obmap.get(C.src[m]) or D.dst[fm] != F.obmap.get(C.dst[m]):

@@ -13,6 +13,17 @@ across the pair in both variances.  Gluing is computed by union-find and
 each class is named after its lexicographically least member, so composites
 are canonical and reproducible.
 
+Only the middle category's generators() are glued along.  For a composite
+gamma = beta . alpha the relation along gamma follows from those along
+alpha and beta:
+
+    (d, n.beta.alpha, m) = (d, (n.beta).alpha, m)
+                         ~ (d1, n.beta, alpha.m)
+                         ~ (d', n, beta.(alpha.m))
+
+so the classes, and with them the least members that name them, are those
+of gluing along every middle morphism.
+
 Every gluing construction (the coend composite, the blockwise product of
 collage.block_multiply and the quotient by a relation) runs its own union
 loop and hands the classes to _glue, the one place where classes are named
@@ -180,11 +191,9 @@ def hom_profunctor(C: FinCategory) -> Profunctor:
     ids are the morphism ids themselves.
     """
     elements = {(d, c): C.hom(c, d) for d in C.objects for c in C.objects}
-    lact = {g: {f: C.comp[(g, f)] for f in C.morphisms
-                if C.dst[f] == C.src[g]}
+    lact = {g: {f: C.comp[(g, f)] for f in C.arriving(C.src[g])}
             for g in C.morphisms}
-    ract = {s: {f: C.comp[(f, s)] for f in C.morphisms
-                if C.src[f] == C.dst[s]}
+    ract = {s: {f: C.comp[(f, s)] for f in C.leaving(C.dst[s])}
             for s in C.morphisms}
     return build_profunctor(C, C, elements, lact, ract)
 
@@ -320,7 +329,16 @@ def compose_transformations(b: ProTransformation, a: ProTransformation) -> ProTr
 # -- coend composition --------------------------------------------------------
 
 def _composite_id(gen: tuple[str, str, str]) -> str:
-    d, n, m = gen
+    """'(n*m@d)' for the generator (d, n, m).
+
+    Backslash and '*' are escaped in all three parts and '@' in the middle
+    object d, so the first unescaped '*' and the last unescaped '@' split a
+    name back into its parts.  Element ids may keep their '@', as the cross
+    morphisms '(u,f@x)' of collage totals do, and render unchanged.
+    """
+    d, n, m = (part.replace("\\", "\\\\").replace("*", "\\*")
+               for part in gen)
+    d = d.replace("@", "\\@")
     return f"({n}*{m}@{d})"
 
 
@@ -347,7 +365,10 @@ def compose_with_pairing(N: Profunctor, M: Profunctor) -> CoendComposite:
 
         (d, N.ract[gamma](n'), m)  ~  (d', n', M.lact[gamma](m))
 
-    for n' in N(e, d') and m in M(d, c).
+    for n' in N(e, d') and m in M(d, c).  The union loop runs over
+    D.generators() only: the relation along a composite beta.alpha is the
+    relation along alpha followed by the one along beta, as the module
+    docstring spells out, so the classes come out the same.
     """
     if M.target != N.source:
         raise CompositionMismatch(
@@ -355,7 +376,6 @@ def compose_with_pairing(N: Profunctor, M: Profunctor) -> CoendComposite:
             "equal source of the left factor")
     C, D, E = M.source, M.target, N.target
 
-    moving = [g for g in D.morphisms if not D.is_identity(g)]
     classes = {}
     for e in E.objects:
         for c in C.objects:
@@ -363,7 +383,7 @@ def compose_with_pairing(N: Profunctor, M: Profunctor) -> CoendComposite:
                     for n in N.elements[(e, d)]
                     for m in M.elements[(d, c)]]
             uf = UnionFind(gens)
-            for gamma in moving:
+            for gamma in D.generators():
                 d, d2 = D.src[gamma], D.dst[gamma]
                 for n2 in N.elements[(e, d2)]:
                     for m in M.elements[(d, c)]:
@@ -396,15 +416,11 @@ def _glue(source: FinCategory, target: FinCategory, classes, name,
             class_of.update(dict.fromkeys(members, cid))
         elements[cell] = tuple(sorted(ids))
 
-    leaving = {e: [eps for eps in E.morphisms if E.src[eps] == e]
-               for e in E.objects}
-    arriving = {c: [sigma for sigma in C.morphisms if C.dst[sigma] == c]
-                for c in C.objects}
     lact = {eps: {} for eps in E.morphisms}
     ract = {sigma: {} for sigma in C.morphisms}
     for (e, c), found in classes.items():
-        sides = (("left", act_left, lact, leaving[e]),
-                 ("right", act_right, ract, arriving[c]))
+        sides = (("left", act_left, lact, E.leaving(e)),
+                 ("right", act_right, ract, C.arriving(c)))
         for rep, members in found.items():
             cid = class_of[rep]
             for side, act, table, along in sides:

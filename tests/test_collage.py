@@ -13,6 +13,7 @@ from laxcat.profunctor import (compose_profunctors, compose_with_pairing,
                                from_functor)
 from laxcat.rand import (rand_category, rand_diagram, rand_profunctor,
                          rng_from_seed)
+from gluing_oracles import block_multiply_along_every_morphism
 
 
 def interval_diagram():
@@ -127,3 +128,20 @@ def test_bilimit_report_rejects_unanchored():
     P = rand_profunctor(rng_from_seed(1), other, T, 2)
     rep = check_bilimit_roundtrip(X, T, P)
     assert not rep.ok
+
+
+def test_block_gluing_along_generators_matches_every_morphism():
+    # the simplex2 shape has the composite 0<=2, which is no generator
+    rng = rng_from_seed(33)
+    for shape in ("interval", "cospan", "simplex2"):
+        for _ in range(5):
+            X = rand_diagram(rng, shape, 2)
+            G = grothendieck(X)
+            A, B = rand_category(rng, 2), rand_category(rng, 2)
+            Nd = restrict_matrix(rand_profunctor(rng, G.total, B, 3), G, "source")
+            Md = restrict_matrix(rand_profunctor(rng, A, G.total, 3), G, "target")
+            fast = block_multiply(Nd, Md)
+            ref = block_multiply_along_every_morphism(Nd, Md)
+            assert fast.profunctor == ref.profunctor
+            assert fast.class_of == ref.class_of
+            assert fast.rep_of == ref.rep_of

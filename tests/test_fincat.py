@@ -6,6 +6,8 @@ from laxcat.fincat import (CatFunctor, build_category, compose_functors,
                            enumerate_functors, find_isomorphism, from_poset,
                            identity_functor, opposite, product,
                            standard_category, validate_functor)
+from laxcat.rand import _z2_monoid, rand_category, rng_from_seed
+from gluing_oracles import abelian_group
 
 
 def test_discrete_category():
@@ -138,3 +140,78 @@ def test_find_isomorphism_bound():
     big = standard_category("discrete", 9)
     with pytest.raises(SearchBoundExceeded):
         find_isomorphism(big, big, bound=8)
+
+
+def _interval_times_z2():
+    C = product(standard_category("interval"), _z2_monoid())
+    return C, dict(C.comp)
+
+
+def test_build_category_reports_first_nonassociative_triple():
+    # two broken triples; the scan runs f, then g out of dst f, then h
+    # out of dst g, so the one with the least f is reported
+    C, comp = _interval_times_z2()
+    comp[("(u,e)", "(id_0,t)")] = "(u,e)"
+    comp[("(id_1,t)", "(u,e)")] = "(u,e)"
+    with pytest.raises(NonAssociative) as exc:
+        build_category(C.objects, C.morphisms, C.src, C.dst, C.identity, comp)
+    assert str(exc.value) == (
+        "h(gf) != (hg)f for ('(u,t)', '(id_0,t)', '(id_0,t)')")
+
+
+def test_build_category_reports_first_missing_composite():
+    # two gaps after the same f; g runs over the morphisms out of dst f
+    # in morphisms order
+    C, comp = _interval_times_z2()
+    del comp[("(u,t)", "(id_0,t)")]
+    del comp[("(u,e)", "(id_0,t)")]
+    with pytest.raises(MissingComposite) as exc:
+        build_category(C.objects, C.morphisms, C.src, C.dst, C.identity, comp)
+    assert str(exc.value) == "no composite for ('(u,e)', '(id_0,t)')"
+
+
+def composites_of(C, gens):
+    """Every composite of one or more of gens, by fixpoint."""
+    reached = set(gens)
+    while True:
+        new = {C.comp[(g, f)] for f in reached for g in gens
+               if C.src[g] == C.dst[f]} - reached
+        if not new:
+            return reached
+        reached |= new
+
+
+def test_generators_generate_every_morphism():
+    diamond = from_poset("abcd", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
+    cats = [standard_category("simplex", n) for n in range(5)]
+    cats += [standard_category("discrete", 3), standard_category("interval"),
+             diamond,
+             product(standard_category("simplex", 2), standard_category("simplex", 2)),
+             product(standard_category("simplex", 3), standard_category("simplex", 1)),
+             abelian_group(2, 4), abelian_group(3, 3), abelian_group(1, 6)]
+    rng = rng_from_seed(31)
+    cats += [rand_category(rng, 4) for _ in range(30)]
+    for C in cats:
+        gens = C.generators()
+        moving = [m for m in C.morphisms if not C.is_identity(m)]
+        assert set(gens) <= set(moving)
+        assert list(gens) == [m for m in C.morphisms if m in gens]
+        assert set(moving) <= composites_of(C, gens)
+        # the irreducible morphisms belong to every generating set
+        reducible = {C.comp[(g, f)] for g, f in C.composable_pairs()
+                     if not C.is_identity(g) and not C.is_identity(f)}
+        assert set(moving) - reducible <= set(gens)
+
+
+def test_generators_of_simplices_are_the_covers():
+    assert standard_category("simplex", 3).generators() == ("0<=1", "1<=2", "2<=3")
+    square = product(standard_category("simplex", 2), standard_category("simplex", 2))
+    assert len(square.generators()) == 12
+    assert len(abelian_group(2, 4).generators()) == 2
+
+
+def test_index_lists_morphisms_by_endpoint():
+    C = product(standard_category("interval"), standard_category("simplex", 2))
+    for x in C.objects:
+        assert C.leaving(x) == tuple(m for m in C.morphisms if C.src[m] == x)
+        assert C.arriving(x) == tuple(m for m in C.morphisms if C.dst[m] == x)

@@ -1,10 +1,12 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laxcat.errors import CompositionMismatch, InvalidParameter, ShapeMismatch
-from laxcat.fincat import CatFunctor, standard_category
-from laxcat.profunctor import (ProTransformation, associator,
+from laxcat.fincat import CatFunctor, product, standard_category
+from laxcat.profunctor import (ProTransformation, _composite_id, associator,
                                build_profunctor, build_protransformation,
                                check_cocontinuity, compose_profunctors,
                                compose_transformations, coproduct,
@@ -17,6 +19,7 @@ from laxcat.profunctor import (ProTransformation, associator,
 from laxcat.rand import (rand_category, rand_parallel_pair, rand_profunctor,
                          rng_from_seed)
 import laxcat.profunctor as profunctor
+from gluing_oracles import abelian_group, compose_along_every_morphism
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -218,3 +221,33 @@ def test_from_functor_cells():
     assert len(P.elems("1", "0")) == 1
     assert len(P.elems("1", "1")) == 0
     assert len(P.elems("2", "1")) == 1
+
+
+def test_gluing_along_generators_matches_every_morphism():
+    square = product(standard_category("simplex", 2), standard_category("simplex", 2))
+    pairs = [(hom_profunctor(square),) * 2,
+             (hom_profunctor(abelian_group(2, 3)),) * 2]
+    rng = rng_from_seed(32)
+    for _ in range(25):
+        C, D, E = (rand_category(rng, 3) for _ in range(3))
+        pairs.append((rand_profunctor(rng, D, E, 3), rand_profunctor(rng, C, D, 3)))
+    for N, M in pairs:
+        fast = profunctor.compose_with_pairing(N, M)
+        ref = compose_along_every_morphism(N, M)
+        assert fast.profunctor == ref.profunctor
+        assert fast.class_of == ref.class_of
+        assert fast.rep_of == ref.rep_of
+
+
+def test_composite_ids_with_separators_do_not_collide():
+    pt = standard_category("discrete", 1)
+    N = build_profunctor(pt, pt, {("0", "0"): ["a*b", "a"]}, {}, {})
+    M = build_profunctor(pt, pt, {("0", "0"): ["c", "b*c"]}, {}, {})
+    assert len(compose_profunctors(N, M).elems("0", "0")) == 4
+
+
+def test_composite_id_is_injective_and_keeps_plain_ids():
+    assert _composite_id(("(0,x)", "(u,f@x)", "0<=1")) == "((u,f@x)*0<=1@(0,x))"
+    parts = ["".join(w) for k in range(3) for w in itertools.product("a\\*@", repeat=k)]
+    names = {_composite_id(gen) for gen in itertools.product(parts, repeat=3)}
+    assert len(names) == len(parts) ** 3
