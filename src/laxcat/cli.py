@@ -7,9 +7,6 @@ keys and fixed indentation, so equal inputs give byte-equal outputs.
 
 Exit codes: 0 success, 1 a checked property failed, 2 invalid input or
 usage, 3 an input breached the size caps.
-
-The chain-complex commands import laxcat.k0chain, and with it numpy,
-inside their own bodies, so the category commands start without either.
 """
 
 import argparse
@@ -28,6 +25,8 @@ from .fincat import FinCategory, standard_category
 from .jsonio import (LOADERS, chainmap_to_json, collage_to_json,
                      complex_to_json, dumps_canonical, homology_to_json,
                      profunctor_to_json, sniff_kind, snf_to_json)
+from .k0chain import (cone, cone_complex, hom_complex, homology_all,
+                      is_acyclic, is_quasi_iso, smith_normal_form, tot)
 from .profunctor import (Profunctor, associator, check_cocontinuity,
                          compose_profunctors, hom_profunctor, is_natural_iso,
                          left_unitor, right_unitor)
@@ -142,7 +141,6 @@ def cmd_blockmul(args, ws):
 
 
 def cmd_cone(args, ws):
-    from .k0chain import cone
     f = ws.resolve(args.chainmap, "chainmap")
     mc = cone(f)
     return {"complex": complex_to_json(mc.complex),
@@ -151,26 +149,22 @@ def cmd_cone(args, ws):
 
 
 def cmd_hom_complex(args, ws):
-    from .k0chain import hom_complex
     A = ws.resolve(args.source, "complex")
     B = ws.resolve(args.target, "complex")
     return complex_to_json(hom_complex(A, B)), 0
 
 
 def cmd_tot(args, ws):
-    from .k0chain import tot
     complexes, maps = ws.resolve(args.tower, "tower")
     return complex_to_json(tot(complexes, maps)), 0
 
 
 def cmd_homology(args, ws):
-    from .k0chain import homology_all
     C = ws.resolve(args.complex, "complex")
     return homology_to_json(homology_all(C)), 0
 
 
 def cmd_quasi_iso(args, ws):
-    from .k0chain import cone_complex, is_acyclic, is_quasi_iso
     f = ws.resolve(args.chainmap, "chainmap")
     direct = is_quasi_iso(f)
     via_cone = is_acyclic(cone_complex(f))
@@ -180,7 +174,6 @@ def cmd_quasi_iso(args, ws):
 
 
 def cmd_snf(args, ws):
-    from .k0chain import smith_normal_form
     m = ws.resolve(args.matrix, "matrix")
     dec = smith_normal_form(m)
     rep = dec.verify()

@@ -21,7 +21,7 @@ from .unionfind import UnionFind
 class CardMatrix:
     """Integer matrix with named rows (target objects) and columns (source
     objects).  data is given as any nested sequence of int rows (a list of
-    lists, a 2-d array) and stored as a tuple of int tuples."""
+    lists, a laxcat.intmat.Matrix) and stored as a tuple of int tuples."""
     rows: tuple[str, ...]
     cols: tuple[str, ...]
     data: tuple[tuple[int, ...], ...]

@@ -12,19 +12,15 @@ either the inline object or a string naming a workspace entry; the
 mean.
 """
 
-from __future__ import annotations
-
 import json
-from typing import TYPE_CHECKING
 
 from .collage import Collage, Diagram, build_diagram
 from .errors import SchemaError, UnboundedComplex
 from .fincat import CatFunctor, FinCategory, build_category
+from .intmat import as_matrix
+from .k0chain import (ChainComplex, ChainMap, HomologyGroup,
+                      SmithDecomposition, build_chain_map, build_complex)
 from .profunctor import Profunctor, build_profunctor
-
-if TYPE_CHECKING:
-    from .k0chain import (ChainComplex, ChainMap, HomologyGroup,
-                          SmithDecomposition)
 
 KINDS = ("category", "functor", "profunctor", "diagram", "complex",
          "chainmap", "tower", "matrix")
@@ -265,16 +261,12 @@ def _int_matrix(value, where: str):
     return value
 
 
-def _matrix_to_json(m) -> list[list[int]]:
-    return [[int(v) for v in row] for row in m.tolist()]
-
-
 def complex_to_json(C: ChainComplex) -> dict:
     lo, hi = C.window if C.ranks else (0, -1)
     return {
         "window": [lo, hi],
         "ranks": {str(n): C.rank(n) for n in sorted(C.ranks)},
-        "differentials": {str(n): _matrix_to_json(C.diffs[n])
+        "differentials": {str(n): C.diffs[n].tolist()
                           for n in sorted(C.diffs)},
     }
 
@@ -299,7 +291,6 @@ def complex_from_json(data, resolve=None) -> ChainComplex:
     diffs = {n: _int_matrix(m, f"complex.differentials[{n}]")
              for n, m in _int_keyed(data["differentials"],
                                     "complex.differentials").items()}
-    from .k0chain import build_complex
     return build_complex(ranks, diffs)
 
 
@@ -307,7 +298,7 @@ def chainmap_to_json(f: ChainMap) -> dict:
     return {
         "source": complex_to_json(f.source),
         "target": complex_to_json(f.target),
-        "matrices": {str(n): _matrix_to_json(f.matrices[n])
+        "matrices": {str(n): f.matrices[n].tolist()
                      for n in sorted(f.matrices)},
     }
 
@@ -318,7 +309,6 @@ def chainmap_from_json(data, resolve=default_resolver) -> ChainMap:
     B = _resolve(data["target"], "complex", resolve, "chainmap.target")
     mats = {n: _int_matrix(m, f"chainmap.matrices[{n}]")
             for n, m in _int_keyed(data["matrices"], "chainmap.matrices").items()}
-    from .k0chain import build_chain_map
     return build_chain_map(A, B, mats)
 
 
@@ -330,7 +320,6 @@ def tower_from_json(data, resolve=default_resolver):
         raise SchemaError("tower: complexes and maps must be lists")
     complexes = [_resolve(ref, "complex", resolve, f"tower.complexes[{i}]")
                  for i, ref in enumerate(data["complexes"])]
-    from .k0chain import build_chain_map
     maps = []
     for i, entry in enumerate(data["maps"]):
         _expect(entry, f"tower.maps[{i}]", ("matrices",))
@@ -347,7 +336,6 @@ def matrix_from_json(data, resolve=None):
     if isinstance(data, dict):
         _expect(data, "matrix", ("matrix",))
         data = data["matrix"]
-    from .k0chain import as_matrix
     return as_matrix(_int_matrix(data, "matrix"))
 
 
@@ -360,9 +348,9 @@ def homology_to_json(groups: dict[int, HomologyGroup]) -> dict:
 
 def snf_to_json(dec: SmithDecomposition) -> dict:
     return {
-        "S": _matrix_to_json(dec.S),
-        "U": _matrix_to_json(dec.U),
-        "V": _matrix_to_json(dec.V),
+        "S": dec.S.tolist(),
+        "U": dec.U.tolist(),
+        "V": dec.V.tolist(),
         "diagonal": dec.diagonal(),
     }
 

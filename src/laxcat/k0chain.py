@@ -1,8 +1,9 @@
 """Bounded chain complexes of finitely generated free abelian groups.
 
 Homological indexing throughout: the differential lowers degree by one.
-All matrices are numpy object arrays holding Python ints, so nothing ever
-overflows or rounds; vectors are columns and composition is matrix product.
+All matrices are laxcat.intmat.Matrix values holding Python ints, so
+nothing ever overflows or rounds; vectors are columns and composition is
+matrix product.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -20,88 +21,37 @@ Conventions fixed here and relied on everywhere else:
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import (BlockMismatch, CompositeNonzero,
                      DifferentialSquareNonzero, DimensionMismatch,
                      InvalidParameter, NotANullHomotopy, UnboundedComplex)
+from .intmat import (Matrix, as_matrix, eye, hstack, is_zero_matrix, mat_eq,
+                     vstack, zeros)
 from .report import Report
 
-# -- exact integer matrices ---------------------------------------------------
 
-def as_matrix(data, rows=None, cols=None) -> np.ndarray:
-    """Coerce nested lists (or an array) to an object array of ints."""
-    if isinstance(data, np.ndarray):
-        arr = data.astype(object)
-    else:
-        data = [list(r) for r in data]
-        if rows is None:
-            rows = len(data)
-        if cols is None:
-            cols = len(data[0]) if data else 0
-        arr = np.empty((rows, cols), dtype=object)
-        if len(data) != rows:
-            raise DimensionMismatch(f"expected {rows} rows, got {len(data)}")
-        for i, r in enumerate(data):
-            if len(r) != cols:
-                raise DimensionMismatch(
-                    f"row {i} has {len(r)} entries, expected {cols}")
-            for j, v in enumerate(r):
-                if not isinstance(v, int) or isinstance(v, bool):
-                    raise DimensionMismatch(f"entry ({i},{j}) is not an int: {v!r}")
-                arr[i, j] = v
-        return arr
-    out = np.empty(arr.shape, dtype=object)
-    for i in range(arr.shape[0]):
-        for j in range(arr.shape[1]):
-            out[i, j] = int(arr[i, j])
-    return out
-
-
-def zeros(rows: int, cols: int) -> np.ndarray:
-    m = np.empty((rows, cols), dtype=object)
-    m[:] = 0
-    return m
-
-
-def eye(n: int) -> np.ndarray:
-    m = zeros(n, n)
-    for i in range(n):
-        m[i, i] = 1
-    return m
-
-
-def mat_eq(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and (a.size == 0 or bool((a == b).all()))
-
-
-def is_zero_matrix(a: np.ndarray) -> bool:
-    return a.size == 0 or not any(v != 0 for v in a.flat)
-
-
-def det_exact(a: np.ndarray) -> int:
+def det_exact(a: Matrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     n = a.shape[0]
     if a.shape != (n, n):
         raise DimensionMismatch("determinant needs a square matrix")
     if n == 0:
         return 1
-    m = a.copy()
+    m = a.tolist()
     sign, prev = 1, 1
     for k in range(n - 1):
-        if m[k, k] == 0:
+        if m[k][k] == 0:
             for i in range(k + 1, n):
-                if m[i, k] != 0:
-                    m[[k, i], :] = m[[i, k], :]
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
                     sign = -sign
                     break
             else:
                 return 0
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                m[i, j] = (m[i, j] * m[k, k] - m[i, k] * m[k, j]) // prev
-        prev = m[k, k]
-    return sign * m[n - 1, n - 1]
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
 
 
 # -- chain complexes ----------------------------------------------------------
@@ -113,14 +63,14 @@ class ChainComplex:
     both endpoint ranks are positive), so == is meaningful equality.
     """
 
-    def __init__(self, ranks: dict[int, int], diffs: dict[int, np.ndarray]):
+    def __init__(self, ranks: dict[int, int], diffs: dict[int, Matrix]):
         self.ranks = dict(ranks)
         self.diffs = dict(diffs)
 
     def rank(self, n: int) -> int:
         return self.ranks.get(n, 0)
 
-    def diff(self, n: int) -> np.ndarray:
+    def diff(self, n: int) -> Matrix:
         if n in self.diffs:
             return self.diffs[n]
         return zeros(self.rank(n - 1), self.rank(n))
@@ -166,9 +116,6 @@ def build_complex(ranks: dict[int, int], diffs: dict[int, object]) -> ChainCompl
         rows = clean_ranks.get(n - 1, 0)
         cols = clean_ranks.get(n, 0)
         m = as_matrix(mat, rows, cols)
-        if m.shape != (rows, cols):
-            raise DimensionMismatch(
-                f"differential at {n} has shape {m.shape}, expected {(rows, cols)}")
         if rows and cols:
             clean_diffs[n] = m
         elif not is_zero_matrix(m):
@@ -216,12 +163,12 @@ class ChainMap:
     """Degreewise matrices f_n: A_n -> B_n commuting with the differentials."""
 
     def __init__(self, source: ChainComplex, target: ChainComplex,
-                 matrices: dict[int, np.ndarray]):
+                 matrices: dict[int, Matrix]):
         self.source = source
         self.target = target
         self.matrices = dict(matrices)
 
-    def mat(self, n: int) -> np.ndarray:
+    def mat(self, n: int) -> Matrix:
         if n in self.matrices:
             return self.matrices[n]
         return zeros(self.target.rank(n), self.source.rank(n))
@@ -243,11 +190,7 @@ def build_chain_map(source: ChainComplex, target: ChainComplex,
     clean = {}
     for n in set(source.ranks) & set(target.ranks):
         rows, cols = target.rank(n), source.rank(n)
-        m = as_matrix(matrices.get(n, zeros(rows, cols)), rows, cols)
-        if m.shape != (rows, cols):
-            raise DimensionMismatch(
-                f"component at {n} has shape {m.shape}, expected {(rows, cols)}")
-        clean[n] = m
+        clean[n] = as_matrix(matrices.get(n, zeros(rows, cols)), rows, cols)
     for n, m in matrices.items():
         if n not in clean and not is_zero_matrix(as_matrix(m)):
             raise DimensionMismatch(f"component at {n} off the support")
@@ -276,7 +219,7 @@ def compose_chain_maps(g: ChainMap, f: ChainMap) -> ChainMap:
     for n in set(f.source.ranks) & set(g.target.ranks):
         mats[n] = g.mat(n) @ f.mat(n)
     return ChainMap(f.source, g.target,
-                    {n: m for n, m in mats.items() if m.size})
+                    {n: m for n, m in mats.items() if all(m.shape)})
 
 
 def add_chain_maps(f: ChainMap, g: ChainMap) -> ChainMap:
@@ -309,12 +252,12 @@ class Homotopy:
     """H_n: A_n -> B_{n+1} with dH + Hd = target_map - source_map."""
 
     def __init__(self, source_map: ChainMap, target_map: ChainMap,
-                 matrices: dict[int, np.ndarray]):
+                 matrices: dict[int, Matrix]):
         self.source_map = source_map
         self.target_map = target_map
         self.matrices = dict(matrices)
 
-    def mat(self, n: int) -> np.ndarray:
+    def mat(self, n: int) -> Matrix:
         if n in self.matrices:
             return self.matrices[n]
         A, B = self.source_map.source, self.source_map.target
@@ -338,7 +281,7 @@ def build_homotopy(source_map: ChainMap, target_map: ChainMap,
     clean = {}
     for n, m in matrices.items():
         mm = as_matrix(m, B.rank(n + 1), A.rank(n))
-        if mm.size:
+        if all(mm.shape):
             clean[n] = mm
     H = Homotopy(source_map, target_map, clean)
     for n in set(A.ranks) | set(B.ranks):
@@ -373,10 +316,10 @@ def cone(f: ChainMap) -> MappingCone:
     A, B = f.source, f.target
     cx = cone_complex(f)
     incl = build_chain_map(B, cx, {
-        n: np.vstack([zeros(A.rank(n - 1), B.rank(n)), eye(B.rank(n))])
+        n: vstack([zeros(A.rank(n - 1), B.rank(n)), eye(B.rank(n))])
         for n in B.ranks if cx.rank(n)})
     proj = build_chain_map(cx, shift(A, 1), {
-        n: np.hstack([eye(A.rank(n - 1)), zeros(A.rank(n - 1), B.rank(n))])
+        n: hstack([eye(A.rank(n - 1)), zeros(A.rank(n - 1), B.rank(n))])
         for n in cx.ranks if A.rank(n - 1)})
     return MappingCone(cx, incl, proj)
 
@@ -414,7 +357,7 @@ def cone_from_data(f: ChainMap, g: ChainMap, H: Homotopy) -> ChainMap:
     for n in cx.ranks:
         if not C.rank(n):
             continue
-        mats[n] = np.hstack([-H.mat(n - 1), g.mat(n)])
+        mats[n] = hstack([-H.mat(n - 1), g.mat(n)])
     return build_chain_map(cx, C, mats)
 
 
@@ -469,7 +412,7 @@ def hom_complex(A: ChainComplex, B: ChainComplex) -> ChainComplex:
     return hom_complex_with_basis(A, B)[0]
 
 
-def graded_sign_reindex(gmap: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+def graded_sign_reindex(gmap: dict[int, Matrix]) -> dict[int, Matrix]:
     """g_k |-> (-1)^k g_k; matches chain maps with degree-0 cycles."""
     return {k: (m if k % 2 == 0 else -m) for k, m in gmap.items()}
 
@@ -548,7 +491,7 @@ class BlockGradedMatrix:
     """
     rows: tuple[GradedIndex, ...]
     cols: tuple[GradedIndex, ...]
-    blocks: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
+    blocks: dict[tuple[str, str], Matrix] = field(default_factory=dict)
 
     def __post_init__(self):
         rnames = {r.name: r for r in self.rows}
@@ -563,7 +506,7 @@ class BlockGradedMatrix:
                 raise DimensionMismatch(
                     f"block ({rn!r}, {cn!r}) has shape {m.shape}, expected {want}")
 
-    def block(self, rn: str, cn: str) -> np.ndarray:
+    def block(self, rn: str, cn: str) -> Matrix:
         if (rn, cn) in self.blocks:
             return self.blocks[(rn, cn)]
         rsize = next(r.size for r in self.rows if r.name == rn)
@@ -622,18 +565,18 @@ def cone_star_matrix(f: ChainMap) -> BlockGradedMatrix:
 
 @dataclass
 class SmithDecomposition:
-    matrix: np.ndarray
-    U: np.ndarray
-    S: np.ndarray
-    V: np.ndarray
+    matrix: Matrix
+    U: Matrix
+    S: Matrix
+    V: Matrix
 
     def diagonal(self) -> list[int]:
-        return [int(self.S[i, i]) for i in range(min(self.S.shape))]
+        return [self.S[i, i] for i in range(min(self.S.shape))]
 
     def rank(self) -> int:
         return sum(1 for v in self.diagonal() if v != 0)
 
-    def kernel(self) -> np.ndarray:
+    def kernel(self) -> Matrix:
         """Columns of V past the rank: a basis of ker(matrix) that is a
         direct summand of the domain."""
         return self.V[:, self.rank():]
@@ -673,45 +616,47 @@ def smith_normal_form(matrix) -> SmithDecomposition:
     while k < min(m, n):
         # each pass moves the smallest nonzero |entry| of D[k:, k:] (first in
         # row-major order) to (k, k) and reduces its row and column by it
-        pivot = None
+        pivot, least = None, 0
         for i in range(k, m):
+            row = D.rows[i]
             for j in range(k, n):
-                if D[i, j] != 0 and (pivot is None or abs(D[i, j]) < abs(D[pivot])):
-                    pivot = (i, j)
+                size = abs(row[j])
+                if size and (pivot is None or size < least):
+                    pivot, least = (i, j), size
         if pivot is None:
             break
         i, j = pivot
         if i != k:
-            D[[k, i], :] = D[[i, k], :]
-            U[[k, i], :] = U[[i, k], :]
+            D.swap_rows(k, i)
+            U.swap_rows(k, i)
         if j != k:
-            D[:, [k, j]] = D[:, [j, k]]
-            V[:, [k, j]] = V[:, [j, k]]
+            D.swap_cols(k, j)
+            V.swap_cols(k, j)
         if D[k, k] < 0:
-            D[k, :] = -D[k, :]
-            U[k, :] = -U[k, :]
+            D.negate_row(k)
+            U.negate_row(k)
         p = D[k, k]
         for i in range(k + 1, m):
             q = D[i, k] // p
             if q:
-                D[i, :] = D[i, :] - q * D[k, :]
-                U[i, :] = U[i, :] - q * U[k, :]
+                D.add_row(i, k, -q)
+                U.add_row(i, k, -q)
         for j in range(k + 1, n):
             q = D[k, j] // p
             if q:
-                D[:, j] = D[:, j] - q * D[:, k]
-                V[:, j] = V[:, j] - q * V[:, k]
+                D.add_col(j, k, -q)
+                V.add_col(j, k, -q)
         if (any(D[i, k] != 0 for i in range(k + 1, m))
                 or any(D[k, j] != 0 for j in range(k + 1, n))):
             continue
         # p must divide the rest; otherwise fold in the first offending row
-        bad = next((i for i in range(k + 1, m) for j in range(k + 1, n)
-                    if D[i, j] % p != 0), None)
+        bad = next((i for i in range(k + 1, m)
+                    if any(v % p for v in D.rows[i][k + 1:])), None)
         if bad is None:
             k += 1
         else:
-            D[k, :] = D[k, :] + D[bad, :]
-            U[k, :] = U[k, :] + U[bad, :]
+            D.add_row(k, bad, 1)
+            U.add_row(k, bad, 1)
     return SmithDecomposition(A, U, D, V)
 
 
@@ -770,21 +715,18 @@ def is_acyclic(C: ChainComplex) -> bool:
     return not homology_all(C)
 
 
-def kernel_basis(A: np.ndarray) -> np.ndarray:
+def kernel_basis(A: Matrix) -> Matrix:
     """Columns form a basis of ker(A) as a direct summand of the domain."""
     return smith_normal_form(A).kernel()
 
 
-def _left_inverse(K: np.ndarray) -> np.ndarray:
+def _left_inverse(K: Matrix) -> Matrix:
     """Left inverse of a primitive full-column-rank matrix."""
     snf = smith_normal_form(K)
     k = K.shape[1]
     if snf.rank() != k or any(v != 1 for v in snf.diagonal()):
         raise AssertionError("kernel basis must be primitive")
-    splus = zeros(k, K.shape[0])
-    for i in range(k):
-        splus[i, i] = 1
-    return snf.V @ splus @ snf.U
+    return snf.V @ hstack([eye(k), zeros(k, K.shape[0] - k)]) @ snf.U
 
 
 def _homology_map_surjective(f: ChainMap, n: int, factor_A, factor_B) -> bool:
@@ -800,7 +742,7 @@ def _homology_map_surjective(f: ChainMap, n: int, factor_A, factor_B) -> bool:
     X = LB @ B.diff(n + 1)
     if not mat_eq(KB @ X, B.diff(n + 1)):
         raise AssertionError("boundaries must lie in the kernel")
-    stacked = np.hstack([Y, X])
+    stacked = hstack([Y, X])
     snf = smith_normal_form(stacked)
     diag = snf.diagonal()
     return snf.rank() == KB.shape[1] and all(v == 1 for v in diag if v != 0)

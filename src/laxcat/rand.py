@@ -7,23 +7,22 @@ complexes as basis-changed sums of spheres and twisted disks with their
 homology known by construction.
 """
 
-from __future__ import annotations
-
 import math
 import random
-from typing import TYPE_CHECKING
 
 from .collage import Diagram, build_diagram
 from .fincat import (CatFunctor, FinCategory, build_category,
                      compose_functors, enumerate_functors, from_poset,
                      product, standard_category)
+from .intmat import zeros
+from .k0chain import (ChainComplex, ChainMap, HomologyGroup, add_chain_maps,
+                      build_chain_map, build_complex, build_homotopy,
+                      compose_chain_maps, direct_sum, graded_map_image,
+                      identity_chain_map, zero_chain_map)
 from .profunctor import (ProTransformation, Profunctor,
                          build_profunctor, build_protransformation,
                          compose_transformations, coproduct,
                          quotient_by_relation)
-
-if TYPE_CHECKING:
-    from .k0chain import ChainComplex, ChainMap
 
 
 def rng_from_seed(seed) -> random.Random:
@@ -242,7 +241,6 @@ def rand_complex(rng: random.Random, lo: int = -1, hi: int = 3,
                  max_rank: int = 4, shears: int = 6):
     """(complex, known homology); sums of spheres and m-twisted disks,
     then an integer change of basis that provably preserves homology."""
-    from .k0chain import HomologyGroup, build_complex, direct_sum
     summands = rng.randint(1, 3)
     C = None
     free: dict[int, int] = {}
@@ -271,9 +269,9 @@ def rand_complex(rng: random.Random, lo: int = -1, hi: int = 3,
         # new basis at degree n only: d_n picks up E^-1 on the right,
         # d_{n+1} picks up E on the left
         if n in diffs:
-            diffs[n][:, j] = diffs[n][:, j] - c * diffs[n][:, i]
+            diffs[n].add_col(j, i, -c)
         if n + 1 in diffs:
-            diffs[n + 1][i, :] = diffs[n + 1][i, :] + c * diffs[n + 1][j, :]
+            diffs[n + 1].add_row(i, j, c)
     out = build_complex(ranks, diffs)
     known = {}
     for n in set(free) | set(torsion):
@@ -287,7 +285,6 @@ def rand_graded(rng: random.Random, A: ChainComplex, B: ChainComplex,
                 degree: int = 1, density: float = 0.5,
                 lo: int = -2, hi: int = 2) -> dict:
     """Random graded map raising degree: component A_n -> B_{n+degree}."""
-    from .k0chain import zeros
     h = {}
     for n in A.ranks:
         rows, cols = B.rank(n + degree), A.rank(n)
@@ -304,7 +301,6 @@ def rand_graded(rng: random.Random, A: ChainComplex, B: ChainComplex,
 def rand_chain_map(rng: random.Random, A: ChainComplex,
                    B: ChainComplex) -> ChainMap:
     """dh + hd of a random graded map: a chain map by construction."""
-    from .k0chain import graded_map_image
     return graded_map_image(A, B, rand_graded(rng, A, B))
 
 
@@ -315,9 +311,6 @@ def rand_quasi_iso_case(rng: random.Random):
     negative cases mix zero maps, scalings, and homology mismatches so the
     surjectivity branch gets exercised alongside descriptor mismatches.
     """
-    from .k0chain import (add_chain_maps, build_chain_map, build_complex,
-                          graded_map_image, identity_chain_map,
-                          zero_chain_map)
     branch = rng.randrange(4)
     if branch == 0:
         A, _ = rand_complex(rng)
@@ -341,8 +334,6 @@ def rand_quasi_iso_case(rng: random.Random):
 def rand_universal_case(rng: random.Random):
     """(f, g, H) with H a null homotopy of g.f, built from dh + hd data
     plus a dm - md wobble that leaves the homotopy condition intact."""
-    from .k0chain import (build_homotopy, compose_chain_maps,
-                          graded_map_image, zero_chain_map, zeros)
     A, _ = rand_complex(rng, shears=2)
     B, _ = rand_complex(rng, shears=2)
     C, _ = rand_complex(rng, shears=2)

@@ -3,20 +3,21 @@ normal form oracle, the coordinate vector of a graded map, and the plain
 block product that the star product is compared against.
 """
 
-import numpy as np
+import math
 
 from laxcat.errors import BlockMismatch
+from laxcat.intmat import Matrix
 from laxcat.k0chain import (BlockGradedMatrix, ChainComplex, as_matrix,
                             hom_basis, is_zero_matrix, zeros)
 
 
 def graded_to_vector(A: ChainComplex, B: ChainComplex, n: int,
-                     gmap: dict[int, np.ndarray]) -> np.ndarray:
+                     gmap: dict[int, Matrix]) -> Matrix:
     basis = hom_basis(A, B, n)
     vec = zeros(len(basis), 1)
     for pos, (k, i, j) in enumerate(basis):
         if k in gmap:
-            vec[pos, 0] = int(gmap[k][i, j])
+            vec[pos, 0] = gmap[k][i, j]
     return vec
 
 
@@ -48,46 +49,47 @@ def snf_diagonal_naive(matrix) -> list[int]:
 
     Always works at the leading position, clearing by repeated remainder
     steps, then fixes the divisibility chain with gcd/lcm folding.  No
-    transform matrices, no pivot selection.
+    transform matrices, no pivot selection.  It works on plain row lists,
+    so it shares no elimination code with laxcat.intmat.
     """
-    import math
-
-    A = as_matrix(matrix)
-    m, n = A.shape
+    def swap_cols(D, a, b):
+        for row in D:
+            row[a], row[b] = row[b], row[a]
 
     def reduce_block(D):
-        m2, n2 = D.shape
+        m2, n2 = len(D), len(D[0]) if D else 0
         if m2 == 0 or n2 == 0:
             return []
-        if all(D[i, j] == 0 for i in range(m2) for j in range(n2)):
+        if all(D[i][j] == 0 for i in range(m2) for j in range(n2)):
             return [0] * min(m2, n2)
         # bring some nonzero entry to (0,0)
-        found = next((i, j) for i in range(m2) for j in range(n2) if D[i, j] != 0)
-        D[[0, found[0]], :] = D[[found[0], 0], :]
-        D[:, [0, found[1]]] = D[:, [found[1], 0]]
+        found = next((i, j) for i in range(m2) for j in range(n2) if D[i][j] != 0)
+        D[0], D[found[0]] = D[found[0]], D[0]
+        swap_cols(D, 0, found[1])
         while True:
-            if D[0, 0] < 0:
-                D[0, :] = -D[0, :]
+            if D[0][0] < 0:
+                D[0] = [-v for v in D[0]]
             moved = False
             for i in range(1, m2):
-                if D[i, 0] != 0:
-                    q = D[i, 0] // D[0, 0]
-                    D[i, :] = D[i, :] - q * D[0, :]
-                    if D[i, 0] != 0:
-                        D[[0, i], :] = D[[i, 0], :]
+                if D[i][0] != 0:
+                    q = D[i][0] // D[0][0]
+                    D[i] = [a - q * b for a, b in zip(D[i], D[0])]
+                    if D[i][0] != 0:
+                        D[0], D[i] = D[i], D[0]
                         moved = True
             for j in range(1, n2):
-                if D[0, j] != 0:
-                    q = D[0, j] // D[0, 0]
-                    D[:, j] = D[:, j] - q * D[:, 0]
-                    if D[0, j] != 0:
-                        D[:, [0, j]] = D[:, [j, 0]]
+                if D[0][j] != 0:
+                    q = D[0][j] // D[0][0]
+                    for row in D:
+                        row[j] -= q * row[0]
+                    if D[0][j] != 0:
+                        swap_cols(D, 0, j)
                         moved = True
             if not moved:
                 break
-        return [int(D[0, 0])] + reduce_block(D[1:, 1:])
+        return [D[0][0]] + reduce_block([row[1:] for row in D[1:]])
 
-    diag = reduce_block(A.copy())
+    diag = reduce_block(as_matrix(matrix).tolist())
     diag = [abs(v) for v in diag]
     # gcd/lcm folding gives the divisibility chain without touching rank
     for i in range(len(diag)):

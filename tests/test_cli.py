@@ -116,6 +116,36 @@ def test_snf_output(ws):
     assert json.loads(r.stdout)["diagonal"] == [2, 4]
 
 
+def test_snf_of_degenerate_shapes(tmp_path):
+    """A 2x0 and a 0x0 matrix keep their shapes in S, U and V."""
+    expected = {
+        "[[], []]": {"S": [[], []], "U": [[1, 0], [0, 1]], "V": [],
+                     "diagonal": []},
+        '{"matrix": []}': {"S": [], "U": [], "V": [], "diagonal": []},
+    }
+    for text, doc in expected.items():
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        r = run("snf", str(path))
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == dumps_canonical(doc)
+
+
+def test_quasi_iso_with_an_empty_kernel_basis(tmp_path):
+    # A = Z -> Z in degrees 1, 0 and B = Z -> Z in degrees 2, 1 are both
+    # acyclic; at degree 1 the kernel basis of d_1 has no columns in A and
+    # one in B, so the surjectivity test stacks a 1x0 block beside a 1x1
+    A = build_complex({1: 1, 0: 1}, {1: [[1]]})
+    B = build_complex({2: 1, 1: 1}, {2: [[1]]})
+    path = tmp_path / "f.json"
+    path.write_text(dumps_canonical(
+        chainmap_to_json(build_chain_map(A, B, {1: [[3]]}))))
+    r = run("quasi-iso", str(path))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == dumps_canonical({"quasi_iso": True,
+                                        "cone_acyclic": True})
+
+
 def test_out_writes_file(ws, tmp_path):
     target = tmp_path / "result.json"
     r = run("--workspace", str(ws), "--out", str(target), "snf", "mat")
@@ -158,6 +188,11 @@ def test_invalid_inputs_exit_2(ws, tmp_path):
     r = run("homology", str(off_support))
     assert r.returncode == 2
     assert "Traceback" not in r.stderr
+    ragged = tmp_path / "ragged.json"
+    ragged.write_text("[[1, 2], [3]]")
+    r = run("snf", str(ragged))
+    assert r.returncode == 2
+    assert r.stderr == "validation failed: row 1 has 1 entries, expected 2\n"
 
 
 def test_snf_of_an_entry_over_4300_digits(tmp_path):

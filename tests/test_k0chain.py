@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -123,8 +122,19 @@ def test_cone_differential_is_the_signed_block_matrix(seed):
     hi = max(A.window[1] + 1, B.window[1])
     for n in range(lo - 1, hi + 2):
         assert cx.rank(n) == A.rank(n - 1) + B.rank(n)
-        blocks = np.block([[-A.diff(n - 1), zeros(A.rank(n - 2), B.rank(n))],
-                           [-f.mat(n - 1), B.diff(n)]])
+        # [[-d_A, 0], [-f, d_B]] from Cone_n = A_{n-1} + B_n to
+        # Cone_{n-1} = A_{n-2} + B_{n-1}, written out entry by entry
+        ar, ac = A.rank(n - 2), A.rank(n - 1)
+        dA, fm, dB = A.diff(n - 1), f.mat(n - 1), B.diff(n)
+        blocks = zeros(ar + B.rank(n - 1), ac + B.rank(n))
+        for i in range(ar):
+            for j in range(ac):
+                blocks[i, j] = -dA[i, j]
+        for i in range(B.rank(n - 1)):
+            for j in range(ac):
+                blocks[ar + i, j] = -fm[i, j]
+            for j in range(B.rank(n)):
+                blocks[ar + i, ac + j] = dB[i, j]
         assert mat_eq(cx.diff(n), blocks)
 
 
@@ -278,6 +288,21 @@ def test_snf_frozen_example():
     dec = smith_normal_form([[2, 4], [6, 8]])
     assert dec.diagonal() == [2, 4]
     assert dec.verify().ok
+
+
+def test_verify_rejects_transforms_that_are_not_unimodular():
+    # doubling a row of U and of S (or a column of V and of S) keeps
+    # U d V = S and the divisibility chain; only the determinants object
+    dec = smith_normal_form([[2, 4], [6, 8]])
+    for j in range(2):
+        dec.U[0, j] *= 2
+        dec.S[0, j] *= 2
+    assert dec.verify().failures == ["U is not unimodular"]
+    dec = smith_normal_form([[2, 4], [6, 8]])
+    for i in range(2):
+        dec.V[i, 1] *= 2
+        dec.S[i, 1] *= 2
+    assert dec.verify().failures == ["V is not unimodular"]
 
 
 @settings(max_examples=150, deadline=None)
