@@ -6,7 +6,9 @@ document (stdout by default, --out FILE otherwise) produced with sorted
 keys and fixed indentation, so equal inputs give byte-equal outputs.
 
 Exit codes: 0 success, 1 a checked property failed, 2 invalid input or
-usage, 3 an input breached the size caps.
+usage, 3 an input breached the size caps, 4 an internal error (a failed
+result guard or a bug), reported in one line, with the traceback only
+under --debug.
 """
 
 import argparse
@@ -311,6 +313,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="cap on objects per input category")
     p.add_argument("--max-elements", type=int, default=8,
                    help="cap on elements per profunctor cell")
+    p.add_argument("--debug", action="store_true",
+                   help="print the traceback of an internal error (exit 4)")
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("compose", help="coend composite, outer after inner")
@@ -390,6 +394,7 @@ def main(argv=None) -> int:
     ws = Workspace(args.workspace, caps)
     try:
         doc, code = COMMANDS[args.command](args, ws)
+        text = dumps_canonical(doc)
     except CapExceeded as e:
         print(f"cap exceeded: {e}", file=sys.stderr)
         return 3
@@ -402,7 +407,13 @@ def main(argv=None) -> int:
     except LaxcatError as e:
         print(f"validation failed: {e}", file=sys.stderr)
         return 2
-    text = dumps_canonical(doc)
+    except Exception as e:
+        # a failed result guard or a bug, never a property of the input
+        if args.debug:
+            import traceback  # only here: every command would pay its import
+            traceback.print_exc()
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 4
     if args.out:
         Path(args.out).write_text(text)
     else:

@@ -19,6 +19,7 @@ Conventions fixed here and relied on everywhere else:
     nonnegative diagonal, and each entry dividing the next.
 """
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import (BlockMismatch, CompositeNonzero,
@@ -582,14 +583,40 @@ class SmithDecomposition:
         return self.V[:, self.rank():]
 
     def verify(self) -> Report:
+        """Check U d V = S exactly, that U and V are unimodular, and that S
+        is diagonal with a nonnegative divisibility chain.
+
+        Unimodularity is certified by one determinant of the input rather
+        than by eliminating the transforms, whose entries grow to thousands
+        of bits.  Suppose U d V = S holds, U, d and V are square of one
+        size with det d != 0, and S is diagonal, so det S is the product of
+        its diagonal.  Then |det U| |det V| = |det S| / |det d|, and as
+        both determinants are integers, U and V are unimodular exactly
+        when |det d| = |det S| (Kannan and Bachem, SIAM J. Comput. 8,
+        1979).  Where the certificate does not apply (singular or
+        non-square d, U d V != S, S not diagonal) or the two determinants
+        differ, det U and det V are computed by Bareiss elimination, so
+        the failures and their order never depend on the route taken.
+        """
         rep = Report()
-        if not mat_eq(self.U @ self.matrix @ self.V, self.S):
+        A, U, S, V = self.matrix, self.U, self.S, self.V
+        product_ok = mat_eq(U @ (A @ V), S)
+        if not product_ok:
             rep.fail("U d V != S")
-        if abs(det_exact(self.U)) != 1:
-            rep.fail("U is not unimodular")
-        if abs(det_exact(self.V)) != 1:
-            rep.fail("V is not unimodular")
+        off_diagonal = [(i, j) for i, row in enumerate(S.rows)
+                        for j, v in enumerate(row) if v and i != j]
         diag = self.diagonal()
+        n = A.shape[0]
+        certified = False
+        if (product_ok and not off_diagonal
+                and U.shape == A.shape == V.shape == (n, n)):
+            det_a = abs(det_exact(A))
+            certified = det_a != 0 and det_a == abs(math.prod(diag))
+        if not certified:
+            if abs(det_exact(U)) != 1:
+                rep.fail("U is not unimodular")
+            if abs(det_exact(V)) != 1:
+                rep.fail("V is not unimodular")
         for i, v in enumerate(diag):
             if v < 0:
                 rep.fail(f"diagonal entry {i} is negative")
@@ -598,10 +625,8 @@ class SmithDecomposition:
             if v == 0 and any(w != 0 for w in diag[i:]):
                 rep.fail("zero diagonal entry before a nonzero one")
                 break
-        for i in range(self.S.shape[0]):
-            for j in range(self.S.shape[1]):
-                if i != j and self.S[i, j] != 0:
-                    rep.fail(f"off-diagonal entry at ({i},{j})")
+        for i, j in off_diagonal:
+            rep.fail(f"off-diagonal entry at ({i},{j})")
         return rep
 
 

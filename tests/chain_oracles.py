@@ -1,14 +1,17 @@
 """Test-only helpers for the chain-complex layer: an independent Smith
-normal form oracle, the coordinate vector of a graded map, and the plain
-block product that the star product is compared against.
+normal form oracle, the self-check of a Smith decomposition by two Bareiss
+determinants, the coordinate vector of a graded map, and the plain block
+product that the star product is compared against.
 """
 
 import math
 
 from laxcat.errors import BlockMismatch
 from laxcat.intmat import Matrix
-from laxcat.k0chain import (BlockGradedMatrix, ChainComplex, as_matrix,
-                            hom_basis, is_zero_matrix, zeros)
+from laxcat.k0chain import (BlockGradedMatrix, ChainComplex,
+                            SmithDecomposition, as_matrix, det_exact,
+                            hom_basis, is_zero_matrix, mat_eq, zeros)
+from laxcat.report import Report
 
 
 def graded_to_vector(A: ChainComplex, B: ChainComplex, n: int,
@@ -100,3 +103,29 @@ def snf_diagonal_naive(matrix) -> list[int]:
             diag[i], diag[j] = g, l
     nonzero = sorted(v for v in diag if v)
     return nonzero + [0] * (len(diag) - len(nonzero))
+
+
+def verify_two_bareiss(dec: SmithDecomposition) -> Report:
+    """SmithDecomposition.verify as it was before the determinant
+    certificate: U and V are eliminated on every call."""
+    rep = Report()
+    if not mat_eq(dec.U @ dec.matrix @ dec.V, dec.S):
+        rep.fail("U d V != S")
+    if abs(det_exact(dec.U)) != 1:
+        rep.fail("U is not unimodular")
+    if abs(det_exact(dec.V)) != 1:
+        rep.fail("V is not unimodular")
+    diag = dec.diagonal()
+    for i, v in enumerate(diag):
+        if v < 0:
+            rep.fail(f"diagonal entry {i} is negative")
+        if i + 1 < len(diag) and v != 0 and diag[i + 1] % v != 0:
+            rep.fail(f"diagonal entry {i} does not divide its successor")
+        if v == 0 and any(w != 0 for w in diag[i:]):
+            rep.fail("zero diagonal entry before a nonzero one")
+            break
+    for i in range(dec.S.shape[0]):
+        for j in range(dec.S.shape[1]):
+            if i != j and dec.S[i, j] != 0:
+                rep.fail(f"off-diagonal entry at ({i},{j})")
+    return rep

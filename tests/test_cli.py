@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+import laxcat.k0chain as k0chain
+from laxcat.cli import main
 from laxcat.collage import grothendieck
 from laxcat.fincat import standard_category
 from laxcat.jsonio import (category_to_json, chainmap_to_json,
@@ -12,6 +14,7 @@ from laxcat.jsonio import (category_to_json, chainmap_to_json,
 from laxcat.k0chain import build_chain_map, build_complex
 from laxcat.profunctor import build_profunctor
 from laxcat.rand import rand_diagram, rand_profunctor, rng_from_seed
+from laxcat.report import Report
 
 
 def run(*argv, cwd=None):
@@ -216,6 +219,22 @@ def test_failed_self_verification_survives_optimize(ws):
     assert r.returncode != 0
     assert r.stdout == ""
     assert "self-verification" in r.stderr
+
+
+def test_failed_self_verification_exits_4_in_one_line(ws, monkeypatch, capsys):
+    monkeypatch.setattr(k0chain.SmithDecomposition, "verify",
+                        lambda self: Report(False, ["forced"]))
+    assert main(["--workspace", str(ws), "snf", "mat"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("internal error: AssertionError: decomposition failed "
+                   "self-verification: ['forced']\n")
+    assert main(["--workspace", str(ws), "--debug", "snf", "mat"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("Traceback")
+    assert err.endswith("internal error: AssertionError: decomposition failed "
+                        "self-verification: ['forced']\n")
 
 
 def test_cap_breach_exits_3(ws, tmp_path):

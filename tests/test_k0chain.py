@@ -23,7 +23,8 @@ from laxcat.rand import (rand_chain_map, rand_complex, rand_graded,
                          rng_from_seed)
 
 from chain_oracles import (block_plain_multiply, graded_to_vector,
-                           sign_scale_rows, snf_diagonal_naive)
+                           sign_scale_rows, snf_diagonal_naive,
+                           verify_two_bareiss)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -303,6 +304,101 @@ def test_verify_rejects_transforms_that_are_not_unimodular():
         dec.V[i, 1] *= 2
         dec.S[i, 1] *= 2
     assert dec.verify().failures == ["V is not unimodular"]
+
+
+def _seeded_decompositions():
+    """Smith decompositions of seeded square nonsingular, square singular
+    and non-square matrices, and of the empty shapes."""
+    rng = rng_from_seed(37)
+
+    def draw(m, n):
+        return [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
+
+    mats = [zeros(0, 0), zeros(3, 0), zeros(0, 4)]
+    while len(mats) < 9:
+        mat = draw(*[rng.randint(1, 6)] * 2)
+        if det_exact(as_matrix(mat)):
+            mats.append(mat)
+    for n in (2, 3, 4, 5, 6):
+        mat = draw(n - 1, n)
+        mats.append(mat + [[a + b for a, b in zip(mat[0], mat[-1])]])
+        mats.append([[0] * n] + draw(n - 1, n))
+    for m, n in ((1, 4), (2, 5), (4, 2), (6, 3), (3, 6)):
+        mats.append(draw(m, n))
+    return [smith_normal_form(mat) for mat in mats]
+
+
+def _corrupted(dec):
+    """Copies of dec broken in one way each: a row of U doubled with S and a
+    column of V doubled with S (U d V = S still holds, so only the
+    determinants can object), the first two rows of U and S mixed by
+    [[1, 3], [1, 1]] (U d V = S and the diagonal product hold, S is not
+    diagonal), a row of U doubled or negated alone, an off-diagonal entry
+    in S, and U d V != S with both transforms still unimodular."""
+    def copy():
+        return k0chain.SmithDecomposition(dec.matrix, dec.U.copy(),
+                                          dec.S.copy(), dec.V.copy())
+    (m, n), out = dec.S.shape, []
+    if m:
+        c = copy()
+        c.U.rows[0] = [2 * v for v in c.U.rows[0]]
+        c.S.rows[0] = [2 * v for v in c.S.rows[0]]
+        out.append(c)
+        c = copy()
+        c.U.rows[0] = [2 * v for v in c.U.rows[0]]
+        out.append(c)
+        c = copy()
+        c.U.negate_row(0)
+        out.append(c)
+    if n:
+        c = copy()
+        for row in c.V.rows + c.S.rows:
+            row[0] *= 2
+        out.append(c)
+    if m > 1:
+        c = copy()
+        for M in (c.U, c.S):
+            a, b = M.rows[0], M.rows[1]
+            M.rows[0] = [x + 3 * y for x, y in zip(a, b)]
+            M.rows[1] = [x + y for x, y in zip(a, b)]
+        out.append(c)
+        c = copy()
+        c.U.add_row(0, 1, 1)
+        out.append(c)
+    if m and n and m + n > 2:
+        c = copy()
+        c.S[(1, 0) if m > 1 else (0, 1)] += 1
+        out.append(c)
+    if m and n:
+        c = copy()
+        c.S[0, 0] += 1
+        out.append(c)
+    return out
+
+
+def test_verify_matches_two_bareiss_oracle():
+    for dec in _seeded_decompositions():
+        for d in [dec] + _corrupted(dec):
+            assert d.verify().failures == verify_two_bareiss(d).failures
+
+
+def test_verify_of_nonsingular_input_takes_one_determinant(monkeypatch):
+    rng = rng_from_seed(38)
+    while True:
+        mat = as_matrix([[rng.randint(-5, 5) for _ in range(8)]
+                         for _ in range(8)])
+        if det_exact(mat):
+            break
+    dec = smith_normal_form(mat)
+    calls = []
+    real = k0chain.det_exact
+
+    def counting(a):
+        calls.append(a)
+        return real(a)
+    monkeypatch.setattr(k0chain, "det_exact", counting)
+    assert dec.verify().ok
+    assert len(calls) == 1 and calls[0] is dec.matrix
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,14 +1,18 @@
 #!/usr/bin/env python3
-"""In-process size ladder of the two kernels that dominate the `tables`
-workload: full validation of a collage total, and the coend composite of a
-finite group's hom profunctor with itself.
+"""In-process size ladder of the kernels that dominate the `tables` and
+`chains` workloads: full validation of a collage total, the coend composite
+of a finite group's hom profunctor with itself, and Smith normal form
+(elimination, and the self-check `SmithDecomposition.verify`).
 
     python3 tools/ladder.py [SRC] [--repeats 5]
 
 SRC is the laxcat source tree to import (default: ./src), so the same script
-times any checkout.  Inputs are those of `bench/run.py --workload tables
---seed 1`: the collage totals of hom(Δa×Δb) and the seed-1 groups of orders
-12, 24 and 36.  Prints one JSON object of per-rung medians in milliseconds.
+times any checkout.  Inputs are those of `bench/run.py --seed 1`: for
+`tables`, the collage totals of hom(Δa×Δb) and the seed-1 groups of orders
+12, 24 and 36; for `chains`, the seed-1 matrices of sizes 16, 32, 48 and 56
+(entries in [-5, 5]), plus one 64×64 matrix drawn at seed 64 to show the
+scaling past the workload.  Prints one JSON object of per-rung medians in
+milliseconds.
 """
 
 import argparse
@@ -41,10 +45,13 @@ def main(argv=None):
     from laxcat.collage import collage_of_profunctor
     from laxcat.fincat import build_category, product, standard_category
     from laxcat.jsonio import category_from_json
+    from laxcat.k0chain import smith_normal_form
     from laxcat.profunctor import compose_with_pairing, hom_profunctor
-    from workloads import HOM_LADDER, MONOID_LADDER, abelian_group
+    from workloads import (HOM_LADDER, MONOID_LADDER, SNF_LADDER,
+                           abelian_group, random_matrix)
 
-    out = {"build_category_ms": {}, "compose_group_hom_ms": {}}
+    out = {"build_category_ms": {}, "compose_group_hom_ms": {},
+           "snf_elimination_ms": {}, "snf_verify_ms": {}}
     for a, b in HOM_LADDER:
         square = product(standard_category("simplex", a),
                          standard_category("simplex", b))
@@ -59,6 +66,18 @@ def main(argv=None):
         H = hom_profunctor(category_from_json(abelian_group(rng, order)))
         out["compose_group_hom_ms"][f"group_{order}"] = {
             "median": median_ms(lambda: compose_with_pairing(H, H), args.repeats)}
+    rng = random.Random(1)
+    for n in SNF_LADDER + (64,):
+        mat = random_matrix(random.Random(64) if n == 64 else rng, n)
+        dec = smith_normal_form(mat)
+        if not dec.verify().ok:
+            raise SystemExit(f"snf_{n}: the decomposition fails verification")
+        bits = max(abs(v).bit_length() for m in (dec.U, dec.V) for v in m.flat)
+        out["snf_elimination_ms"][f"n_{n}"] = {
+            "transform_max_bits": bits,
+            "median": median_ms(lambda: smith_normal_form(mat), args.repeats)}
+        out["snf_verify_ms"][f"n_{n}"] = {
+            "median": median_ms(dec.verify, args.repeats)}
     print(json.dumps(out))
 
 
