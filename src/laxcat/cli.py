@@ -414,8 +414,12 @@ def main(argv=None) -> int:
             traceback.print_exc()
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 4
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    try:
+        if args.out:
+            Path(args.out).write_text(text)
+        else:
+            sys.stdout.write(text)
+    except OSError as e:
+        print(f"cannot write output: {e}", file=sys.stderr)
+        return 2
     return code

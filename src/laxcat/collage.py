@@ -26,7 +26,8 @@ from .fincat import (CatFunctor, FinCategory, _index, build_category,
                      compose_functors, identity_functor, standard_category,
                      validate_functor)
 from .profunctor import (CoendComposite, Profunctor, build_profunctor,
-                         compose_with_pairing, hom_profunctor, _composite_id,
+                         compose_with_pairing, hom_profunctor,
+                         opposite_profunctor, restrict_along, _composite_id,
                          _glue)
 from .report import Report
 from .unionfind import UnionFind
@@ -106,12 +107,8 @@ def grothendieck(X: Diagram) -> Collage:
     (delta,g@y') . (gamma,f@x) = (delta.gamma, (g . delta(f))@x).
     """
     S = X.shape
-    objects, obj_parts = [], {}
-    for s in S.objects:
-        for x in X.fiber[s].objects:
-            oid = f"({s},{x})"
-            objects.append(oid)
-            obj_parts[oid] = (s, x)
+    fibers = {s: X.fiber[s] for s in S.objects}
+    objects, obj_parts, identity = _fiber_objects(S, fibers)
     morphisms, mor_parts, src, dst = [], {}, {}, {}
     for gamma in S.morphisms:
         s, t = S.src[gamma], S.dst[gamma]
@@ -126,11 +123,6 @@ def grothendieck(X: Diagram) -> Collage:
                     mor_parts[mid] = (gamma, x, f)
                     src[mid] = f"({s},{x})"
                     dst[mid] = f"({t},{y})"
-    identity = {}
-    for s in S.objects:
-        for x in X.fiber[s].objects:
-            identity[f"({s},{x})"] = _total_mor_id(
-                S.identity[s], X.fiber[s].identity[x], x)
     leaving = _index(objects, morphisms, src)
     comp = {}
     for m1 in morphisms:
@@ -143,16 +135,29 @@ def grothendieck(X: Diagram) -> Collage:
             comp[(m2, m1)] = _total_mor_id(
                 S.comp[(delta, gamma)], U.comp[(g, Fd.mormap[f])], x)
     total = build_category(objects, morphisms, src, dst, identity, comp)
-    injections = {}
-    for s in S.objects:
-        Cs = X.fiber[s]
-        injections[s] = CatFunctor(
-            Cs, total,
-            {x: f"({s},{x})" for x in Cs.objects},
-            {f: _total_mor_id(S.identity[s], f, Cs.src[f])
-             for f in Cs.morphisms})
-    return Collage(total, S, dict(X.fiber), injections, obj_parts, mor_parts,
-                   diagram=X)
+    return Collage(total, S, dict(X.fiber), _injections(S, fibers, total),
+                   obj_parts, mor_parts, diagram=X)
+
+
+def _fiber_objects(S: FinCategory, fibers):
+    """The total objects '(s,x)' with their parts and identities."""
+    objects, obj_parts, identity = [], {}, {}
+    for s, Cs in fibers.items():
+        for x in Cs.objects:
+            oid = f"({s},{x})"
+            objects.append(oid)
+            obj_parts[oid] = (s, x)
+            identity[oid] = _total_mor_id(S.identity[s], Cs.identity[x], x)
+    return objects, obj_parts, identity
+
+
+def _injections(S: FinCategory, fibers, total: FinCategory):
+    """Each fiber's inclusion into the total category, along the identity
+    of its shape object."""
+    return {s: CatFunctor(Cs, total, {x: f"({s},{x})" for x in Cs.objects},
+                          {f: _total_mor_id(S.identity[s], f, Cs.src[f])
+                           for f in Cs.morphisms})
+            for s, Cs in fibers.items()}
 
 
 def collage_of_profunctor(P: Profunctor) -> Collage:
@@ -163,65 +168,41 @@ def collage_of_profunctor(P: Profunctor) -> Collage:
     and no morphisms from the B side back to the A side.  Composition with
     cross morphisms is given by the profunctor actions.
     """
-    A, B = P.source, P.target
     S = standard_category("interval")
-    objects, obj_parts = [], {}
-    for a in A.objects:
-        objects.append(f"(0,{a})")
-        obj_parts[f"(0,{a})"] = ("0", a)
-    for b in B.objects:
-        objects.append(f"(1,{b})")
-        obj_parts[f"(1,{b})"] = ("1", b)
+    fibers = {"0": P.source, "1": P.target}
+    objects, obj_parts, identity = _fiber_objects(S, fibers)
     morphisms, mor_parts, src, dst = [], {}, {}, {}
-    for f in A.morphisms:
-        mid = _total_mor_id("id_0", f, A.src[f])
-        morphisms.append(mid)
-        mor_parts[mid] = ("id_0", A.src[f], f)
-        src[mid], dst[mid] = f"(0,{A.src[f]})", f"(0,{A.dst[f]})"
-    for g in B.morphisms:
-        mid = _total_mor_id("id_1", g, B.src[g])
-        morphisms.append(mid)
-        mor_parts[mid] = ("id_1", B.src[g], g)
-        src[mid], dst[mid] = f"(1,{B.src[g]})", f"(1,{B.dst[g]})"
+    for tag, Cs in fibers.items():
+        along = S.identity[tag]
+        for f in Cs.morphisms:
+            mid = _total_mor_id(along, f, Cs.src[f])
+            morphisms.append(mid)
+            mor_parts[mid] = (along, Cs.src[f], f)
+            src[mid] = f"({tag},{Cs.src[f]})"
+            dst[mid] = f"({tag},{Cs.dst[f]})"
     for (b, a), es in P.elements.items():
         for p in es:
             mid = f"(u,{p})"
             morphisms.append(mid)
             mor_parts[mid] = ("u", a, p)
             src[mid], dst[mid] = f"(0,{a})", f"(1,{b})"
-    identity = {}
-    for a in A.objects:
-        identity[f"(0,{a})"] = _total_mor_id("id_0", A.identity[a], a)
-    for b in B.objects:
-        identity[f"(1,{b})"] = _total_mor_id("id_1", B.identity[b], b)
     leaving = _index(objects, morphisms, src)
     comp = {}
     for m1 in morphisms:
         g1, x1, p1 = mor_parts[m1]
         for m2 in leaving[dst[m1]]:
             g2, x2, p2 = mor_parts[m2]
-            if g1 == "id_0" and g2 == "id_0":
-                comp[(m2, m1)] = _total_mor_id("id_0", A.comp[(p2, p1)], x1)
-            elif g1 == "id_1" and g2 == "id_1":
-                comp[(m2, m1)] = _total_mor_id("id_1", B.comp[(p2, p1)], x1)
-            elif g1 == "id_0" and g2 == "u":
+            # no morphism leaves the B side: u composes only after an A
+            # morphism or before a B morphism
+            if g1 == g2:
+                comp[(m2, m1)] = _total_mor_id(
+                    g1, fibers[S.src[g1]].comp[(p2, p1)], x1)
+            elif g2 == "u":
                 comp[(m2, m1)] = f"(u,{P.ract[p1][p2]})"
-            elif g1 == "u" and g2 == "id_1":
+            else:
                 comp[(m2, m1)] = f"(u,{P.lact[p2][p1]})"
-            else:  # (1,-) -> (0,-) cannot occur: no backwards morphisms
-                raise NotACollage(f"impossible composite ({m2!r}, {m1!r})")
     total = build_category(objects, morphisms, src, dst, identity, comp)
-    injections = {
-        "0": CatFunctor(A, total,
-                        {a: f"(0,{a})" for a in A.objects},
-                        {f: _total_mor_id("id_0", f, A.src[f])
-                         for f in A.morphisms}),
-        "1": CatFunctor(B, total,
-                        {b: f"(1,{b})" for b in B.objects},
-                        {g: _total_mor_id("id_1", g, B.src[g])
-                         for g in B.morphisms}),
-    }
-    return Collage(total, S, {"0": A, "1": B}, injections, obj_parts,
+    return Collage(total, S, fibers, _injections(S, fibers, total), obj_parts,
                    mor_parts, profunctor=P)
 
 
@@ -273,31 +254,13 @@ def identity_block_decomposition(G: Collage):
         raise NotACollage("block decomposition needs a two-fiber collage")
     rep = Report()
     H = hom_profunctor(G.total)
-    A, B = G.fiber["0"], G.fiber["1"]
-    blocks = {}
-    for t, Ct in (("0", A), ("1", B)):
-        for s, Cs in (("0", A), ("1", B)):
-            elements = {}
-            for y in Ct.objects:
-                for x in Cs.objects:
-                    elements[(y, x)] = H.elements[(f"({t},{y})", f"({s},{x})")]
-            it, js = G.injections[t], G.injections[s]
-            lact = {g: {e: H.lact[it.mormap[g]][e]
-                        for y in Ct.objects if Ct.src[g] == y
-                        for x in Cs.objects
-                        for e in elements[(y, x)]}
-                    for g in Ct.morphisms}
-            ract = {f: {e: H.ract[js.mormap[f]][e]
-                        for x in Cs.objects if Cs.dst[f] == x
-                        for y in Ct.objects
-                        for e in elements[(y, x)]}
-                    for f in Cs.morphisms}
-            blocks[(t, s)] = build_profunctor(Cs, Ct, elements, lact, ract)
+    blocks = {(t, s): restrict_along(H, G.injections[s], G.injections[t])
+              for t in ("0", "1") for s in ("0", "1")}
 
     if blocks[("0", "1")].total_size() != 0:
         rep.fail("upper-right block is not empty")
-    for tag, C in (("0", A), ("1", B)):
-        hc = hom_profunctor(C)
+    for tag in ("0", "1"):
+        hc = hom_profunctor(G.fiber[tag])
         blk = blocks[(tag, tag)]
         inj = G.injections[tag]
         for (y, x), es in hc.elements.items():
@@ -309,21 +272,18 @@ def identity_block_decomposition(G: Collage):
         for (b, a), es in P.elements.items():
             if sorted(blk.elements[(b, a)]) != sorted(f"(u,{p})" for p in es):
                 rep.fail(f"lower-left block differs from the profunctor at ({b!r}, {a!r})")
-        # the unwrapping bijection intertwines the actions
-        for g in B.morphisms:
-            for (b, a), es in P.elements.items():
-                if B.src[g] != b:
-                    continue
-                for p in es:
-                    if blk.lact[g][f"(u,{p})"] != f"(u,{P.lact[g][p]})":
-                        rep.fail(f"lower-left left action differs at {p!r}")
-        for f in A.morphisms:
-            for (b, a), es in P.elements.items():
-                if A.dst[f] != a:
-                    continue
-                for p in es:
-                    if blk.ract[f][f"(u,{p})"] != f"(u,{P.ract[f][p]})":
-                        rep.fail(f"lower-left right action differs at {p!r}")
+        # the unwrapping bijection intertwines the actions; the right
+        # actions are the left actions of the opposites
+        for side, Q, Qblk in (("left", P, blk),
+                              ("right", opposite_profunctor(P),
+                               opposite_profunctor(blk))):
+            for g in Q.target.morphisms:
+                for (y, x), es in Q.elements.items():
+                    if Q.target.src[g] != y:
+                        continue
+                    for p in es:
+                        if Qblk.lact[g][f"(u,{p})"] != f"(u,{Q.lact[g][p]})":
+                            rep.fail(f"lower-left {side} action differs at {p!r}")
     return rep, blocks
 
 
@@ -359,63 +319,30 @@ def restrict_matrix(M: Profunctor, G: Collage, side: str) -> LaxMatrix:
     if side == "source":
         if M.source != total:
             raise NotACollage("profunctor source is not the collage total")
-        other = M.target
+        other_id = identity_functor(M.target)
+        entries = {s: restrict_along(M, inj, other_id)
+                   for s, inj in G.injections.items()}
+        acts = M.ract
     elif side == "target":
         if M.target != total:
             raise NotACollage("profunctor target is not the collage total")
-        other = M.source
+        other_id = identity_functor(M.source)
+        entries = {s: restrict_along(M, other_id, inj)
+                   for s, inj in G.injections.items()}
+        acts = M.lact
     else:
         raise InvalidParameter(f"side must be source or target, got {side!r}")
     S = G.shape
-    entries = {}
-    for s in S.objects:
-        Cs = G.fiber[s]
-        inj = G.injections[s]
-        if side == "source":
-            elements = {(d, x): M.elements[(d, f"({s},{x})")]
-                        for d in other.objects for x in Cs.objects}
-            lact = {g: {e: M.lact[g][e]
-                        for x in Cs.objects
-                        for e in elements[(other.src[g], x)]}
-                    for g in other.morphisms}
-            ract = {f: {e: M.ract[inj.mormap[f]][e]
-                        for d in other.objects
-                        for e in elements[(d, Cs.dst[f])]}
-                    for f in Cs.morphisms}
-            entries[s] = build_profunctor(Cs, other, elements, lact, ract)
-        else:
-            elements = {(x, c): M.elements[(f"({s},{x})", c)]
-                        for x in Cs.objects for c in other.objects}
-            lact = {f: {e: M.lact[inj.mormap[f]][e]
-                        for c in other.objects
-                        for e in elements[(Cs.src[f], c)]}
-                    for f in Cs.morphisms}
-            ract = {g: {e: M.ract[g][e]
-                        for x in Cs.objects
-                        for e in elements[(x, other.dst[g])]}
-                    for g in other.morphisms}
-            entries[s] = build_profunctor(other, Cs, elements, lact, ract)
     transition = {}
     for gamma in S.morphisms:
         if S.is_identity(gamma):
             continue
-        s, t = S.src[gamma], S.dst[gamma]
         F = G.diagram.transition[gamma]
-        per_x = {}
-        for x in G.fiber[s].objects:
-            fx = F.obmap[x]
-            canon = _total_mor_id(gamma, G.fiber[t].identity[fx], x)
-            if side == "source":
-                table = {e: M.ract[canon][e]
-                         for d in other.objects
-                         for e in M.elements[(d, f"({t},{fx})")]}
-            else:
-                table = {e: M.lact[canon][e]
-                         for c in other.objects
-                         for e in M.elements[(f"({s},{x})", c)]}
-            per_x[x] = table
-        transition[gamma] = per_x
-    return LaxMatrix(G, side, other, entries, transition)
+        Ct = G.fiber[S.dst[gamma]]
+        transition[gamma] = {
+            x: dict(acts[_total_mor_id(gamma, Ct.identity[F.obmap[x]], x)])
+            for x in G.fiber[S.src[gamma]].objects}
+    return LaxMatrix(G, side, other_id.source, entries, transition)
 
 
 def assemble_matrix(data: LaxMatrix) -> Profunctor:
@@ -465,6 +392,10 @@ def assemble_matrix(data: LaxMatrix) -> Profunctor:
             raise IncompatibleActionData(
                 f"missing transition data for {gamma!r} at {x!r}")
 
+    # The two sides are not mirrors: the opposite reverses the total
+    # category but not the shape, so an ambient action pulls back along a
+    # fiber leg and then a transition on one side, and pushes forward along
+    # a transition and then a fiber leg on the other.
     try:
         if side == "source":
             lact = {g: {e: data.entries[s].lact[g][e]

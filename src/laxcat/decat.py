@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import CompositionMismatch, ShapeMismatch
 from .fincat import FinCategory
-from .profunctor import Profunctor, compose_profunctors
+from .profunctor import Profunctor, compose_profunctors, opposite_profunctor
 from .report import Report
 from .unionfind import UnionFind
 
@@ -44,19 +44,18 @@ class CardMatrix:
 
 
 def _cell_components(P: Profunctor, d: str, c: str) -> int:
-    """Number of orbits of the cell under all non-identity endo actions."""
+    """Number of orbits of the cell under all non-identity endo actions:
+    the target's endomorphisms of d act on the left of P, the source's
+    endomorphisms of c on the left of its opposite."""
     elems = P.elems(d, c)
     if not elems:
         return 0
     uf = UnionFind(elems)
-    for gamma in P.target.hom(d, d):
-        if not P.target.is_identity(gamma):
-            for e in elems:
-                uf.union(e, P.lact[gamma][e])
-    for sigma in P.source.hom(c, c):
-        if not P.source.is_identity(sigma):
-            for e in elems:
-                uf.union(e, P.ract[sigma][e])
+    for Q, x in ((P, d), (opposite_profunctor(P), c)):
+        for gamma in Q.target.hom(x, x):
+            if not Q.target.is_identity(gamma):
+                for e in elems:
+                    uf.union(e, Q.lact[gamma][e])
     return len(uf.classes())
 
 

@@ -33,7 +33,9 @@ class FinCategory:
     """A finite category: objects, morphisms, identities, total composition.
 
     comp maps each composable pair (g, f) with dst(f) == src(g) to the
-    composite g.f.  Treat instances as immutable once built.
+    composite g.f.  build_category lists the pairs f by f in morphisms
+    order, then g by g out of dst(f); the opposite keeps the order of the
+    category it reverses.  Treat instances as immutable once built.
     """
 
     objects: tuple[str, ...]
@@ -50,6 +52,7 @@ class FinCategory:
         default=None, repr=False, compare=False)
     _generators: tuple[str, ...] = field(
         default=None, repr=False, compare=False)
+    _opposite: "FinCategory" = field(default=None, repr=False, compare=False)
 
     def hom(self, x: str, y: str) -> tuple[str, ...]:
         if self._homs is None:
@@ -80,9 +83,8 @@ class FinCategory:
         return self.identity.get(self.src[m]) == m
 
     def composable_pairs(self):
-        for f in self.morphisms:
-            for g in self.leaving(self.dst[f]):
-                yield g, f
+        """Every composable pair (g, f), in the order of the table comp."""
+        return iter(self.comp)
 
     def generators(self) -> tuple[str, ...]:
         """Non-identity morphisms whose composites give every non-identity
@@ -166,24 +168,25 @@ def build_category(objects, morphisms, src, dst, identity, comp) -> FinCategory:
         raise InvalidParameter("identity map defined on unknown objects")
 
     cat = FinCategory(objects, morphisms, dict(src), dict(dst),
-                      dict(identity), dict(comp))
+                      dict(identity), {})
 
-    # composition table is total on composable pairs and nothing else
-    for key in cat.comp:
+    # comp is total on composable pairs and nothing else; kept f by f
+    for key in comp:
         g, f = key
         if f not in morset or g not in morset:
             raise MissingComposite(f"composition entry {key!r} uses unknown morphism")
         if dst[f] != src[g]:
             raise MissingComposite(f"composition entry {key!r} is not composable")
-    for g, f in cat.composable_pairs():
-        if (g, f) not in cat.comp:
-            raise MissingComposite(f"no composite for ({g!r}, {f!r})")
-        gf = cat.comp[(g, f)]
-        if gf not in morset:
-            raise MissingComposite(f"composite of ({g!r}, {f!r}) is unknown: {gf!r}")
-        if src[gf] != src[f] or dst[gf] != dst[g]:
-            raise MissingComposite(
-                f"composite {gf!r} of ({g!r}, {f!r}) has wrong endpoints")
+    for f in morphisms:
+        for g in cat.leaving(dst[f]):
+            gf = cat.comp[(g, f)] = comp.get((g, f))
+            if gf is None:
+                raise MissingComposite(f"no composite for ({g!r}, {f!r})")
+            if gf not in morset:
+                raise MissingComposite(f"composite of ({g!r}, {f!r}) is unknown: {gf!r}")
+            if src[gf] != src[f] or dst[gf] != dst[g]:
+                raise MissingComposite(
+                    f"composite {gf!r} of ({g!r}, {f!r}) has wrong endpoints")
 
     # unit laws, by enumeration
     for m in morphisms:
@@ -316,10 +319,18 @@ def product(C: FinCategory, D: FinCategory) -> FinCategory:
 
 
 def opposite(C: FinCategory) -> FinCategory:
-    """Reverse all arrows, keeping every id string; an involution on the nose."""
-    comp = {(f, g): h for (g, f), h in C.comp.items()}
-    return build_category(C.objects, C.morphisms, dict(C.dst), dict(C.src),
-                          dict(C.identity), comp)
+    """Reverse all arrows, keeping every id string; an involution on the nose.
+
+    Cached on C and remembering C, so opposite(opposite(C)) is C.  It shares
+    C's ids and its src, dst and identity maps; only the composition table
+    is rebuilt, its pairs swapped.  It is not validated again: the unit and
+    associativity laws are self-dual, so it is a category because C is.
+    """
+    if C._opposite is None:
+        op = FinCategory(C.objects, C.morphisms, C.dst, C.src, C.identity,
+                         {(f, g): h for (g, f), h in C.comp.items()})
+        op._opposite, C._opposite = C, op
+    return C._opposite
 
 
 # -- functors -----------------------------------------------------------------

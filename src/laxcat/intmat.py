@@ -172,9 +172,5 @@ def vstack(mats: list[Matrix]) -> Matrix:
     return Matrix([list(r) for m in mats for r in m.rows], width)
 
 
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return a == b
-
-
 def is_zero_matrix(a: Matrix) -> bool:
     return not any(a.flat)

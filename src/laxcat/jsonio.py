@@ -16,14 +16,11 @@ import json
 
 from .collage import Collage, Diagram, build_diagram
 from .errors import SchemaError, UnboundedComplex
-from .fincat import CatFunctor, FinCategory, build_category
+from .fincat import CatFunctor, FinCategory, build_category, validate_functor
 from .intmat import as_matrix
 from .k0chain import (ChainComplex, ChainMap, HomologyGroup,
                       SmithDecomposition, build_chain_map, build_complex)
 from .profunctor import Profunctor, build_profunctor
-
-KINDS = ("category", "functor", "profunctor", "diagram", "complex",
-         "chainmap", "tower", "matrix")
 
 
 def dumps_canonical(obj) -> str:
@@ -63,8 +60,6 @@ def default_resolver(ref, kind):
 
 
 def _resolve(ref, kind, resolve, where):
-    if kind not in KINDS:
-        raise SchemaError(f"{where}: unknown kind {kind!r}")
     if isinstance(ref, str) or isinstance(ref, dict):
         return resolve(ref, kind)
     raise SchemaError(f"{where}: expected a name or an inline object")
@@ -132,7 +127,6 @@ def functor_from_json(data, resolve=default_resolver) -> CatFunctor:
     D = _resolve(data["target"], "category", resolve, "functor.target")
     obmap = _str_dict(data["obmap"], "functor.obmap")
     mormap = _str_dict(data["mormap"], "functor.mormap")
-    from .fincat import validate_functor
     F = CatFunctor(C, D, obmap, mormap)
     rep = validate_functor(F)
     if not rep.ok:

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 from .errors import (BlockMismatch, CompositeNonzero,
                      DifferentialSquareNonzero, DimensionMismatch,
                      InvalidParameter, NotANullHomotopy, UnboundedComplex)
-from .intmat import (Matrix, as_matrix, eye, hstack, is_zero_matrix, mat_eq,
-                     vstack, zeros)
+from .intmat import (Matrix, as_matrix, eye, hstack, is_zero_matrix, vstack,
+                     zeros)
 from .report import Report
 
 
@@ -93,7 +93,7 @@ class ChainComplex:
             return NotImplemented
         if self.ranks != other.ranks:
             return False
-        return all(mat_eq(self.diffs[n], other.diffs[n]) for n in self.diffs)
+        return all(self.diffs[n] == other.diffs[n] for n in self.diffs)
 
     def __repr__(self):
         if not self.ranks:
@@ -179,7 +179,7 @@ class ChainMap:
             return NotImplemented
         return (self.source == other.source and self.target == other.target
                 and set(self.matrices) == set(other.matrices)
-                and all(mat_eq(self.matrices[n], other.matrices[n])
+                and all(self.matrices[n] == other.matrices[n]
                         for n in self.matrices))
 
     def __repr__(self):
@@ -200,7 +200,7 @@ def build_chain_map(source: ChainComplex, target: ChainComplex,
     for n in degrees:
         lhs = target.diff(n) @ f.mat(n)
         rhs = f.mat(n - 1) @ source.diff(n)
-        if not mat_eq(lhs, rhs):
+        if lhs != rhs:
             raise InvalidParameter(f"not a chain map: square at degree {n}")
     return f
 
@@ -270,7 +270,7 @@ class Homotopy:
         if self.source_map != other.source_map or self.target_map != other.target_map:
             return False
         degrees = set(self.matrices) | set(other.matrices)
-        return all(mat_eq(self.mat(n), other.mat(n)) for n in degrees)
+        return all(self.mat(n) == other.mat(n) for n in degrees)
 
 
 def build_homotopy(source_map: ChainMap, target_map: ChainMap,
@@ -288,7 +288,7 @@ def build_homotopy(source_map: ChainMap, target_map: ChainMap,
     for n in set(A.ranks) | set(B.ranks):
         lhs = B.diff(n + 1) @ H.mat(n) + H.mat(n - 1) @ A.diff(n)
         rhs = target_map.mat(n) - source_map.mat(n)
-        if not mat_eq(lhs, rhs):
+        if lhs != rhs:
             raise NotANullHomotopy(f"dH + Hd misses the difference at degree {n}")
     return H
 
@@ -522,7 +522,7 @@ class BlockGradedMatrix:
             return NotImplemented
         if self.rows != other.rows or self.cols != other.cols:
             return False
-        return all(mat_eq(self.block(r.name, c.name), other.block(r.name, c.name))
+        return all(self.block(r.name, c.name) == other.block(r.name, c.name)
                    for r in self.rows for c in self.cols)
 
 
@@ -600,7 +600,7 @@ class SmithDecomposition:
         """
         rep = Report()
         A, U, S, V = self.matrix, self.U, self.S, self.V
-        product_ok = mat_eq(U @ (A @ V), S)
+        product_ok = U @ (A @ V) == S
         if not product_ok:
             rep.fail("U d V != S")
         off_diagonal = [(i, j) for i, row in enumerate(S.rows)
@@ -762,10 +762,10 @@ def _homology_map_surjective(f: ChainMap, n: int, factor_A, factor_B) -> bool:
     KA = factor_A(n).kernel()
     LB = _left_inverse(KB)
     Y = LB @ (f.mat(n) @ KA)
-    if not mat_eq(KB @ Y, f.mat(n) @ KA):
+    if KB @ Y != f.mat(n) @ KA:
         raise AssertionError("chain map must preserve kernels")
     X = LB @ B.diff(n + 1)
-    if not mat_eq(KB @ X, B.diff(n + 1)):
+    if KB @ X != B.diff(n + 1):
         raise AssertionError("boundaries must lie in the kernel")
     stacked = hstack([Y, X])
     snf = smith_normal_form(stacked)

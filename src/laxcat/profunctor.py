@@ -28,6 +28,13 @@ Every gluing construction (the coend composite, the blockwise product of
 collage.block_multiply and the quotient by a relation) runs its own union
 loop and hands the classes to _glue, the one place where classes are named
 and the outer actions are read off them and checked to be well defined.
+
+The right action of P is the left action of opposite_profunctor(P), a
+cached view that shares P's tables.  So the laws, naturality and the
+identity tables are written for the left action only and run on both.
+restrict_along(P, F, G) is the one restriction of a profunctor along
+functors, P(G-, F-); the blocks of a collage's hom and the entries of a lax
+matrix are such restrictions.
 """
 
 from dataclasses import dataclass, field
@@ -47,6 +54,7 @@ class Profunctor:
     ract: dict[str, dict[str, str]]
     pair_of: dict[str, tuple[str, str]] = field(
         default=None, repr=False, compare=False)
+    _opposite: "Profunctor" = field(default=None, repr=False, compare=False)
 
     def elems(self, d: str, c: str) -> tuple[str, ...]:
         return self.elements[(d, c)]
@@ -70,9 +78,10 @@ def build_profunctor(source: FinCategory, target: FinCategory,
                      elements, lact, ract) -> Profunctor:
     """Normalize, then validate functoriality of both actions in full.
 
-    Missing cells become empty; missing identity-action tables are filled
-    in.  Element ids must be globally unique across the whole profunctor so
-    the flat action tables are unambiguous.
+    Missing cells become empty; missing action tables are filled in, an
+    identity's table fixing every element it does not map.  Element ids
+    must be globally unique across the whole profunctor so the flat action
+    tables are unambiguous.
     """
     cells = {(d, c): tuple(sorted(elements.get((d, c), ())))
              for d in target.objects for c in source.objects}
@@ -90,87 +99,38 @@ def build_profunctor(source: FinCategory, target: FinCategory,
                     f"element id {e!r} appears in cells {seen[e]!r} and {pair!r}")
             seen[e] = pair
 
-    lact = {m: dict(t) for m, t in lact.items()}
-    ract = {m: dict(t) for m, t in ract.items()}
-    for x in target.objects:
-        lact.setdefault(target.identity[x], {})
-    for x in source.objects:
-        ract.setdefault(source.identity[x], {})
-    for gamma in target.morphisms:
-        table = lact.setdefault(gamma, {})
-        if target.is_identity(gamma):
-            for c in source.objects:
-                for e in cells[(target.src[gamma], c)]:
-                    table.setdefault(e, e)
-    for sigma in source.morphisms:
-        table = ract.setdefault(sigma, {})
-        if source.is_identity(sigma):
-            for d in target.objects:
-                for e in cells[(d, source.dst[sigma])]:
-                    table.setdefault(e, e)
-
-    P = Profunctor(source, target, cells, lact, ract)
+    P = Profunctor(source, target, cells,
+                   {m: dict(t) for m, t in lact.items()},
+                   {m: dict(t) for m, t in ract.items()})
+    # the opposite shares P's tables: filling its left action fills P's right
+    for Q in (P, opposite_profunctor(P)):
+        for gamma in Q.target.morphisms:
+            table = Q.lact.setdefault(gamma, {})
+            if Q.target.is_identity(gamma):
+                for c in Q.source.objects:
+                    for e in Q.elements[(Q.target.src[gamma], c)]:
+                        table.setdefault(e, e)
     _validate_profunctor(P)
     return P
 
 
 def _validate_profunctor(P: Profunctor) -> None:
+    """Raise InvalidParameter naming the first violated law.
+
+    The laws of an action are written once, in _left_action_laws, and run on
+    P and on its opposite, whose left action is P's right action: each stage
+    on the left before the same stage on the right.  Right-hand messages name
+    cells and pairs in P's own order.  Last, the two actions must commute.
+    """
+    for left, right in zip(_left_action_laws(P),
+                           _left_action_laws(opposite_profunctor(P))):
+        for text, *fields in left:
+            raise InvalidParameter(text.format(*fields, side="left", legs="target"))
+        for text, *fields in right:
+            fields = [f[::-1] if isinstance(f, tuple) else f for f in fields]
+            raise InvalidParameter(text.format(*fields, side="right", legs="source"))
+
     C, D = P.source, P.target
-    if set(P.lact) != set(D.morphisms):
-        raise InvalidParameter("left action keyed off the target morphisms")
-    if set(P.ract) != set(C.morphisms):
-        raise InvalidParameter("right action keyed off the source morphisms")
-
-    for gamma in D.morphisms:
-        d, d2 = D.src[gamma], D.dst[gamma]
-        table = P.lact[gamma]
-        domain = {e for c in C.objects for e in P.elements[(d, c)]}
-        if set(table) != domain:
-            raise InvalidParameter(f"left action of {gamma!r} has wrong domain")
-        for c in C.objects:
-            for e in P.elements[(d, c)]:
-                if table[e] not in P.elements[(d2, c)]:
-                    raise InvalidParameter(
-                        f"left action of {gamma!r} sends {e!r} outside cell "
-                        f"({d2!r}, {c!r})")
-    for sigma in C.morphisms:
-        c, c2 = C.src[sigma], C.dst[sigma]
-        table = P.ract[sigma]
-        domain = {e for d in D.objects for e in P.elements[(d, c2)]}
-        if set(table) != domain:
-            raise InvalidParameter(f"right action of {sigma!r} has wrong domain")
-        for d in D.objects:
-            for e in P.elements[(d, c2)]:
-                if table[e] not in P.elements[(d, c)]:
-                    raise InvalidParameter(
-                        f"right action of {sigma!r} sends {e!r} outside cell "
-                        f"({d!r}, {c!r})")
-
-    # identities act trivially
-    for x in D.objects:
-        for e, img in P.lact[D.identity[x]].items():
-            if img != e:
-                raise InvalidParameter(f"identity left action moves {e!r}")
-    for x in C.objects:
-        for e, img in P.ract[C.identity[x]].items():
-            if img != e:
-                raise InvalidParameter(f"identity right action moves {e!r}")
-
-    # actions are functorial: composite morphisms act as composites
-    for g, f in D.composable_pairs():
-        gf = D.comp[(g, f)]
-        for e in P.lact[f]:
-            if P.lact[gf][e] != P.lact[g][P.lact[f][e]]:
-                raise InvalidParameter(
-                    f"left action not functorial on ({g!r}, {f!r}) at {e!r}")
-    for g, f in C.composable_pairs():
-        gf = C.comp[(g, f)]
-        for e in P.ract[gf]:
-            if P.ract[gf][e] != P.ract[f][P.ract[g][e]]:
-                raise InvalidParameter(
-                    f"right action not functorial on ({g!r}, {f!r}) at {e!r}")
-
-    # the two actions commute
     for gamma in D.morphisms:
         for sigma in C.morphisms:
             c2 = C.dst[sigma]
@@ -178,6 +138,45 @@ def _validate_profunctor(P: Profunctor) -> None:
                 if P.ract[sigma][P.lact[gamma][e]] != P.lact[gamma][P.ract[sigma][e]]:
                     raise InvalidParameter(
                         f"actions of {gamma!r} and {sigma!r} do not commute at {e!r}")
+
+
+def _left_action_laws(P: Profunctor):
+    """The laws of P's left action in four lazy stages: keys, typing,
+    identities, functoriality.  Each stage yields (message, *fields) for
+    every violation; the caller fills in {side} and {legs}.  Cells and
+    composable pairs are fields of their own, as tuples."""
+    C, D = P.source, P.target
+
+    def keys():
+        if set(P.lact) != set(D.morphisms):
+            yield ("{side} action keyed off the {legs} morphisms",)
+
+    def typing():
+        for gamma in D.morphisms:
+            d, d2 = D.src[gamma], D.dst[gamma]
+            table = P.lact[gamma]
+            if set(table) != {e for c in C.objects for e in P.elements[(d, c)]}:
+                yield "{side} action of {0!r} has wrong domain", gamma
+            for c in C.objects:
+                for e in P.elements[(d, c)]:
+                    if table[e] not in P.elements[(d2, c)]:
+                        yield ("{side} action of {0!r} sends {1!r} outside "
+                               "cell {2!r}", gamma, e, (d2, c))
+
+    def identities():
+        for x in D.objects:
+            for e, img in P.lact[D.identity[x]].items():
+                if img != e:
+                    yield "identity {side} action moves {0!r}", e
+
+    def functoriality():
+        for (g, f), gf in D.comp.items():
+            for e in P.lact[f]:
+                if P.lact[gf][e] != P.lact[g][P.lact[f][e]]:
+                    yield ("{side} action not functorial on {0!r} at {1!r}",
+                           (g, f), e)
+
+    return keys(), typing(), identities(), functoriality()
 
 
 def empty_profunctor(source: FinCategory, target: FinCategory) -> Profunctor:
@@ -205,39 +204,55 @@ def from_functor(F: CatFunctor) -> Profunctor:
     D-morphism can represent against several C-objects.
     """
     C, D = F.source, F.target
-    elements = {}
-    for d in D.objects:
-        for c in C.objects:
-            elements[(d, c)] = tuple(f"{h}@{c}" for h in D.hom(F.obmap[c], d))
-    lact = {}
-    for g in D.morphisms:
-        table = {}
-        for c in C.objects:
-            for h in D.hom(F.obmap[c], D.src[g]):
-                table[f"{h}@{c}"] = f"{D.comp[(g, h)]}@{c}"
-        lact[g] = table
-    ract = {}
-    for s in C.morphisms:
-        table = {}
-        c, c2 = C.src[s], C.dst[s]
-        for d in D.objects:
-            for h in D.hom(F.obmap[c2], d):
-                table[f"{h}@{c2}"] = f"{D.comp[(h, F.mormap[s])]}@{c}"
-        ract[s] = table
+    elements = {(d, c): tuple(f"{h}@{c}" for h in D.hom(F.obmap[c], d))
+                for d in D.objects for c in C.objects}
+    lact = {g: {f"{h}@{c}": f"{D.comp[(g, h)]}@{c}"
+                for c in C.objects for h in D.hom(F.obmap[c], D.src[g])}
+            for g in D.morphisms}
+    ract = {s: {f"{h}@{C.dst[s]}": f"{D.comp[(h, F.mormap[s])]}@{C.src[s]}"
+                for d in D.objects for h in D.hom(F.obmap[C.dst[s]], d)}
+            for s in C.morphisms}
     return build_profunctor(C, D, elements, lact, ract)
 
 
 def opposite_profunctor(P: Profunctor) -> Profunctor:
-    """Swap the two legs: a profunctor from D^op to C^op with the actions
-    exchanged.  Applying it twice gives back P on the nose; together with
-    opposite() on categories it converts between the lax and oplax
-    orientations of every gluing construction."""
-    Cop, Dop = opposite(P.source), opposite(P.target)
-    elements = {(c, d): P.elements[(d, c)]
-                for (d, c) in P.elements}
-    return build_profunctor(Dop, Cop, elements,
-                            {m: dict(t) for m, t in P.ract.items()},
-                            {m: dict(t) for m, t in P.lact.items()})
+    """P seen from the other side: the profunctor from D^op to C^op with
+    the same elements, whose left action is P's right action and whose right
+    action is P's left action.
+
+    The result is cached on P and remembers P, so applying it twice gives
+    back P itself.  It shares P's element tuples and action tables and only
+    transposes the cell keys.  It is not validated again: the profunctor
+    laws are self-dual, so P's opposite is valid exactly when P is.
+    Together with opposite() on categories it turns every statement about
+    left actions into its mirror about right actions.
+    """
+    if P._opposite is None:
+        op = Profunctor(opposite(P.target), opposite(P.source),
+                        {(c, d): es for (d, c), es in P.elements.items()},
+                        P.ract, P.lact)
+        op._opposite, P._opposite = P, op
+    return P._opposite
+
+
+def restrict_along(P: Profunctor, F: CatFunctor, G: CatFunctor) -> Profunctor:
+    """The profunctor P(G-, F-) from F.source to G.source, for functors F
+    into P.source and G into P.target.
+
+    Cell (b, a) is P's cell (G b, F a), element ids included, and a
+    morphism acts as its image does.  F and G must be injective on objects,
+    so that the element ids stay unique.
+    """
+    A, B = F.source, G.source
+    elements = {(b, a): P.elements[(G.obmap[b], F.obmap[a])]
+                for b in B.objects for a in A.objects}
+    lact = {g: {e: P.lact[G.mormap[g]][e]
+                for a in A.objects for e in elements[(B.src[g], a)]}
+            for g in B.morphisms}
+    ract = {f: {e: P.ract[F.mormap[f]][e]
+                for b in B.objects for e in elements[(b, A.dst[f])]}
+            for f in A.morphisms}
+    return build_profunctor(A, B, elements, lact, ract)
 
 
 # -- transformations ----------------------------------------------------------
@@ -277,25 +292,24 @@ def build_protransformation(source: Profunctor, target: Profunctor,
 
 
 def naturality_report(t: ProTransformation) -> Report:
+    """Every failed naturality square, against the target's morphisms
+    first.  The squares against the source's morphisms are those against
+    the target's of t between the opposites, which shares t's tables."""
     rep = Report()
-    M, M2 = t.source, t.target
-    C, D = M.source, M.target
-    for gamma in D.morphisms:
-        d, d2 = D.src[gamma], D.dst[gamma]
-        for c in C.objects:
-            for e in M.elements[(d, c)]:
-                lhs = t.components[(d2, c)][M.lact[gamma][e]]
-                rhs = M2.lact[gamma][t.components[(d, c)][e]]
-                if lhs != rhs:
-                    rep.fail(f"naturality fails against {gamma!r} at {e!r}")
-    for sigma in C.morphisms:
-        c, c2 = C.src[sigma], C.dst[sigma]
-        for d in D.objects:
-            for e in M.elements[(d, c2)]:
-                lhs = t.components[(d, c)][M.ract[sigma][e]]
-                rhs = M2.ract[sigma][t.components[(d, c2)][e]]
-                if lhs != rhs:
-                    rep.fail(f"naturality fails against {sigma!r} at {e!r}")
+    flipped = ProTransformation(
+        opposite_profunctor(t.source), opposite_profunctor(t.target),
+        {(c, d): table for (d, c), table in t.components.items()})
+    for s in (t, flipped):
+        M, M2 = s.source, s.target
+        C, D = M.source, M.target
+        for gamma in D.morphisms:
+            d, d2 = D.src[gamma], D.dst[gamma]
+            for c in C.objects:
+                for e in M.elements[(d, c)]:
+                    lhs = s.components[(d2, c)][M.lact[gamma][e]]
+                    rhs = M2.lact[gamma][s.components[(d, c)][e]]
+                    if lhs != rhs:
+                        rep.fail(f"naturality fails against {gamma!r} at {e!r}")
     return rep
 
 
@@ -582,6 +596,16 @@ def whisker_right(a: ProTransformation, M: Profunctor) -> ProTransformation:
 
 # -- cocontinuity of composition ----------------------------------------------
 
+def _variable_slot(N: Profunctor, variable: str):
+    """(slot of the variable factor in a generator, the factor pair with N
+    fixed) for composites N . X ("right") or X . N ("left")."""
+    if variable == "right":
+        return 2, lambda X: (N, X)
+    if variable == "left":
+        return 1, lambda X: (X, N)
+    raise InvalidParameter(f"unknown variable {variable!r}")
+
+
 def _compare(rep: Report, label: str, t: ProTransformation) -> None:
     sub = is_natural_iso(t)
     rep.merge(sub, prefix=f"{label}: ")
@@ -596,12 +620,7 @@ def check_cocontinuity_coproduct(N: Profunctor, M1: Profunctor,
     """
     rep = Report()
     try:
-        if variable == "right":
-            slot, factors = 2, lambda X: (N, X)
-        elif variable == "left":
-            slot, factors = 1, lambda X: (X, N)
-        else:
-            raise InvalidParameter(f"unknown variable {variable!r}")
+        slot, factors = _variable_slot(N, variable)
         parts = {"inl": compose_with_pairing(*factors(M1)),
                  "inr": compose_with_pairing(*factors(M2))}
         right = compose_with_pairing(*factors(coproduct(M1, M2)))
@@ -633,12 +652,7 @@ def check_cocontinuity_coequalizer(N: Profunctor, alpha: ProTransformation,
     rep = Report()
     try:
         Q, q = coequalizer(alpha, beta)
-        if variable == "right":
-            slot, factors = 2, lambda X: (N, X)
-        elif variable == "left":
-            slot, factors = 1, lambda X: (X, N)
-        else:
-            raise InvalidParameter(f"unknown variable {variable!r}")
+        slot, factors = _variable_slot(N, variable)
         # alpha and beta share source and target, so their whiskerings
         # share both composites
         source = compose_with_pairing(*factors(alpha.source))

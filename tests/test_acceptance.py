@@ -24,7 +24,7 @@ from laxcat.k0chain import (build_chain_map, build_complex, cone,
                             cone_from_data, cone_star_matrix, cone_to_data,
                             det_exact, euler_char, hom_complex, homology_all,
                             identity_chain_map, is_acyclic, is_quasi_iso,
-                            is_zero_matrix, mat_eq, smith_normal_form,
+                            is_zero_matrix, smith_normal_form,
                             star_multiply)
 from laxcat.profunctor import (associator, build_profunctor,
                                check_cocontinuity, compose_profunctors,

@@ -157,6 +157,15 @@ def test_out_writes_file(ws, tmp_path):
     assert json.loads(target.read_text())["diagonal"] == [2, 4]
 
 
+def test_unwritable_out_exits_2_in_one_line(ws, tmp_path):
+    target = tmp_path / "missing" / "result.json"
+    r = run("--workspace", str(ws), "--out", str(target), "snf", "mat")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == ("cannot write output: [Errno 2] No such file or "
+                        f"directory: '{target}'\n")
+
+
 def test_check_monoid_laws_randomized(ws):
     r = run("check", "monoid-laws", "--randomized", "--count", "3",
             "--seed", "4")

@@ -8,6 +8,7 @@ from laxcat.fincat import (CatFunctor, build_category, compose_functors,
                            standard_category, validate_functor)
 from laxcat.rand import _z2_monoid, rand_category, rng_from_seed
 from gluing_oracles import abelian_group
+from law_oracles import opposite_by_build
 
 
 def test_discrete_category():
@@ -67,6 +68,27 @@ def test_opposite_is_involution():
     for kind in (("interval",), ("simplex", 2), ("discrete", 2)):
         C = standard_category(*kind)
         assert opposite(opposite(C)) == C
+
+
+def test_opposite_is_cached_and_matches_the_validated_build():
+    rng = rng_from_seed(30)
+    for _ in range(30):
+        C = rand_category(rng, 4)
+        Cop = opposite(C)
+        assert opposite(C) is Cop and opposite(Cop) is C
+        assert Cop == opposite_by_build(C)
+        # the opposite meets C's composable pairs, swapped, in C's order
+        assert list(Cop.composable_pairs()) == [
+            (f, g) for g, f in C.composable_pairs()]
+
+
+def test_composition_table_lists_pairs_f_by_f():
+    C, comp = _interval_times_z2()
+    shuffled = dict(reversed(list(comp.items())))
+    rebuilt = build_category(C.objects, C.morphisms, C.src, C.dst,
+                             C.identity, shuffled)
+    assert list(rebuilt.composable_pairs()) == [
+        (g, f) for f in C.morphisms for g in C.leaving(C.dst[f])]
 
 
 def test_opposite_swaps_homs():

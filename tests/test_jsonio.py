@@ -16,7 +16,7 @@ from laxcat.jsonio import (category_from_json, category_to_json,
                            homology_to_json, matrix_from_json,
                            profunctor_from_json, profunctor_to_json,
                            sniff_kind, snf_to_json, tower_from_json)
-from laxcat.k0chain import (as_matrix, build_complex, homology_all, mat_eq,
+from laxcat.k0chain import (as_matrix, build_complex, homology_all,
                             smith_normal_form)
 from laxcat.rand import (rand_category, rand_chain_map, rand_complex,
                          rand_diagram, rand_functor, rand_profunctor,
@@ -183,8 +183,8 @@ def test_ambiguous_cell_key_rejected():
 # -- misc shapes ------------------------------------------------------------------
 
 def test_matrix_from_json_forms():
-    assert mat_eq(matrix_from_json([[1, 2]]), as_matrix([[1, 2]]))
-    assert mat_eq(matrix_from_json({"matrix": [[3]]}), as_matrix([[3]]))
+    assert matrix_from_json([[1, 2]]) == as_matrix([[1, 2]])
+    assert matrix_from_json({"matrix": [[3]]}) == as_matrix([[3]])
     with pytest.raises(SchemaError):
         matrix_from_json({"matrix": [[True]]})
 

@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laxcat.errors import CompositionMismatch, InvalidParameter, ShapeMismatch
-from laxcat.fincat import CatFunctor, product, standard_category
+from laxcat.fincat import (CatFunctor, identity_functor, opposite, product,
+                           standard_category)
 from laxcat.profunctor import (ProTransformation, _composite_id, associator,
                                build_profunctor, build_protransformation,
+                               naturality_report, restrict_along,
                                check_cocontinuity, compose_profunctors,
                                compose_transformations, coproduct,
                                coproduct_injections, coequalizer,
@@ -16,10 +18,11 @@ from laxcat.profunctor import (ProTransformation, _composite_id, associator,
                                left_unitor, opposite_profunctor,
                                quotient_by_relation, right_unitor,
                                whisker_left, whisker_right)
-from laxcat.rand import (rand_category, rand_parallel_pair, rand_profunctor,
-                         rng_from_seed)
+from laxcat.rand import (_z2_monoid, rand_category, rand_parallel_pair,
+                         rand_profunctor, rng_from_seed)
 import laxcat.profunctor as profunctor
 from gluing_oracles import abelian_group, compose_along_every_morphism
+from law_oracles import first_violation
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -61,6 +64,89 @@ def test_opposite_profunctor_involution():
         C, D = rand_category(rng, 3), rand_category(rng, 3)
         P = rand_profunctor(rng, C, D, 3)
         assert opposite_profunctor(opposite_profunctor(P)) == P
+
+
+def test_opposite_profunctor_is_a_cached_view():
+    rng = rng_from_seed(8)
+    for _ in range(10):
+        C, D = rand_category(rng, 3), rand_category(rng, 3)
+        P = rand_profunctor(rng, C, D, 3)
+        Pop = opposite_profunctor(P)
+        assert opposite_profunctor(P) is Pop
+        assert opposite_profunctor(Pop) is P
+        assert Pop.lact is P.ract and Pop.ract is P.lact
+        assert Pop.source is opposite(D) and Pop.target is opposite(C)
+        assert Pop.elements == {(c, d): es for (d, c), es in P.elements.items()}
+
+
+def _corruptions(rng, P, count):
+    """count copies of P's action tables with one entry moved to another
+    element of the same cell, so typing passes and functoriality fails."""
+    for _ in range(count):
+        side = rng.choice(("lact", "ract"))
+        acts = {m: dict(t) for m, t in getattr(P, side).items()}
+        m, e = rng.choice(sorted((m, e) for m, t in acts.items() for e in t))
+        acts[m][e] = rng.choice(P.elements[P.cell_of(acts[m][e])])
+        yield (acts, P.ract) if side == "lact" else (P.lact, acts)
+
+
+def test_validation_reports_the_violation_of_the_two_sided_oracle():
+    rng = rng_from_seed(12)
+    instances = [hom_profunctor(abelian_group(4, 2)),
+                 hom_profunctor(product(_z2_monoid(),
+                                        standard_category("simplex", 2)))]
+    for _ in range(6):
+        C, D = rand_category(rng, 4), rand_category(rng, 4)
+        instances.append(rand_profunctor(rng, C, D, 4))
+    seen = set()
+    for P in instances:
+        P = coproduct(P, P)
+        for lact, ract in _corruptions(rng, P, 25):
+            want = first_violation(P.source, P.target, P.elements, lact, ract)
+            if want is None:
+                build_profunctor(P.source, P.target, P.elements, lact, ract)
+                continue
+            with pytest.raises(InvalidParameter) as exc:
+                build_profunctor(P.source, P.target, P.elements, lact, ract)
+            assert str(exc.value) == want
+            seen.add(want.split(" on ")[0])
+    assert seen >= {"left action not functorial", "right action not functorial"}
+
+
+def test_naturality_messages_name_the_morphism_and_element():
+    # M: pt -> I with m0 over 0 and m1, m2 over 1; swapping m1 and m2 breaks
+    # the square of u at m0.  N is the mirror, I -> pt, acted on the right.
+    pt, I = standard_category("discrete", 1), standard_category("interval")
+    M = build_profunctor(pt, I, {("0", "0"): ["m0"], ("1", "0"): ["m1", "m2"]},
+                         {"u": {"m0": "m1"}}, {})
+    N = build_profunctor(I, pt, {("0", "0"): ["n1", "n2"], ("0", "1"): ["n0"]},
+                         {}, {"u": {"n0": "n1"}})
+    swap_m = ProTransformation(M, M, {("0", "0"): {"m0": "m0"},
+                                      ("1", "0"): {"m1": "m2", "m2": "m1"}})
+    swap_n = ProTransformation(N, N, {("0", "0"): {"n1": "n2", "n2": "n1"},
+                                      ("0", "1"): {"n0": "n0"}})
+    assert naturality_report(swap_m).failures == [
+        "naturality fails against 'u' at 'm0'"]
+    assert naturality_report(swap_n).failures == [
+        "naturality fails against 'u' at 'n0'"]
+    with pytest.raises(InvalidParameter,
+                       match="^naturality fails against 'u' at 'n0'$"):
+        build_protransformation(N, N, swap_n.components)
+
+
+def test_restrict_along_functors():
+    D2 = standard_category("simplex", 2)
+    H = hom_profunctor(D2)
+    assert restrict_along(H, identity_functor(D2), identity_functor(D2)) == H
+    # the ends of the interval to 0 and 2: hom(0, 2) is one element
+    I = standard_category("interval")
+    ends = CatFunctor(I, D2, {"0": "0", "1": "2"},
+                      {"id_0": "0<=0", "id_1": "2<=2", "u": "0<=2"})
+    R = restrict_along(H, ends, ends)
+    assert R.elements == {("0", "0"): ("0<=0",), ("0", "1"): (),
+                          ("1", "0"): ("0<=2",), ("1", "1"): ("2<=2",)}
+    assert R.lact["u"] == {"0<=0": "0<=2"}
+    assert R.ract["u"] == {"2<=2": "0<=2"}
 
 
 def test_compose_with_empty_is_empty():

@@ -1,18 +1,21 @@
 #!/usr/bin/env python3
 """In-process size ladder of the kernels that dominate the `tables` and
-`chains` workloads: full validation of a collage total, the coend composite
-of a finite group's hom profunctor with itself, and Smith normal form
-(elimination, and the self-check `SmithDecomposition.verify`).
+`chains` workloads: full validation of a collage total, full validation of a
+hom profunctor, the coend composite of a finite group's hom profunctor with
+itself, and Smith normal form (elimination, and the self-check
+`SmithDecomposition.verify`).
 
     python3 tools/ladder.py [SRC] [--repeats 5]
 
 SRC is the laxcat source tree to import (default: ./src), so the same script
 times any checkout.  Inputs are those of `bench/run.py --seed 1`: for
-`tables`, the collage totals of hom(Δa×Δb) and the seed-1 groups of orders
-12, 24 and 36; for `chains`, the seed-1 matrices of sizes 16, 32, 48 and 56
-(entries in [-5, 5]), plus one 64×64 matrix drawn at seed 64 to show the
-scaling past the workload.  Prints one JSON object of per-rung medians in
-milliseconds.
+`tables`, hom(Δa×Δb) (its collage total and the profunctor itself) and the
+hom profunctors of the seed-1 groups of orders 12, 24 and 36 (validated, and
+composed with themselves); for `chains`, the seed-1 matrices of sizes 16, 32,
+48 and 56 (entries in [-5, 5]), plus one 64×64 matrix drawn at seed 64 to
+show the scaling past the workload.  Each timed `build_profunctor` call gets
+a fresh, unvalidated copy of the category, so no per-category cache outlives
+a repeat.  Prints one JSON object of per-rung medians in milliseconds.
 """
 
 import argparse
@@ -43,15 +46,24 @@ def main(argv=None):
     sys.path.insert(0, args.src)
     sys.path.insert(0, str(ROOT / "bench"))
     from laxcat.collage import collage_of_profunctor
-    from laxcat.fincat import build_category, product, standard_category
+    from laxcat.fincat import (FinCategory, build_category, product,
+                               standard_category)
     from laxcat.jsonio import category_from_json
     from laxcat.k0chain import smith_normal_form
-    from laxcat.profunctor import compose_with_pairing, hom_profunctor
+    from laxcat.profunctor import (build_profunctor, compose_with_pairing,
+                                   hom_profunctor)
     from workloads import (HOM_LADDER, MONOID_LADDER, SNF_LADDER,
                            abelian_group, random_matrix)
 
-    out = {"build_category_ms": {}, "compose_group_hom_ms": {},
-           "snf_elimination_ms": {}, "snf_verify_ms": {}}
+    def rebuild_hom(H):
+        C = H.source
+        fresh = FinCategory(C.objects, C.morphisms, C.src, C.dst,
+                            C.identity, C.comp)
+        return build_profunctor(fresh, fresh, H.elements, H.lact, H.ract)
+
+    out = {"build_category_ms": {}, "build_profunctor_ms": {},
+           "compose_group_hom_ms": {}, "snf_elimination_ms": {},
+           "snf_verify_ms": {}}
     for a, b in HOM_LADDER:
         square = product(standard_category("simplex", a),
                          standard_category("simplex", b))
@@ -61,9 +73,16 @@ def main(argv=None):
             "median": median_ms(lambda: build_category(
                 T.objects, T.morphisms, T.src, T.dst, T.identity, T.comp),
                 args.repeats)}
+        H = hom_profunctor(square)
+        out["build_profunctor_ms"][f"hom_{a}x{b}"] = {
+            "elements": H.total_size(),
+            "median": median_ms(lambda: rebuild_hom(H), args.repeats)}
     rng = random.Random(1)
     for order in MONOID_LADDER:
         H = hom_profunctor(category_from_json(abelian_group(rng, order)))
+        out["build_profunctor_ms"][f"group_{order}"] = {
+            "elements": H.total_size(),
+            "median": median_ms(lambda: rebuild_hom(H), args.repeats)}
         out["compose_group_hom_ms"][f"group_{order}"] = {
             "median": median_ms(lambda: compose_with_pairing(H, H), args.repeats)}
     rng = random.Random(1)
