@@ -187,18 +187,6 @@ def cmd_snf(args, ws):
 
 # -- property checks ---------------------------------------------------------------
 
-CHECK_REF_KINDS = {
-    "bilimit-roundtrip": ("diagram", "category", "profunctor"),
-    "absoluteness": ("diagram", "category"),
-    "cocontinuity": ("profunctor", "profunctor", "profunctor"),
-    "semiorthogonal": ("profunctor",),
-    "discrete-multiplication": ("profunctor", "profunctor"),
-    "multiplicativity": ("profunctor", "profunctor"),
-    "lax-multiplicativity": ("profunctor", "profunctor"),
-    "monoid-laws": ("category",),
-}
-
-
 def _check_monoid_laws(C: FinCategory) -> Report:
     H = hom_profunctor(C)
     rep = Report()
@@ -215,28 +203,26 @@ def _check_semiorthogonal(P: Profunctor) -> Report:
     return rep
 
 
-def _run_check_refs(prop: str, refs, ws) -> Report:
-    kinds = CHECK_REF_KINDS[prop]
-    loaded = [ws.resolve(ref, kind) for ref, kind in zip(refs, kinds)]
-    if prop == "bilimit-roundtrip":
-        X, T, M = loaded
-        return check_bilimit_roundtrip(X, T, M)
-    if prop == "absoluteness":
-        return check_absoluteness(*loaded)
-    if prop == "cocontinuity":
-        return check_cocontinuity(*loaded)
-    if prop == "semiorthogonal":
-        return _check_semiorthogonal(loaded[0])
-    if prop == "discrete-multiplication":
-        return check_discrete_multiplication(*loaded)
-    if prop == "multiplicativity":
-        return check_multiplicativity(*loaded)
-    if prop == "lax-multiplicativity":
-        return check_lax_multiplicativity(*loaded)
-    return _check_monoid_laws(loaded[0])
+# each property: the kinds of its inputs, and the check run on them
+CHECKS = {
+    "bilimit-roundtrip": (("diagram", "category", "profunctor"),
+                          check_bilimit_roundtrip),
+    "absoluteness": (("diagram", "category"), check_absoluteness),
+    "cocontinuity": (("profunctor", "profunctor", "profunctor"),
+                     check_cocontinuity),
+    "semiorthogonal": (("profunctor",), _check_semiorthogonal),
+    "discrete-multiplication": (("profunctor", "profunctor"),
+                                check_discrete_multiplication),
+    "multiplicativity": (("profunctor", "profunctor"),
+                         check_multiplicativity),
+    "lax-multiplicativity": (("profunctor", "profunctor"),
+                             check_lax_multiplicativity),
+    "monoid-laws": (("category",), _check_monoid_laws),
+}
 
 
-def _run_check_random(prop: str, rng, caps) -> Report:
+def _draw(prop: str, rng, caps) -> tuple:
+    """Seeded inputs for the check of prop, under the caps."""
     obs = min(caps["objects"], 4)
     cell = caps["elements"]
     if prop == "bilimit-roundtrip":
@@ -244,61 +230,86 @@ def _run_check_random(prop: str, rng, caps) -> Report:
         G = grothendieck(X)
         T = rand_category(rng, min(obs, 2))
         if rng.random() < 0.5:
-            M = rand_profunctor(rng, G.total, T, cell)
-        else:
-            M = rand_profunctor(rng, T, G.total, cell)
-        return check_bilimit_roundtrip(X, T, M)
+            return X, T, rand_profunctor(rng, G.total, T, cell)
+        return X, T, rand_profunctor(rng, T, G.total, cell)
     if prop == "absoluteness":
-        return check_absoluteness(rand_diagram(rng, max_fiber_objects=2),
-                                  rand_category(rng, min(obs, 3)))
-    if prop == "cocontinuity":
+        return (rand_diagram(rng, max_fiber_objects=2),
+                rand_category(rng, min(obs, 3)))
+    if prop in ("cocontinuity", "lax-multiplicativity"):
         C, D, E = (rand_category(rng, 3) for _ in range(3))
         N = rand_profunctor(rng, D, E, cell)
-        M1 = rand_profunctor(rng, C, D, cell)
-        M2 = rand_profunctor(rng, C, D, cell)
-        return check_cocontinuity(N, M1, M2)
+        M = rand_profunctor(rng, C, D, cell)
+        if prop == "lax-multiplicativity":
+            return N, M
+        return N, M, rand_profunctor(rng, C, D, cell)
     if prop == "semiorthogonal":
         C, D = rand_category(rng, obs), rand_category(rng, obs)
-        return _check_semiorthogonal(rand_profunctor(rng, C, D, cell))
+        return (rand_profunctor(rng, C, D, cell),)
     if prop in ("discrete-multiplication", "multiplicativity"):
         sizes = [rng.randint(1, 3) for _ in range(3)]
         C, D, E = (standard_category("discrete", s) for s in sizes)
         N = rand_profunctor(rng, D, E, cell)
-        M = rand_profunctor(rng, C, D, cell)
-        if prop == "discrete-multiplication":
-            return check_discrete_multiplication(N, M)
-        return check_multiplicativity(N, M)
-    if prop == "lax-multiplicativity":
-        C, D, E = (rand_category(rng, 3) for _ in range(3))
-        N = rand_profunctor(rng, D, E, cell)
-        M = rand_profunctor(rng, C, D, cell)
-        return check_lax_multiplicativity(N, M)
-    return _check_monoid_laws(rand_category(rng, obs))
+        return N, rand_profunctor(rng, C, D, cell)
+    return (rand_category(rng, obs),)
 
 
 def cmd_check(args, ws):
     prop = args.property
+    kinds, check = CHECKS[prop]
     failures = []
     if args.randomized:
         rng = rng_from_seed(args.seed)
         trials = args.count
         for i in range(trials):
-            rep = _run_check_random(prop, rng, ws.caps)
+            rep = check(*_draw(prop, rng, ws.caps))
             failures.extend(f"trial {i}: {msg}" for msg in rep.failures)
     else:
-        kinds = CHECK_REF_KINDS[prop]
         if len(args.refs) != len(kinds):
             raise SchemaError(
                 f"check {prop} expects {len(kinds)} inputs "
                 f"({', '.join(kinds)}), got {len(args.refs)}")
         trials = 1
-        failures = _run_check_refs(prop, args.refs, ws).failures
+        loaded = [ws.resolve(ref, kind) for ref, kind in zip(args.refs, kinds)]
+        failures = check(*loaded).failures
     doc = {"property": prop, "trials": trials,
            "ok": not failures, "failures": failures}
     return doc, (0 if not failures else 1)
 
 
 # -- wiring -----------------------------------------------------------------------
+
+def _positive_int(text: str) -> int:
+    """The argparse type of the caps and of --count."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
+# each command: the function that runs it, its positional inputs, its help
+COMMANDS = {
+    "compose": (cmd_compose, ("outer", "inner"),
+                "coend composite, outer after inner"),
+    "collage": (cmd_collage, ("profunctor",),
+                "collage category of a profunctor"),
+    "grothendieck": (cmd_grothendieck, ("diagram",),
+                     "total category of a diagram"),
+    "blockmul": (cmd_blockmul, ("outer", "inner"),
+                 "composite via blockwise gluing over a collage"),
+    "cone": (cmd_cone, ("chainmap",), "mapping cone of a chain map"),
+    "hom-complex": (cmd_hom_complex, ("source", "target"),
+                    "complex of graded maps"),
+    "tot": (cmd_tot, ("tower",), "total complex of a tower"),
+    "homology": (cmd_homology, ("complex",), "homology groups of a complex"),
+    "quasi-iso": (cmd_quasi_iso, ("chainmap",),
+                  "decide quasi-isomorphism, both routes"),
+    "snf": (cmd_snf, ("matrix",), "Smith normal form with transforms"),
+    "check": (cmd_check, (), "verify a structural property"),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -309,76 +320,31 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="directory holding NAME.json inputs")
     p.add_argument("--out", metavar="FILE",
                    help="write the result here instead of stdout")
-    p.add_argument("--max-objects", type=int, default=6,
+    p.add_argument("--max-objects", type=_positive_int, default=6,
                    help="cap on objects per input category")
-    p.add_argument("--max-elements", type=int, default=8,
+    p.add_argument("--max-elements", type=_positive_int, default=8,
                    help="cap on elements per profunctor cell")
     p.add_argument("--debug", action="store_true",
                    help="print the traceback of an internal error (exit 4)")
     sub = p.add_subparsers(dest="command", required=True)
 
-    s = sub.add_parser("compose", help="coend composite, outer after inner")
-    s.add_argument("outer")
-    s.add_argument("inner")
-
-    s = sub.add_parser("collage", help="collage category of a profunctor")
-    s.add_argument("profunctor")
-
-    s = sub.add_parser("grothendieck", help="total category of a diagram")
-    s.add_argument("diagram")
-
-    s = sub.add_parser("blockmul",
-                       help="composite via blockwise gluing over a collage")
-    s.add_argument("outer")
-    s.add_argument("inner")
-    s.add_argument("--middle", required=True, metavar="DIAGRAM",
-                   help="diagram whose total category is the middle leg")
-
-    s = sub.add_parser("cone", help="mapping cone of a chain map")
-    s.add_argument("chainmap")
-
-    s = sub.add_parser("hom-complex", help="complex of graded maps")
-    s.add_argument("source")
-    s.add_argument("target")
-
-    s = sub.add_parser("tot", help="total complex of a tower")
-    s.add_argument("tower")
-
-    s = sub.add_parser("homology", help="homology groups of a complex")
-    s.add_argument("complex")
-
-    s = sub.add_parser("quasi-iso",
-                       help="decide quasi-isomorphism, both routes")
-    s.add_argument("chainmap")
-
-    s = sub.add_parser("snf", help="Smith normal form with transforms")
-    s.add_argument("matrix")
-
-    s = sub.add_parser("check", help="verify a structural property")
-    s.add_argument("property", choices=sorted(CHECK_REF_KINDS))
+    for name, (_, inputs, help_text) in COMMANDS.items():
+        s = sub.add_parser(name, help=help_text)
+        for arg in inputs:
+            s.add_argument(arg)
+    sub.choices["blockmul"].add_argument(
+        "--middle", required=True, metavar="DIAGRAM",
+        help="diagram whose total category is the middle leg")
+    s = sub.choices["check"]
+    s.add_argument("property", choices=sorted(CHECKS))
     s.add_argument("refs", nargs="*")
     s.add_argument("--randomized", action="store_true",
                    help="generate seeded instances instead of reading refs")
-    s.add_argument("--count", type=int, default=5,
+    s.add_argument("--count", type=_positive_int, default=5,
                    help="trials in randomized mode")
     s.add_argument("--seed", type=int, default=0,
                    help="seed for randomized mode")
     return p
-
-
-COMMANDS = {
-    "compose": cmd_compose,
-    "collage": cmd_collage,
-    "grothendieck": cmd_grothendieck,
-    "blockmul": cmd_blockmul,
-    "cone": cmd_cone,
-    "hom-complex": cmd_hom_complex,
-    "tot": cmd_tot,
-    "homology": cmd_homology,
-    "quasi-iso": cmd_quasi_iso,
-    "snf": cmd_snf,
-    "check": cmd_check,
-}
 
 
 def main(argv=None) -> int:
@@ -393,7 +359,7 @@ def main(argv=None) -> int:
     caps = {"objects": args.max_objects, "elements": args.max_elements}
     ws = Workspace(args.workspace, caps)
     try:
-        doc, code = COMMANDS[args.command](args, ws)
+        doc, code = COMMANDS[args.command][0](args, ws)
         text = dumps_canonical(doc)
     except CapExceeded as e:
         print(f"cap exceeded: {e}", file=sys.stderr)

@@ -342,12 +342,6 @@ class CatFunctor:
     obmap: dict[str, str]
     mormap: dict[str, str]
 
-    def on_ob(self, x: str) -> str:
-        return self.obmap[x]
-
-    def on_mor(self, m: str) -> str:
-        return self.mormap[m]
-
     def __repr__(self):
         return f"CatFunctor({self.source!r} -> {self.target!r})"
 
@@ -391,59 +385,66 @@ def validate_functor(F: CatFunctor) -> Report:
     return rep
 
 
-def enumerate_functors(C: FinCategory, D: FinCategory, limit: int = 100000):
-    """Yield every functor C -> D in a deterministic order.
+def _extend(C: FinCategory, D: FinCategory, obmaps, injective: bool = False):
+    """Yield, object map by object map, every functor C -> D on it.
 
-    Backtracking over object assignments, then over morphism images hom-set
-    by hom-set, pruning on composition as soon as both factors are placed.
-    Desk-scale categories only.
+    The non-identity morphisms of C are placed in order of id, each tried
+    against its hom-set of D in order.  A branch is cut as soon as a placed
+    composite g.f has an image other than the composite of the images of g
+    and f.  With injective, an image already taken is skipped.
     """
     nonid = [m for m in sorted(C.morphisms) if not C.is_identity(m)]
-    count = 0
+    step = {m: i for i, m in enumerate(nonid)}
+    # each equation is checked once, when the last of its morphisms is
+    # placed; those with an identity factor hold by construction
+    checks = [[] for _ in nonid]
+    for (g, f), gf in C.comp.items():
+        if g in step and f in step:
+            checks[max(step[g], step[f], step.get(gf, -1))].append((g, f, gf))
 
-    def extend(obmap):
-        nonlocal count
+    def place(i):
+        if i == len(nonid):
+            yield CatFunctor(C, D, dict(obmap), dict(mormap))
+            return
+        m = nonid[i]
+        for image in D.hom(obmap[C.src[m]], obmap[C.dst[m]]):
+            if injective and image in mormap.values():
+                continue
+            mormap[m] = image
+            if all(mormap[gf] == D.comp[(mormap[g], mormap[f])]
+                   for g, f, gf in checks[i]):
+                yield from place(i + 1)
+            del mormap[m]
+
+    for obmap in obmaps:
         mormap = {C.identity[x]: D.identity[obmap[x]] for x in C.objects}
+        yield from place(0)
 
-        def assign(i):
-            nonlocal count
-            if count >= limit:
-                return
-            if i == len(nonid):
-                count += 1
-                yield CatFunctor(C, D, dict(obmap), dict(mormap))
-                return
-            m = nonid[i]
-            for image in D.hom(obmap[C.src[m]], obmap[C.dst[m]]):
-                mormap[m] = image
-                ok = True
-                for g, f in C.composable_pairs():
-                    if g in mormap and f in mormap and C.comp[(g, f)] in mormap:
-                        if mormap[C.comp[(g, f)]] != D.comp[(mormap[g], mormap[f])]:
-                            ok = False
-                            break
-                if ok:
-                    yield from assign(i + 1)
-                del mormap[m]
 
-        yield from assign(0)
+def enumerate_functors(C: FinCategory, D: FinCategory):
+    """Yield every functor C -> D, in a fixed order.
 
-    if not C.objects:
-        yield CatFunctor(C, D, {}, {})
-        return
-    if not D.objects:
-        return
-    for images in itertools.product(sorted(D.objects), repeat=len(C.objects)):
-        obmap = dict(zip(sorted(C.objects), images))
-        yield from extend(obmap)
+    Object maps come first, in lexicographic order: the sorted objects of
+    C go to the tuples of itertools.product over the sorted objects of D.
+    On each object map, the images of the non-identity morphisms of C,
+    taken in order of id, run lexicographically through the sorted hom-sets
+    of D.  rand_functor draws from a prefix of this sequence, so seeded
+    instances depend on the order.  Desk-scale categories only.
+    """
+    cobs = sorted(C.objects)
+    images = itertools.product(sorted(D.objects), repeat=len(cobs))
+    return _extend(C, D, (dict(zip(cobs, ims)) for ims in images))
 
 
 def find_isomorphism(C: FinCategory, D: FinCategory,
                      bound: int = ISO_SEARCH_BOUND):
     """Search for an isomorphism of categories; None if there is none.
 
-    Exhaustive over object bijections, then hom-set bijections with
-    composition pruning.  Raises SearchBoundExceeded past the object bound.
+    Returns the first injective functor on an object bijection that keeps
+    the size of every hom-set.  Such a functor is an isomorphism: it maps
+    each hom-set injectively into one of the same finite size, so it is
+    bijective on morphisms as on objects, and the inverse of a bijective
+    functor is a functor.  Raises SearchBoundExceeded past the object bound.
     """
     if len(C.objects) > bound or len(D.objects) > bound:
         raise SearchBoundExceeded(
@@ -451,46 +452,13 @@ def find_isomorphism(C: FinCategory, D: FinCategory,
             f"({len(C.objects)} vs {len(D.objects)} objects)")
     if len(C.objects) != len(D.objects) or len(C.morphisms) != len(D.morphisms):
         return None
-
     cobs = sorted(C.objects)
 
-    def hom_profile(cat, x, obs):
-        return sorted((len(cat.hom(x, y)), len(cat.hom(y, x))) for y in obs)
+    def keeps_hom_sizes(obmap):
+        return all(len(C.hom(x, y)) == len(D.hom(obmap[x], obmap[y]))
+                   for x in cobs for y in cobs)
 
-    for perm in itertools.permutations(sorted(D.objects)):
-        obmap = dict(zip(cobs, perm))
-        if any(len(C.hom(x, y)) != len(D.hom(obmap[x], obmap[y]))
-               for x in cobs for y in cobs):
-            continue
-        # hom-set by hom-set bijections with composition pruning
-        hom_keys = [(x, y) for x in cobs for y in sorted(C.objects)
-                    if C.hom(x, y)]
-        mormap: dict[str, str] = {}
-
-        def place(i):
-            if i == len(hom_keys):
-                F = CatFunctor(C, D, dict(obmap), dict(mormap))
-                if validate_functor(F).ok and len(set(mormap.values())) == len(mormap):
-                    return F
-                return None
-            x, y = hom_keys[i]
-            source_hom = C.hom(x, y)
-            for image in itertools.permutations(D.hom(obmap[x], obmap[y])):
-                for m, fm in zip(source_hom, image):
-                    mormap[m] = fm
-                ok = all(
-                    mormap[C.comp[(g, f)]] == D.comp[(mormap[g], mormap[f])]
-                    for g, f in C.composable_pairs()
-                    if g in mormap and f in mormap and C.comp[(g, f)] in mormap)
-                if ok:
-                    found = place(i + 1)
-                    if found is not None:
-                        return found
-                for m in source_hom:
-                    del mormap[m]
-            return None
-
-        F = place(0)
-        if F is not None:
-            return F
-    return None
+    bijections = (dict(zip(cobs, perm))
+                  for perm in itertools.permutations(sorted(D.objects)))
+    return next(_extend(C, D, filter(keeps_hom_sizes, bijections),
+                        injective=True), None)

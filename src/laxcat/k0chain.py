@@ -140,18 +140,10 @@ def shift(C: ChainComplex, k: int) -> ChainComplex:
 
 
 def direct_sum(A: ChainComplex, B: ChainComplex) -> ChainComplex:
-    ranks = {n: A.rank(n) + B.rank(n)
-             for n in set(A.ranks) | set(B.ranks)}
-    diffs = {}
-    for n in ranks:
-        rows, cols = ranks.get(n - 1, 0), ranks[n]
-        if rows and cols:
-            m = zeros(rows, cols)
-            ar, ac = A.rank(n - 1), A.rank(n)
-            m[:ar, :ac] = A.diff(n)
-            m[ar:, ac:] = B.diff(n)
-            diffs[n] = m
-    return ChainComplex({n: r for n, r in ranks.items() if r}, diffs)
+    """A (+) B, as the total complex of the zero map A -> B[1]: tot gives
+    B[1] the vertical sign -1, which undoes the sign of the shift."""
+    B1 = shift(B, 1)
+    return tot([A, B1], [zero_chain_map(A, B1)])
 
 
 def euler_char(C: ChainComplex) -> int:

@@ -7,6 +7,7 @@ complexes as basis-changed sums of spheres and twisted disks with their
 homology known by construction.
 """
 
+import itertools
 import math
 import random
 
@@ -88,12 +89,7 @@ def rand_category(rng: random.Random, max_objects: int = 5) -> FinCategory:
 
 def rand_functor(rng: random.Random, C: FinCategory, D: FinCategory) -> CatFunctor:
     """A random functor, drawn from an enumerated prefix of all of them."""
-    found = []
-    for F in enumerate_functors(C, D):
-        found.append(F)
-        if len(found) >= 24:
-            break
-    return rng.choice(found)
+    return rng.choice(list(itertools.islice(enumerate_functors(C, D), 24)))
 
 
 # -- profunctors ------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Test-only helpers for the chain-complex layer: an independent Smith
 normal form oracle, the self-check of a Smith decomposition by two Bareiss
-determinants, the coordinate vector of a graded map, and the plain block
-product that the star product is compared against.
+determinants, the coordinate vector of a graded map, the plain block
+product that the star product is compared against, and the direct sum of
+two complexes assembled block by block.
 """
 
 import math
@@ -22,6 +23,21 @@ def graded_to_vector(A: ChainComplex, B: ChainComplex, n: int,
         if k in gmap:
             vec[pos, 0] = gmap[k][i, j]
     return vec
+
+
+def direct_sum_blocks(A: ChainComplex, B: ChainComplex) -> ChainComplex:
+    ranks = {n: A.rank(n) + B.rank(n)
+             for n in set(A.ranks) | set(B.ranks)}
+    diffs = {}
+    for n in ranks:
+        rows, cols = ranks.get(n - 1, 0), ranks[n]
+        if rows and cols:
+            m = zeros(rows, cols)
+            ar, ac = A.rank(n - 1), A.rank(n)
+            m[:ar, :ac] = A.diff(n)
+            m[ar:, ac:] = B.diff(n)
+            diffs[n] = m
+    return ChainComplex({n: r for n, r in ranks.items() if r}, diffs)
 
 
 def block_plain_multiply(N: BlockGradedMatrix, M: BlockGradedMatrix) -> BlockGradedMatrix:

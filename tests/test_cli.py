@@ -265,3 +265,18 @@ def test_cap_breach_exits_3(ws, tmp_path):
         assert r.returncode == 3, r.stderr
         assert len(r.stderr.splitlines()) == 1
         assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["--max-objects", "0", "check", "monoid-laws", "--randomized"],
+    ["--max-objects", "-1", "check", "monoid-laws", "--randomized"],
+    ["--max-elements", "0", "check", "cocontinuity", "--randomized"],
+    ["check", "monoid-laws", "--randomized", "--count", "-3"],
+    ["check", "monoid-laws", "--randomized", "--count", "0"],
+])
+def test_caps_and_count_below_one_are_usage_errors(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: laxcat")
+    assert "not a positive integer" in err.splitlines()[-1]

@@ -6,7 +6,9 @@ from laxcat.fincat import (CatFunctor, build_category, compose_functors,
                            enumerate_functors, find_isomorphism, from_poset,
                            identity_functor, opposite, product,
                            standard_category, validate_functor)
-from laxcat.rand import _z2_monoid, rand_category, rng_from_seed
+from laxcat.rand import (_idempotent_monoid, _z2_monoid, rand_category,
+                         rng_from_seed)
+import functor_oracles
 from gluing_oracles import abelian_group
 from law_oracles import opposite_by_build
 
@@ -237,3 +239,66 @@ def test_index_lists_morphisms_by_endpoint():
     for x in C.objects:
         assert C.leaving(x) == tuple(m for m in C.morphisms if C.src[m] == x)
         assert C.arriving(x) == tuple(m for m in C.morphisms if C.dst[m] == x)
+
+
+# -- the functor search against the reference backtrackers -------------------
+
+def _relabelled_poset(rng, n):
+    """A seeded random poset on n elements, and a copy with renamed ones."""
+    names = [str(i) for i in range(n)]
+    rel = [(names[i], names[j])
+           for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+    renamed = dict(zip(names, rng.sample([f"p{i}" for i in range(n)], n)))
+    return (from_poset(names, rel),
+            from_poset(sorted(renamed.values()),
+                       [(renamed[x], renamed[y]) for x, y in rel]))
+
+
+def iso_pairs():
+    """Pairs of categories with known and with absent isomorphisms."""
+    I, D2 = standard_category("interval"), standard_category("simplex", 2)
+    cospan = from_poset(("a", "b", "c"), [("a", "c"), ("b", "c")])
+    span = from_poset(("a", "b", "c"), [("a", "b"), ("a", "c")])
+    pairs = [(cospan, span), (cospan, opposite(span)),
+             (product(I, D2), product(D2, I)),
+             (_z2_monoid(), _idempotent_monoid()),
+             (product(I, _z2_monoid()), product(_z2_monoid(), I))]
+    rng = rng_from_seed(41)
+    for n in range(3, 8):
+        for _ in range(6):
+            pairs.append(_relabelled_poset(rng, n))
+            pairs.append((_relabelled_poset(rng, n)[0],
+                          _relabelled_poset(rng, n)[1]))
+    pairs += [(rand_category(rng, 4), rand_category(rng, 4))
+              for _ in range(40)]
+    return pairs
+
+
+def test_enumerate_functors_matches_the_reference_sequence():
+    rng = rng_from_seed(40)
+    empty = standard_category("discrete", 0)
+    pairs = [(empty, standard_category("interval")),
+             (standard_category("interval"), empty), (empty, empty)]
+    pairs += [(rand_category(rng, 4), rand_category(rng, 4))
+              for _ in range(150)]
+    total = 0
+    for C, D in pairs:
+        found = list(enumerate_functors(C, D))
+        assert found == list(functor_oracles.enumerate_functors(C, D))
+        total += len(found)
+    assert total > 1000
+
+
+def test_find_isomorphism_matches_the_reference_verdicts():
+    verdicts = []
+    for C, D in iso_pairs():
+        iso = find_isomorphism(C, D)
+        expected = functor_oracles.find_isomorphism(C, D)
+        assert (iso is None) == (expected is None)
+        verdicts.append(iso is not None)
+        if iso is not None:
+            assert validate_functor(iso).ok
+            assert sorted(iso.obmap.values()) == sorted(D.objects)
+            assert sorted(iso.mormap.values()) == sorted(D.morphisms)
+    assert verdicts[:5] == [False, True, True, False, True]
+    assert 10 < sum(verdicts) < len(verdicts) - 10

@@ -23,7 +23,7 @@ from unittest import mock
 
 import pytest
 
-from laxcat.cli import CHECK_REF_KINDS, main
+from laxcat.cli import CHECKS, main
 from laxcat.collage import grothendieck
 from laxcat.fincat import product, standard_category
 from laxcat.jsonio import (category_to_json, chainmap_to_json,
@@ -160,7 +160,7 @@ def write_inputs(root: Path) -> dict[str, list[str]]:
         "lax-multiplicativity": [["n", "m"]],
         "monoid-laws": [["c"]],
     }
-    for prop in CHECK_REF_KINDS:
+    for prop in CHECKS:
         for i, names in enumerate(refs[prop]):
             cases[f"check_{prop}_{i}"] = ws + ["check", prop, *names]
         cases[f"check_{prop}_randomized"] = [

@@ -22,9 +22,9 @@ from laxcat.rand import (rand_chain_map, rand_complex, rand_graded,
                          rand_quasi_iso_case, rand_universal_case,
                          rng_from_seed)
 
-from chain_oracles import (block_plain_multiply, graded_to_vector,
-                           sign_scale_rows, snf_diagonal_naive,
-                           verify_two_bareiss)
+from chain_oracles import (block_plain_multiply, direct_sum_blocks,
+                           graded_to_vector, sign_scale_rows,
+                           snf_diagonal_naive, verify_two_bareiss)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -80,6 +80,18 @@ def test_direct_sum_and_euler():
     S = direct_sum(A, B)
     assert S.rank(0) == 3 and S.rank(2) == 3
     assert euler_char(S) == euler_char(A) + euler_char(B)
+
+
+def test_direct_sum_matches_the_block_assembly():
+    rng = rng_from_seed(50)
+    empty = build_complex({}, {})
+    pairs = [(rand_complex(rng)[0], rand_complex(rng)[0]) for _ in range(300)]
+    pairs += [(empty, pairs[0][0]), (pairs[0][1], empty), (empty, empty)]
+    for A, B in pairs:
+        S, expected = direct_sum(A, B), direct_sum_blocks(A, B)
+        assert S.ranks == expected.ranks
+        assert S.diffs.keys() == expected.diffs.keys()
+        assert S == expected
 
 
 # -- chain maps ------------------------------------------------------------------
