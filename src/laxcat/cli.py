@@ -226,17 +226,17 @@ def _draw(prop: str, rng, caps) -> tuple:
     obs = min(caps["objects"], 4)
     cell = caps["elements"]
     if prop == "bilimit-roundtrip":
-        X = rand_diagram(rng, max_fiber_objects=2)
+        X = rand_diagram(rng, max_fiber_objects=min(obs, 2))
         G = grothendieck(X)
         T = rand_category(rng, min(obs, 2))
         if rng.random() < 0.5:
             return X, T, rand_profunctor(rng, G.total, T, cell)
         return X, T, rand_profunctor(rng, T, G.total, cell)
     if prop == "absoluteness":
-        return (rand_diagram(rng, max_fiber_objects=2),
+        return (rand_diagram(rng, max_fiber_objects=min(obs, 2)),
                 rand_category(rng, min(obs, 3)))
     if prop in ("cocontinuity", "lax-multiplicativity"):
-        C, D, E = (rand_category(rng, 3) for _ in range(3))
+        C, D, E = (rand_category(rng, min(obs, 3)) for _ in range(3))
         N = rand_profunctor(rng, D, E, cell)
         M = rand_profunctor(rng, C, D, cell)
         if prop == "lax-multiplicativity":
@@ -246,7 +246,7 @@ def _draw(prop: str, rng, caps) -> tuple:
         C, D = rand_category(rng, obs), rand_category(rng, obs)
         return (rand_profunctor(rng, C, D, cell),)
     if prop in ("discrete-multiplication", "multiplicativity"):
-        sizes = [rng.randint(1, 3) for _ in range(3)]
+        sizes = [rng.randint(1, min(obs, 3)) for _ in range(3)]
         C, D, E = (standard_category("discrete", s) for s in sizes)
         N = rand_profunctor(rng, D, E, cell)
         return N, rand_profunctor(rng, C, D, cell)

@@ -8,7 +8,7 @@ or overwrites a block.
 """
 
 from itertools import chain
-from operator import mul
+from operator import add, mul, sub
 
 from .errors import DimensionMismatch
 
@@ -93,15 +93,18 @@ class Matrix:
 
     # -- arithmetic ------------------------------------------------------------------
 
-    def __add__(self, other):
+    def _entrywise(self, op, other):
         if self.shape != other.shape:
             raise DimensionMismatch(
                 f"cannot add {self.shape} and {other.shape}")
-        return Matrix([[a + b for a, b in zip(r, s)]
+        return Matrix([list(map(op, r, s))
                        for r, s in zip(self.rows, other.rows)], self.ncols)
 
+    def __add__(self, other):
+        return self._entrywise(add, other)
+
     def __sub__(self, other):
-        return self + -other
+        return self._entrywise(sub, other)
 
     def __neg__(self):
         return -1 * self

@@ -9,12 +9,16 @@ Conventions fixed here and relied on everywhere else:
 
   * cone(f: A -> B) is defined as shift(tot([A, B], [f]), 1): Cone_n =
     A_{n-1} (+) B_n with differential [[-d_A, 0], [-f, d_B]].
-  * hom_complex(A, B) has degree-n part the graded maps raising degree by
-    n, with differential (dg)_k = d_B g_k + (-1)^n g_{k-1} d_A.  Chain maps
-    correspond to degree-0 cycles through the sign reindexing
-    g_k |-> (-1)^k g_k.
+  * a graded map g: A -> B of degree k (g_n: A_n -> B_{n+k}) has the
+    boundary D g = d_B g - (-1)^k g d_A, and D D = 0 (Weibel, An
+    Introduction to Homological Algebra, 2.7).  Chain maps are the degree-0
+    maps with D f = df - fd = 0; a homotopy from f to g is a degree-1 map
+    with D H = dH + Hd = g - f (not its negative).
+  * hom_complex(A, B) is the complex of graded maps with differential
+    sigma D sigma, sigma = graded_sign_reindex (g_k |-> (-1)^k g_k): on
+    degree n, d_B g + (-1)^n g d_A.  Through sigma, chain maps are the
+    degree-0 cycles.
   * tot places X_p in horizontal degree -p with vertical sign (-1)^p.
-  * null homotopies are oriented dH + Hd = g (not its negative).
   * Smith normal form returns U d V = S with |det U| = |det V| = 1,
     nonnegative diagonal, and each entry dividing the next.
 """
@@ -104,6 +108,12 @@ class ChainComplex:
                 + f" in degrees [{lo},{hi}])")
 
 
+def _components(matrices: dict[int, object], shape) -> dict[int, Matrix]:
+    """matrices[n] checked to be shape(n) = (rows, cols); empty ones dropped."""
+    checked = {n: as_matrix(m, *shape(n)) for n, m in matrices.items()}
+    return {n: m for n, m in checked.items() if all(m.shape)}
+
+
 def build_complex(ranks: dict[int, int], diffs: dict[int, object]) -> ChainComplex:
     """Validate ranks, shapes, and d.d = 0; normalize the stored data."""
     clean_ranks = {}
@@ -112,15 +122,8 @@ def build_complex(ranks: dict[int, int], diffs: dict[int, object]) -> ChainCompl
             raise InvalidParameter(f"bad rank entry {n!r}: {r!r}")
         if r > 0:
             clean_ranks[n] = r
-    clean_diffs = {}
-    for n, mat in diffs.items():
-        rows = clean_ranks.get(n - 1, 0)
-        cols = clean_ranks.get(n, 0)
-        m = as_matrix(mat, rows, cols)
-        if rows and cols:
-            clean_diffs[n] = m
-        elif not is_zero_matrix(m):
-            raise DimensionMismatch(f"differential at {n} off the support")
+    clean_diffs = _components(
+        diffs, lambda n: (clean_ranks.get(n - 1, 0), clean_ranks.get(n, 0)))
     for n in clean_ranks:
         if clean_ranks.get(n - 1, 0) and n not in clean_diffs:
             clean_diffs[n] = zeros(clean_ranks[n - 1], clean_ranks[n])
@@ -150,36 +153,63 @@ def euler_char(C: ChainComplex) -> int:
     return sum((-1) ** (n % 2) * r for n, r in C.ranks.items())
 
 
-# -- chain maps and homotopies --------------------------------------------------
+# -- graded maps: chain maps and homotopies ----------------------------------------
 
-class ChainMap:
-    """Degreewise matrices f_n: A_n -> B_n commuting with the differentials."""
+class GradedMap:
+    """Degreewise matrices g_n: A_n -> B_{n+degree}; a missing component is
+    zero.  Chain maps are the degree-0 cycles of D and null homotopies the
+    degree-1 maps H with D H the map they contract."""
 
     def __init__(self, source: ChainComplex, target: ChainComplex,
-                 matrices: dict[int, Matrix]):
+                 degree: int, matrices: dict[int, Matrix]):
         self.source = source
         self.target = target
+        self.degree = degree
         self.matrices = dict(matrices)
 
     def mat(self, n: int) -> Matrix:
         if n in self.matrices:
             return self.matrices[n]
-        return zeros(self.target.rank(n), self.source.rank(n))
+        return zeros(self.target.rank(n + self.degree), self.source.rank(n))
+
+    def boundary(self, n: int) -> Matrix:
+        """(D g)_n = d_B g_n - (-1)^degree g_{n-1} d_A: A_n -> B_{n+degree-1}."""
+        left = self.target.diff(n + self.degree) @ self.mat(n)
+        right = self.mat(n - 1) @ self.source.diff(n)
+        return left + right if self.degree % 2 else left - right
 
     def __eq__(self, other):
-        if not isinstance(other, ChainMap):
+        if not isinstance(other, GradedMap):
             return NotImplemented
         return (self.source == other.source and self.target == other.target
-                and set(self.matrices) == set(other.matrices)
-                and all(self.matrices[n] == other.matrices[n]
-                        for n in self.matrices))
+                and self.degree == other.degree
+                and all(self.mat(n) == other.mat(n)
+                        for n in set(self.matrices) | set(other.matrices)))
 
     def __repr__(self):
-        return f"ChainMap({self.source!r} -> {self.target!r})"
+        return (f"{type(self).__name__}({self.source!r} -> {self.target!r}, "
+                f"degree {self.degree})")
+
+
+class ChainMap(GradedMap):
+    """A graded map of degree 0 with D f = 0: f commutes with d."""
+
+    def __init__(self, source: ChainComplex, target: ChainComplex,
+                 matrices: dict[int, Matrix]):
+        super().__init__(source, target, 0, matrices)
+
+
+def _graded_map(A: ChainComplex, B: ChainComplex, degree: int,
+                matrices: dict[int, object]) -> GradedMap:
+    return GradedMap(A, B, degree, _components(
+        matrices, lambda n: (B.rank(n + degree), A.rank(n))))
 
 
 def build_chain_map(source: ChainComplex, target: ChainComplex,
                     matrices: dict[int, object]) -> ChainMap:
+    """Validate shapes and D f = 0.  Components on the common support are
+    stored, zero where not given; elsewhere only a zero component, of any
+    shape, is accepted."""
     clean = {}
     for n in set(source.ranks) & set(target.ranks):
         rows, cols = target.rank(n), source.rank(n)
@@ -188,11 +218,8 @@ def build_chain_map(source: ChainComplex, target: ChainComplex,
         if n not in clean and not is_zero_matrix(as_matrix(m)):
             raise DimensionMismatch(f"component at {n} off the support")
     f = ChainMap(source, target, clean)
-    degrees = set(source.ranks) | set(target.ranks)
-    for n in degrees:
-        lhs = target.diff(n) @ f.mat(n)
-        rhs = f.mat(n - 1) @ source.diff(n)
-        if lhs != rhs:
+    for n in set(source.ranks) | set(target.ranks):
+        if not is_zero_matrix(f.boundary(n)):
             raise InvalidParameter(f"not a chain map: square at degree {n}")
     return f
 
@@ -208,11 +235,8 @@ def identity_chain_map(A: ChainComplex) -> ChainMap:
 def compose_chain_maps(g: ChainMap, f: ChainMap) -> ChainMap:
     if f.target != g.source:
         raise DimensionMismatch("chain map composition endpoints do not match")
-    mats = {}
-    for n in set(f.source.ranks) & set(g.target.ranks):
-        mats[n] = g.mat(n) @ f.mat(n)
-    return ChainMap(f.source, g.target,
-                    {n: m for n, m in mats.items() if all(m.shape)})
+    return ChainMap(f.source, g.target, {
+        n: g.mat(n) @ f.mat(n) for n in set(f.source.ranks) & set(g.target.ranks)})
 
 
 def add_chain_maps(f: ChainMap, g: ChainMap) -> ChainMap:
@@ -224,63 +248,26 @@ def add_chain_maps(f: ChainMap, g: ChainMap) -> ChainMap:
 
 def graded_map_image(A: ChainComplex, B: ChainComplex,
                      h: dict[int, object]) -> ChainMap:
-    """The chain map d_B h + h d_A of a degree +1 graded map h.
+    """The chain map D h = d_B h + h d_A of a degree +1 graded map h.
 
-    Any graded h works; the result commutes with the differentials by
-    construction, which makes this the workhorse for producing chain maps
-    in bulk.
+    Any graded h works; D h is a cycle because D.D = 0, which makes this
+    the workhorse for producing chain maps in bulk.
     """
-    hm = {n: as_matrix(m, B.rank(n + 1), A.rank(n)) for n, m in h.items()}
-
-    def hmat(n):
-        return hm.get(n, zeros(B.rank(n + 1), A.rank(n)))
-
-    mats = {}
-    for n in set(A.ranks) & set(B.ranks):
-        mats[n] = B.diff(n + 1) @ hmat(n) + hmat(n - 1) @ A.diff(n)
-    return build_chain_map(A, B, mats)
-
-
-class Homotopy:
-    """H_n: A_n -> B_{n+1} with dH + Hd = target_map - source_map."""
-
-    def __init__(self, source_map: ChainMap, target_map: ChainMap,
-                 matrices: dict[int, Matrix]):
-        self.source_map = source_map
-        self.target_map = target_map
-        self.matrices = dict(matrices)
-
-    def mat(self, n: int) -> Matrix:
-        if n in self.matrices:
-            return self.matrices[n]
-        A, B = self.source_map.source, self.source_map.target
-        return zeros(B.rank(n + 1), A.rank(n))
-
-    def __eq__(self, other):
-        if not isinstance(other, Homotopy):
-            return NotImplemented
-        if self.source_map != other.source_map or self.target_map != other.target_map:
-            return False
-        degrees = set(self.matrices) | set(other.matrices)
-        return all(self.mat(n) == other.mat(n) for n in degrees)
+    hm = _graded_map(A, B, 1, h)
+    return build_chain_map(A, B, {n: hm.boundary(n)
+                                  for n in set(A.ranks) & set(B.ranks)})
 
 
 def build_homotopy(source_map: ChainMap, target_map: ChainMap,
-                   matrices: dict[int, object]) -> Homotopy:
+                   matrices: dict[int, object]) -> GradedMap:
+    """H_n: A_n -> B_{n+1} with D H = dH + Hd = target_map - source_map."""
     if (source_map.source != target_map.source
             or source_map.target != target_map.target):
         raise DimensionMismatch("homotopy endpoints do not match")
     A, B = source_map.source, source_map.target
-    clean = {}
-    for n, m in matrices.items():
-        mm = as_matrix(m, B.rank(n + 1), A.rank(n))
-        if all(mm.shape):
-            clean[n] = mm
-    H = Homotopy(source_map, target_map, clean)
+    H = _graded_map(A, B, 1, matrices)
     for n in set(A.ranks) | set(B.ranks):
-        lhs = B.diff(n + 1) @ H.mat(n) + H.mat(n - 1) @ A.diff(n)
-        rhs = target_map.mat(n) - source_map.mat(n)
-        if lhs != rhs:
+        if H.boundary(n) != target_map.mat(n) - source_map.mat(n):
             raise NotANullHomotopy(f"dH + Hd misses the difference at degree {n}")
     return H
 
@@ -336,22 +323,21 @@ def cone_to_data(f: ChainMap, phi: ChainMap):
     return g, H
 
 
-def cone_from_data(f: ChainMap, g: ChainMap, H: Homotopy) -> ChainMap:
-    """Inverse of cone_to_data; validates the null homotopy orientation."""
+def cone_from_data(f: ChainMap, g: ChainMap, H: GradedMap) -> ChainMap:
+    """Inverse of cone_to_data; validates the null homotopy orientation,
+    D H = g.f."""
     A, B = f.source, f.target
     if g.source != B:
         raise DimensionMismatch("g must start at the target of f")
     C = g.target
     gf = compose_chain_maps(g, f)
-    if H.source_map != zero_chain_map(A, C) or H.target_map != gf:
+    if (H.source != A or H.target != C or H.degree != 1
+            or any(H.boundary(n) != gf.mat(n)
+                   for n in set(A.ranks) | set(C.ranks))):
         raise NotANullHomotopy("H must run from the zero map to g.f")
     cx = cone_complex(f)
-    mats = {}
-    for n in cx.ranks:
-        if not C.rank(n):
-            continue
-        mats[n] = hstack([-H.mat(n - 1), g.mat(n)])
-    return build_chain_map(cx, C, mats)
+    return build_chain_map(cx, C, {
+        n: hstack([-H.mat(n - 1), g.mat(n)]) for n in cx.ranks if C.rank(n)})
 
 
 # -- hom complex -----------------------------------------------------------------
@@ -369,7 +355,9 @@ def hom_basis(A: ChainComplex, B: ChainComplex, n: int):
 
 
 def hom_complex_with_basis(A: ChainComplex, B: ChainComplex):
-    """(hom complex, basis per degree); differential dg + (-1)^|g| gd."""
+    """(hom complex, basis per degree); the differential is sigma D sigma,
+    sigma = graded_sign_reindex, written entry by entry on the matrix units,
+    since D of each unit would cost one matrix product per basis element."""
     if not A.ranks or not B.ranks:
         return ChainComplex({}, {}), {}
     alo, ahi = A.window

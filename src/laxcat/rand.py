@@ -16,10 +16,10 @@ from .fincat import (CatFunctor, FinCategory, build_category,
                      compose_functors, enumerate_functors, from_poset,
                      product, standard_category)
 from .intmat import zeros
-from .k0chain import (ChainComplex, ChainMap, HomologyGroup, add_chain_maps,
-                      build_chain_map, build_complex, build_homotopy,
-                      compose_chain_maps, direct_sum, graded_map_image,
-                      identity_chain_map, zero_chain_map)
+from .k0chain import (ChainComplex, ChainMap, GradedMap, HomologyGroup,
+                      add_chain_maps, build_chain_map, build_complex,
+                      build_homotopy, compose_chain_maps, direct_sum,
+                      graded_map_image, identity_chain_map, zero_chain_map)
 from .profunctor import (ProTransformation, Profunctor,
                          build_profunctor, build_protransformation,
                          compose_transformations, coproduct,
@@ -61,7 +61,10 @@ def _random_poset(rng: random.Random, n: int) -> FinCategory:
 
 def rand_category(rng: random.Random, max_objects: int = 5) -> FinCategory:
     """A small category from a mixed pool: posets, monoids, products."""
-    pool = ["discrete", "interval", "z2", "idem", "poset"]
+    if max_objects < 2:
+        pool = ["discrete", "z2", "idem"]  # the kinds with one object
+    else:
+        pool = ["discrete", "interval", "z2", "idem", "poset"]
     if max_objects >= 3:
         pool += ["simplex2", "cospan", "span"]
     if max_objects >= 4:
@@ -328,28 +331,17 @@ def rand_quasi_iso_case(rng: random.Random):
 
 
 def rand_universal_case(rng: random.Random):
-    """(f, g, H) with H a null homotopy of g.f, built from dh + hd data
-    plus a dm - md wobble that leaves the homotopy condition intact."""
+    """(f, g, H) with H a null homotopy of g.f: f = D h and
+    H = g.h + D m, for random graded maps h of degree 1 and m of degree 2;
+    D H = g.D h + D D m = g.f."""
     A, _ = rand_complex(rng, shears=2)
     B, _ = rand_complex(rng, shears=2)
     C, _ = rand_complex(rng, shears=2)
-    hf = rand_graded(rng, A, B)
-    f = graded_map_image(A, B, hf)
+    h = GradedMap(A, B, 1, rand_graded(rng, A, B))
+    f = graded_map_image(A, B, h.matrices)
     g = rand_chain_map(rng, B, C)
-    m = rand_graded(rng, A, C, degree=2, density=0.3)
-
-    def hfm(n):
-        return hf.get(n, zeros(B.rank(n + 1), A.rank(n)))
-
-    def mm(n):
-        return m.get(n, zeros(C.rank(n + 2), A.rank(n)))
-
-    mats = {}
-    for n in A.ranks:
-        if not C.rank(n + 1):
-            continue
-        base = g.mat(n + 1) @ hfm(n)
-        wobble = C.diff(n + 2) @ mm(n) - mm(n - 1) @ A.diff(n)
-        mats[n] = base + wobble
+    m = GradedMap(A, C, 2, rand_graded(rng, A, C, degree=2, density=0.3))
+    mats = {n: g.mat(n + 1) @ h.mat(n) + m.boundary(n)
+            for n in A.ranks if C.rank(n + 1)}
     H = build_homotopy(zero_chain_map(A, C), compose_chain_maps(g, f), mats)
     return f, g, H

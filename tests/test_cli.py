@@ -5,14 +5,14 @@ import sys
 import pytest
 
 import laxcat.k0chain as k0chain
-from laxcat.cli import main
-from laxcat.collage import grothendieck
-from laxcat.fincat import standard_category
+from laxcat.cli import CHECKS, _draw, main
+from laxcat.collage import Diagram, grothendieck
+from laxcat.fincat import FinCategory, standard_category
 from laxcat.jsonio import (category_to_json, chainmap_to_json,
                            complex_to_json, diagram_to_json, dumps_canonical,
                            profunctor_to_json)
 from laxcat.k0chain import build_chain_map, build_complex
-from laxcat.profunctor import build_profunctor
+from laxcat.profunctor import Profunctor, build_profunctor
 from laxcat.rand import rand_diagram, rand_profunctor, rng_from_seed
 from laxcat.report import Report
 
@@ -280,3 +280,28 @@ def test_caps_and_count_below_one_are_usage_errors(argv, capsys):
     assert out == ""
     assert err.startswith("usage: laxcat")
     assert "not a positive integer" in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_randomized_checks_run_under_small_object_caps(cap, capsys):
+    for prop in sorted(CHECKS):
+        for seed in range(6):
+            code = main(["--max-objects", str(cap), "check", prop,
+                         "--randomized", "--count", "2", "--seed", str(seed)])
+            _, err = capsys.readouterr()
+            assert code in (0, 1), (prop, seed, err)
+
+
+def test_draws_under_max_objects_1_have_one_object_categories():
+    caps = {"objects": 1, "elements": 8}
+    for prop in sorted(CHECKS):
+        for seed in range(6):
+            inputs = _draw(prop, rng_from_seed(seed), caps)
+            cats = [x for x in inputs if isinstance(x, FinCategory)]
+            cats += [F for x in inputs if isinstance(x, Diagram)
+                     for F in x.fiber.values()]
+            if prop != "bilimit-roundtrip":  # its profunctor meets a total
+                cats += [P for x in inputs if isinstance(x, Profunctor)
+                         for P in (x.source, x.target)]
+            assert cats, prop
+            assert all(len(C.objects) == 1 for C in cats), (prop, seed)

@@ -6,8 +6,8 @@ from laxcat.errors import (CompositeNonzero, DifferentialSquareNonzero,
                            DimensionMismatch, InvalidParameter,
                            NotANullHomotopy)
 import laxcat.k0chain as k0chain
-from laxcat.k0chain import (BlockGradedMatrix, GradedIndex, add_chain_maps,
-                            as_matrix, build_chain_map,
+from laxcat.k0chain import (BlockGradedMatrix, GradedIndex, GradedMap,
+                            add_chain_maps, as_matrix, build_chain_map,
                             build_complex, build_homotopy, compose_chain_maps,
                             cone, cone_from_data, cone_star_matrix,
                             cone_to_data, det_exact, direct_sum, euler_char,
@@ -121,6 +121,38 @@ def test_homotopy_orientation_enforced():
         build_homotopy(zero_chain_map(Z, Z), two, {})
 
 
+def test_a_map_failing_at_two_degrees_names_the_first_in_set_order():
+    # the degrees are met in the order of set(source.ranks) | set(target.ranks),
+    # which puts 1 before -1; sorted order would name -1
+    A = build_complex({-2: 1, -1: 1, 0: 1, 1: 1}, {-1: [[1]], 1: [[1]]})
+    B = build_complex({-2: 1, -1: 1, 0: 1, 1: 1}, {})
+    with pytest.raises(InvalidParameter,
+                       match=r"^not a chain map: square at degree 1$"):
+        build_chain_map(A, B, {-2: [[1]], 0: [[1]]})
+    Z = build_complex({-1: 1, 0: 1, 1: 1}, {})
+    g = build_chain_map(Z, Z, {-1: [[1]], 1: [[1]]})
+    with pytest.raises(NotANullHomotopy,
+                       match=r"^dH \+ Hd misses the difference at degree 1$"):
+        build_homotopy(zero_chain_map(Z, Z), g, {})
+
+
+def test_zero_maps_are_equal_however_built():
+    A = build_complex({0: 2, 1: 1}, {1: [[1], [0]]})
+    B = build_complex({0: 1, 1: 1, 2: 1}, {})
+    assert build_chain_map(A, B, {}) == zero_chain_map(A, B)
+    assert build_chain_map(A, B, {}) == build_chain_map(A, B, {1: [[0]]})
+    assert build_chain_map(A, B, {}) != identity_chain_map(B)
+
+
+def test_cone_from_data_takes_a_null_homotopy_of_built_zero_maps():
+    Z = build_complex({0: 1}, {})
+    f = identity_chain_map(Z)
+    g = build_chain_map(Z, Z, {})  # g.f = 0, stored with a zero component
+    phi = cone_from_data(f, g, build_homotopy(g, g, {}))
+    g2, H2 = cone_to_data(f, phi)
+    assert g2 == g and H2 == build_homotopy(g, g, {})
+
+
 # -- cone -------------------------------------------------------------------------
 
 @settings(max_examples=40, deadline=None)
@@ -232,6 +264,26 @@ def test_chain_maps_are_reindexed_cycles(seed):
     H, _ = hom_complex_with_basis(A, B)
     vec = graded_to_vector(A, B, 0, graded_sign_reindex(dict(f.matrices)))
     assert is_zero_matrix(H.diff(0) @ vec)
+
+
+def test_hom_differential_is_the_reindexed_boundary():
+    # with sigma = graded_sign_reindex, the hom differential is sigma D sigma:
+    # it takes the coordinates of sigma g to those of sigma D g for a graded
+    # g of every degree n
+    rng = rng_from_seed(36)
+    cases = 0
+    for _ in range(60):
+        A, _ = rand_complex(rng)
+        B, _ = rand_complex(rng)
+        H = hom_complex(A, B)
+        for n in H.ranks:
+            g = GradedMap(A, B, n, rand_graded(rng, A, B, degree=n))
+            Dg = {k: g.boundary(k) for k in A.ranks}
+            vec = graded_to_vector(A, B, n, graded_sign_reindex(g.matrices))
+            assert H.diff(n) @ vec == graded_to_vector(
+                A, B, n - 1, graded_sign_reindex(Dg))
+            cases += 1
+    assert cases >= 200
 
 
 def test_cycles_are_reindexed_chain_maps():

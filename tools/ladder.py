@@ -2,8 +2,8 @@
 """In-process size ladder of the kernels that dominate the `tables` and
 `chains` workloads: full validation of a collage total, full validation of a
 hom profunctor, the coend composite of a finite group's hom profunctor with
-itself, and Smith normal form (elimination, and the self-check
-`SmithDecomposition.verify`).
+itself, Smith normal form (elimination, and the self-check
+`SmithDecomposition.verify`), and the chain-map constructions.
 
     python3 tools/ladder.py [SRC] [--repeats 5]
 
@@ -15,7 +15,10 @@ composed with themselves); for `chains`, the seed-1 matrices of sizes 16, 32,
 48 and 56 (entries in [-5, 5]), plus one 64×64 matrix drawn at seed 64 to
 show the scaling past the workload.  Each timed `build_profunctor` call gets
 a fresh, unvalidated copy of the category, so no per-category cache outlives
-a repeat.  Prints one JSON object of per-rung medians in milliseconds.
+a repeat.  The chain-map rungs run over the ten `rand_universal_case` draws
+(f, g, H) of seeds 0-9: `build_chain_map` of f and of g, `cone(f)`, and the
+round trip `cone_to_data(f, cone_from_data(f, g, H))`.  Prints one JSON
+object of per-rung medians in milliseconds.
 """
 
 import argparse
@@ -49,9 +52,11 @@ def main(argv=None):
     from laxcat.fincat import (FinCategory, build_category, product,
                                standard_category)
     from laxcat.jsonio import category_from_json
-    from laxcat.k0chain import smith_normal_form
+    from laxcat.k0chain import (build_chain_map, cone, cone_from_data,
+                                cone_to_data, smith_normal_form)
     from laxcat.profunctor import (build_profunctor, compose_with_pairing,
                                    hom_profunctor)
+    from laxcat.rand import rand_universal_case, rng_from_seed
     from workloads import (HOM_LADDER, MONOID_LADDER, SNF_LADDER,
                            abelian_group, random_matrix)
 
@@ -63,7 +68,7 @@ def main(argv=None):
 
     out = {"build_category_ms": {}, "build_profunctor_ms": {},
            "compose_group_hom_ms": {}, "snf_elimination_ms": {},
-           "snf_verify_ms": {}}
+           "snf_verify_ms": {}, "chain_maps_ms": {}}
     for a, b in HOM_LADDER:
         square = product(standard_category("simplex", a),
                          standard_category("simplex", b))
@@ -97,6 +102,17 @@ def main(argv=None):
             "median": median_ms(lambda: smith_normal_form(mat), args.repeats)}
         out["snf_verify_ms"][f"n_{n}"] = {
             "median": median_ms(dec.verify, args.repeats)}
+    cases = [rand_universal_case(rng_from_seed(seed)) for seed in range(10)]
+    rungs = {
+        "build_chain_map": lambda f, g, H: [
+            build_chain_map(m.source, m.target, m.matrices) for m in (f, g)],
+        "cone": lambda f, g, H: cone(f),
+        "cone_data_roundtrip": lambda f, g, H: cone_to_data(
+            f, cone_from_data(f, g, H)),
+    }
+    for name, run in rungs.items():
+        out["chain_maps_ms"][name] = {"median": median_ms(
+            lambda: [run(*case) for case in cases], args.repeats)}
     print(json.dumps(out))
 
 
