@@ -22,12 +22,14 @@ alpha and beta:
                          ~ (d', n, beta.(alpha.m))
 
 so the classes, and with them the least members that name them, are those
-of gluing along every middle morphism.
+of gluing along every middle morphism.  The laws go along generators too,
+by fincat.along_generators: functoriality, commuting actions and the outer
+actions of _glue.
 
 Every gluing construction (the coend composite, the blockwise product of
 collage.block_multiply and the quotient by a relation) runs its own union
 loop and hands the classes to _glue, the one place where classes are named
-and the outer actions are read off them and checked to be well defined.
+and the outer actions are checked and read off their least members.
 
 The right action of P is the left action of opposite_profunctor(P), a
 cached view that shares P's tables.  So the laws, naturality and the
@@ -38,9 +40,10 @@ matrix are such restrictions.
 """
 
 from dataclasses import dataclass, field
+from itertools import product
 
 from .errors import CompositionMismatch, InvalidParameter, ShapeMismatch
-from .fincat import CatFunctor, FinCategory, opposite
+from .fincat import CatFunctor, FinCategory, along_generators, opposite
 from .report import Report
 from .unionfind import UnionFind
 
@@ -131,13 +134,19 @@ def _validate_profunctor(P: Profunctor) -> None:
             raise InvalidParameter(text.format(*fields, side="right", legs="source"))
 
     C, D = P.source, P.target
-    for gamma in D.morphisms:
-        for sigma in C.morphisms:
-            c2 = C.dst[sigma]
-            for e in P.elements[(D.src[gamma], c2)]:
-                if P.ract[sigma][P.lact[gamma][e]] != P.lact[gamma][P.ract[sigma][e]]:
-                    raise InvalidParameter(
-                        f"actions of {gamma!r} and {sigma!r} do not commute at {e!r}")
+
+    def uncommuting(pairs):
+        for gamma, sigma in pairs:
+            left, right = P.lact[gamma], P.ract[sigma]
+            for e in P.elements[(D.src[gamma], C.dst[sigma])]:
+                if right[left[e]] != left[right[e]]:
+                    yield gamma, sigma, e
+
+    for gamma, sigma, e in along_generators(
+            uncommuting, product(D.generators(), C.generators()),
+            product(D.morphisms, C.morphisms)):
+        raise InvalidParameter(
+            f"actions of {gamma!r} and {sigma!r} do not commute at {e!r}")
 
 
 def _left_action_laws(P: Profunctor):
@@ -152,14 +161,17 @@ def _left_action_laws(P: Profunctor):
             yield ("{side} action keyed off the {legs} morphisms",)
 
     def typing():
+        cell = {key: set(es) for key, es in P.elements.items()}
+        domain = {d: set().union(*(cell[(d, c)] for c in C.objects))
+                  for d in D.objects}
         for gamma in D.morphisms:
             d, d2 = D.src[gamma], D.dst[gamma]
             table = P.lact[gamma]
-            if set(table) != {e for c in C.objects for e in P.elements[(d, c)]}:
+            if set(table) != domain[d]:
                 yield "{side} action of {0!r} has wrong domain", gamma
             for c in C.objects:
                 for e in P.elements[(d, c)]:
-                    if table[e] not in P.elements[(d2, c)]:
+                    if table[e] not in cell[(d2, c)]:
                         yield ("{side} action of {0!r} sends {1!r} outside "
                                "cell {2!r}", gamma, e, (d2, c))
 
@@ -169,14 +181,16 @@ def _left_action_laws(P: Profunctor):
                 if img != e:
                     yield "identity {side} action moves {0!r}", e
 
-    def functoriality():
+    def functoriality(middle):
         for (g, f), gf in D.comp.items():
-            for e in P.lact[f]:
-                if P.lact[gf][e] != P.lact[g][P.lact[f][e]]:
-                    yield ("{side} action not functorial on {0!r} at {1!r}",
-                           (g, f), e)
+            if g in middle:
+                for e in P.lact[f]:
+                    if P.lact[gf][e] != P.lact[g][P.lact[f][e]]:
+                        yield ("{side} action not functorial on {0!r} at {1!r}",
+                               (g, f), e)
 
-    return keys(), typing(), identities(), functoriality()
+    return keys(), typing(), identities(), along_generators(
+        functoriality, set(D.generators()), set(D.morphisms))
 
 
 def empty_profunctor(source: FinCategory, target: FinCategory) -> Profunctor:
@@ -416,34 +430,37 @@ def _glue(source: FinCategory, target: FinCategory, classes, name,
     classes maps each (target, source) cell to {least member: members};
     a class is named name(least member).  act_left(eps, members) and
     act_right(sigma, members) move the members of one class along an outer
-    morphism.  Every member must land in one class, so the actions are well
-    defined on the quotient.
+    morphism.  Along outer generators every member must land in one class,
+    so the actions are well defined on the quotient and read off least members.
     """
     C, E = source, target
     class_of, rep_of, elements = {}, {}, {}
     for cell, found in classes.items():
-        ids = []
         for rep, members in found.items():
-            cid = name(rep)
-            ids.append(cid)
-            rep_of[cid] = rep
-            class_of.update(dict.fromkeys(members, cid))
-        elements[cell] = tuple(sorted(ids))
+            class_of.update(dict.fromkeys(members, name(rep)))
+            rep_of[class_of[rep]] = rep
+        elements[cell] = tuple(sorted(class_of[rep] for rep in found))
 
-    lact = {eps: {} for eps in E.morphisms}
-    ract = {sigma: {} for sigma in C.morphisms}
-    for (e, c), found in classes.items():
-        sides = (("left", act_left, lact, E.leaving(e)),
-                 ("right", act_right, ract, C.arriving(c)))
-        for rep, members in found.items():
-            cid = class_of[rep]
-            for side, act, table, along in sides:
-                for a in along:
-                    images = {class_of[g] for g in act(a, members)}
-                    if len(images) != 1:
-                        raise CompositionMismatch(
-                            f"outer {side} action of {a!r} ill-defined on {cid!r}")
-                    table[a][cid] = images.pop()
+    def ill_defined(outer):
+        for (e, c), found in classes.items():
+            for rep, members in found.items():
+                for side, act, along in (("left", act_left, E.leaving(e)),
+                                         ("right", act_right, C.arriving(c))):
+                    for a in along:
+                        if a in outer and len({class_of[g] for g in act(a, members)}) != 1:
+                            yield side, a, class_of[rep]
+
+    for side, a, cid in along_generators(
+            ill_defined, {*E.generators(), *C.generators()},
+            {*E.morphisms, *C.morphisms}):
+        raise CompositionMismatch(
+            f"outer {side} action of {a!r} ill-defined on {cid!r}")
+    lact = {eps: {class_of[r]: class_of[act_left(eps, (r,))[0]]
+                  for c in C.objects for r in classes[(E.src[eps], c)]}
+            for eps in E.morphisms}
+    ract = {sigma: {class_of[r]: class_of[act_right(sigma, (r,))[0]]
+                    for e in E.objects for r in classes[(e, C.dst[sigma])]}
+            for sigma in C.morphisms}
     return CoendComposite(build_profunctor(C, E, elements, lact, ract),
                           class_of, rep_of)
 

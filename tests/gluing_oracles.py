@@ -2,12 +2,18 @@
 with their union loops run over every non-identity middle morphism, where
 the library glues along FinCategory.generators() only.  Both hand their
 classes to the same kernel, profunctor._glue, so equal classes give equal
-results byte for byte.  Also a finite abelian group as a one-object
-category, whose generators the greedy step of generators() chooses.
+results byte for byte.  glue_checking_every_outer_morphism is that kernel
+with its well-definedness check run on every outer morphism and the outer
+actions read off every member of a class, where _glue checks along the
+outer generators and reads the actions off the least member.  Also a finite
+abelian group as a one-object category, whose generators the greedy step of
+generators() chooses.
 """
 
+from laxcat.errors import CompositionMismatch
 from laxcat.fincat import build_category
-from laxcat.profunctor import _composite_id, _glue
+from laxcat.profunctor import (CoendComposite, _composite_id, _glue,
+                               build_profunctor)
 from laxcat.unionfind import UnionFind
 
 
@@ -84,3 +90,34 @@ def block_multiply_along_every_morphism(N, M):
         return [(mid, n, M.entries[G.obj_parts[mid][0]].ract[sigma][m])
                 for mid, n, m in gens]
     return _glue(C, E, classes, _composite_id, lact, ract)
+
+
+def glue_checking_every_outer_morphism(source, target, classes, name,
+                                       act_left, act_right):
+    C, E = source, target
+    class_of, rep_of, elements = {}, {}, {}
+    for cell, found in classes.items():
+        ids = []
+        for rep, members in found.items():
+            cid = name(rep)
+            ids.append(cid)
+            rep_of[cid] = rep
+            class_of.update(dict.fromkeys(members, cid))
+        elements[cell] = tuple(sorted(ids))
+
+    lact = {eps: {} for eps in E.morphisms}
+    ract = {sigma: {} for sigma in C.morphisms}
+    for (e, c), found in classes.items():
+        sides = (("left", act_left, lact, E.leaving(e)),
+                 ("right", act_right, ract, C.arriving(c)))
+        for rep, members in found.items():
+            cid = class_of[rep]
+            for side, act, table, along in sides:
+                for a in along:
+                    images = {class_of[g] for g in act(a, members)}
+                    if len(images) != 1:
+                        raise CompositionMismatch(
+                            f"outer {side} action of {a!r} ill-defined on {cid!r}")
+                    table[a][cid] = images.pop()
+    return CoendComposite(build_profunctor(C, E, elements, lact, ract),
+                          class_of, rep_of)

@@ -1,11 +1,63 @@
-"""Test-only references for the two-sided checks that the library now
-writes once and mirrors through the opposite: the profunctor laws with the
-right action written out by hand, and the opposite category rebuilt and
-revalidated by build_category.
+"""Test-only references for the checks that the library writes once and
+runs along generators: the full scan of associativity over every composable
+triple, the profunctor laws with the right action written out by hand and
+every functoriality pair and commuting pair of morphisms enumerated, and the
+opposite category rebuilt and revalidated by build_category.  Also S3 and
+the quaternion group as one-object categories.
 """
+
+import itertools
 
 from laxcat.errors import InvalidParameter
 from laxcat.fincat import build_category
+
+
+def group_category(elements, mul):
+    """The one-object category of a finite group; the first element is the
+    unit, and composing g after f is the product mul(g, f)."""
+    src = {x: "*" for x in elements}
+    comp = {(g, f): mul(g, f) for g in elements for f in elements}
+    return build_category(("*",), elements, src, dict(src),
+                          {"*": elements[0]}, comp)
+
+
+def symmetric_group_3():
+    """S3, the permutation p named 's' followed by its images of 0, 1, 2."""
+    perms = list(itertools.permutations(range(3)))
+    name = {p: "s" + "".join(map(str, p)) for p in perms}
+    perm = {v: k for k, v in name.items()}
+    return group_category([name[p] for p in perms], lambda g, f: name[
+        tuple(perm[g][perm[f][i]] for i in range(3))])
+
+
+def quaternion_group():
+    """Q8 = {+-1, +-i, +-j, +-k}, each named by its sign and unit."""
+    units = {("1", u): (1, u) for u in "1ijk"}
+    units.update({(u, "1"): (1, u) for u in "ijk"})
+    units.update({(u, u): (-1, "1") for u in "ijk"})
+    for a, b, c in ("ijk", "jki", "kij"):
+        units[(a, b)], units[(b, a)] = (1, c), (-1, c)
+    elements = [s + u for u in "1ijk" for s in "+-"]
+
+    def mul(g, f):
+        sign, unit = units[(g[1], f[1])]
+        sign *= (1 if g[0] == "+" else -1) * (1 if f[0] == "+" else -1)
+        return ("+" if sign == 1 else "-") + unit
+    return group_category(elements, mul)
+
+
+def associativity_violation(C, comp):
+    """The NonAssociative message of the first triple (h, g, f) of the full
+    scan over C's ids with composition table comp, or None: f in morphisms
+    order, then g out of dst f, then h out of dst g.  comp must be total
+    and unital."""
+    leaving = {x: [m for m in C.morphisms if C.src[m] == x] for x in C.objects}
+    for f in C.morphisms:
+        for g in leaving[C.dst[f]]:
+            for h in leaving[C.dst[g]]:
+                if comp[(h, comp[(g, f)])] != comp[(comp[(h, g)], f)]:
+                    return f"h(gf) != (hg)f for ({h!r}, {g!r}, {f!r})"
+    return None
 
 
 def opposite_by_build(C):

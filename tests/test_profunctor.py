@@ -1,4 +1,6 @@
+import ast
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -21,8 +23,9 @@ from laxcat.profunctor import (ProTransformation, _composite_id, associator,
 from laxcat.rand import (_z2_monoid, rand_category, rand_parallel_pair,
                          rand_profunctor, rng_from_seed)
 import laxcat.profunctor as profunctor
-from gluing_oracles import abelian_group, compose_along_every_morphism
-from law_oracles import first_violation
+from gluing_oracles import (abelian_group, compose_along_every_morphism,
+                            glue_checking_every_outer_morphism)
+from law_oracles import first_violation, quaternion_group, symmetric_group_3
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -90,15 +93,28 @@ def _corruptions(rng, P, count):
         yield (acts, P.ract) if side == "lact" else (P.lact, acts)
 
 
+def _middle_is_a_generator(P, message):
+    """Whether the factor the generator pass ranges over in the pair (g, f)
+    of a functoriality violation is a generator: g on the left, where
+    lact[g.f] = lact[g] lact[f], and f on the right, where
+    ract[g.f] = ract[f] ract[g]."""
+    pair = ast.literal_eval(message.split(" on ", 1)[1].rsplit(" at ", 1)[0])
+    if message.startswith("left"):
+        return pair[0] in P.target.generators()
+    return pair[1] in P.source.generators()
+
+
 def test_validation_reports_the_violation_of_the_two_sided_oracle():
     rng = rng_from_seed(12)
     instances = [hom_profunctor(abelian_group(4, 2)),
+                 hom_profunctor(symmetric_group_3()),
+                 hom_profunctor(quaternion_group()),
                  hom_profunctor(product(_z2_monoid(),
                                         standard_category("simplex", 2)))]
     for _ in range(6):
         C, D = rand_category(rng, 4), rand_category(rng, 4)
         instances.append(rand_profunctor(rng, C, D, 4))
-    seen = set()
+    seen, at_generator = set(), []
     for P in instances:
         P = coproduct(P, P)
         for lact, ract in _corruptions(rng, P, 25):
@@ -110,7 +126,51 @@ def test_validation_reports_the_violation_of_the_two_sided_oracle():
                 build_profunctor(P.source, P.target, P.elements, lact, ract)
             assert str(exc.value) == want
             seen.add(want.split(" on ")[0])
+            if "functorial" in want:
+                at_generator.append(_middle_is_a_generator(P, want))
     assert seen >= {"left action not functorial", "right action not functorial"}
+    # the generator pass alone never meets the reported pair of these
+    assert at_generator.count(False) >= 5 and at_generator.count(True) >= 5
+
+
+def _conjugated_right_actions(rng, P, count):
+    """count copies of P's right action conjugated by a random permutation
+    of each cell: functorial still, but not always commuting with the left
+    action."""
+    for _ in range(count):
+        pi = {}
+        for es in P.elements.values():
+            pi.update(zip(es, rng.sample(es, len(es))))
+        yield {s: {pi[e]: pi[img] for e, img in t.items()}
+               for s, t in P.ract.items()}
+
+
+def test_commuting_along_generators_reports_the_pair_of_every_morphism():
+    rng = rng_from_seed(13)
+    instances = [hom_profunctor(C) for C in (
+        abelian_group(2, 3), symmetric_group_3(), quaternion_group(),
+        product(_z2_monoid(), standard_category("interval")),
+        product(standard_category("simplex", 2), standard_category("interval")),
+        standard_category("simplex", 3))]
+    for _ in range(10):
+        C, D = rand_category(rng, 3), rand_category(rng, 3)
+        instances.append(rand_profunctor(rng, C, D, 4))
+    at_generators = []
+    for P in instances:
+        P = coproduct(P, P)
+        for ract in _conjugated_right_actions(rng, P, 10):
+            want = first_violation(P.source, P.target, P.elements, P.lact, ract)
+            if want is None:
+                build_profunctor(P.source, P.target, P.elements, P.lact, ract)
+                continue
+            with pytest.raises(InvalidParameter) as exc:
+                build_profunctor(P.source, P.target, P.elements, P.lact, ract)
+            assert str(exc.value) == want
+            gamma, sigma = map(ast.literal_eval, re.fullmatch(
+                r"actions of (.*) and (.*) do not commute at .*", want).groups())
+            at_generators.append(gamma in P.target.generators()
+                                 and sigma in P.source.generators())
+    assert at_generators.count(False) >= 5 and at_generators.count(True) >= 5
 
 
 def test_naturality_messages_name_the_morphism_and_element():
@@ -323,6 +383,55 @@ def test_gluing_along_generators_matches_every_morphism():
         assert fast.profunctor == ref.profunctor
         assert fast.class_of == ref.class_of
         assert fast.rep_of == ref.rep_of
+
+
+def _partitions(rng, P, count):
+    """count random partitions of every cell of P, as the classes _glue
+    takes; few of them are congruences for P's actions."""
+    for _ in range(count):
+        classes = {}
+        for cell, es in P.elements.items():
+            blocks, k = {}, rng.randint(1, max(1, len(es)))
+            for e in es:
+                blocks.setdefault(rng.randrange(k), []).append(e)
+            classes[cell] = {min(b): sorted(b) for b in blocks.values()}
+        yield classes
+
+
+def test_glue_along_outer_generators_matches_every_outer_morphism():
+    rng = rng_from_seed(33)
+    instances = [hom_profunctor(abelian_group(2, 3)),
+                 hom_profunctor(symmetric_group_3()),
+                 hom_profunctor(product(standard_category("simplex", 2),
+                                        standard_category("interval")))]
+    for _ in range(10):
+        C, D = rand_category(rng, 3), rand_category(rng, 3)
+        instances.append(rand_profunctor(rng, C, D, 4))
+    verdicts = []
+    for P in instances:
+        P = coproduct(P, P)
+        singletons = {cell: {e: [e] for e in es} for cell, es in P.elements.items()}
+        args = (lambda g, es: [P.lact[g][e] for e in es],
+                lambda s, es: [P.ract[s][e] for e in es])
+        for classes in [singletons, *_partitions(rng, P, 10)]:
+            try:
+                want = glue_checking_every_outer_morphism(
+                    P.source, P.target, classes, str, *args)
+            except CompositionMismatch as exc:
+                with pytest.raises(CompositionMismatch) as got:
+                    profunctor._glue(P.source, P.target, classes, str, *args)
+                assert str(got.value) == str(exc)
+                side, a = re.match(r"outer (\w+) action of (.*) ill-defined",
+                                   str(exc)).groups()
+                outer = P.target if side == "left" else P.source
+                verdicts.append(ast.literal_eval(a) in outer.generators())
+                continue
+            got = profunctor._glue(P.source, P.target, classes, str, *args)
+            assert got.profunctor == want.profunctor
+            assert (got.class_of, got.rep_of) == (want.class_of, want.rep_of)
+            verdicts.append("glued")
+    assert verdicts.count("glued") >= len(instances)
+    assert verdicts.count(False) >= 5 and verdicts.count(True) >= 5
 
 
 def test_composite_ids_with_separators_do_not_collide():

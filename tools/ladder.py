@@ -1,24 +1,29 @@
 #!/usr/bin/env python3
 """In-process size ladder of the kernels that dominate the `tables` and
-`chains` workloads: full validation of a collage total, full validation of a
-hom profunctor, the coend composite of a finite group's hom profunctor with
-itself, Smith normal form (elimination, and the self-check
-`SmithDecomposition.verify`), and the chain-map constructions.
+`chains` workloads: validation of a collage total, of a finite group loaded
+from JSON and of a hom profunctor, the coend composite of a finite group's
+hom profunctor with itself, the monoid-laws check, Smith normal form
+(elimination, and the self-check `SmithDecomposition.verify`), and the
+chain-map constructions.
 
     python3 tools/ladder.py [SRC] [--repeats 5]
 
 SRC is the laxcat source tree to import (default: ./src), so the same script
 times any checkout.  Inputs are those of `bench/run.py --seed 1`: for
 `tables`, hom(Δa×Δb) (its collage total and the profunctor itself) and the
-hom profunctors of the seed-1 groups of orders 12, 24 and 36 (validated, and
-composed with themselves); for `chains`, the seed-1 matrices of sizes 16, 32,
-48 and 56 (entries in [-5, 5]), plus one 64×64 matrix drawn at seed 64 to
-show the scaling past the workload.  Each timed `build_profunctor` call gets
-a fresh, unvalidated copy of the category, so no per-category cache outlives
-a repeat.  The chain-map rungs run over the ten `rand_universal_case` draws
-(f, g, H) of seeds 0-9: `build_chain_map` of f and of g, `cone(f)`, and the
-round trip `cone_to_data(f, cone_from_data(f, g, H))`.  Prints one JSON
-object of per-rung medians in milliseconds.
+seed-1 groups of orders 12, 24 and 36 (their hom profunctors validated and
+composed with themselves, and the check of `laxcat check monoid-laws` on
+the groups); for `chains`, the seed-1 matrices of sizes 16, 32, 48 and 56
+(entries in [-5, 5]).  To show the scaling past the workload, the ladder
+also loads, through `category_from_json`, the groups that the workload's
+`abelian_group` draws from one seed-1 generator for orders 60, 120 and 240,
+and eliminates one 64×64 matrix drawn at seed 64.  Each timed
+`build_profunctor` call gets a fresh, unvalidated copy of the category, so
+no per-category cache outlives a repeat.  The chain-map rungs run over the
+ten `rand_universal_case` draws (f, g, H) of seeds 0-9: `build_chain_map`
+of f and of g, `cone(f)`, and the round trip
+`cone_to_data(f, cone_from_data(f, g, H))`.  Prints one JSON object of
+per-rung medians in milliseconds.
 """
 
 import argparse
@@ -48,6 +53,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
     sys.path.insert(0, str(ROOT / "bench"))
+    from laxcat.cli import _check_monoid_laws
     from laxcat.collage import collage_of_profunctor
     from laxcat.fincat import (FinCategory, build_category, product,
                                standard_category)
@@ -66,8 +72,9 @@ def main(argv=None):
                             C.identity, C.comp)
         return build_profunctor(fresh, fresh, H.elements, H.lact, H.ract)
 
-    out = {"build_category_ms": {}, "build_profunctor_ms": {},
-           "compose_group_hom_ms": {}, "snf_elimination_ms": {},
+    out = {"build_category_ms": {}, "category_load_ms": {},
+           "build_profunctor_ms": {}, "compose_group_hom_ms": {},
+           "monoid_laws_ms": {}, "snf_elimination_ms": {},
            "snf_verify_ms": {}, "chain_maps_ms": {}}
     for a, b in HOM_LADDER:
         square = product(standard_category("simplex", a),
@@ -83,13 +90,21 @@ def main(argv=None):
             "elements": H.total_size(),
             "median": median_ms(lambda: rebuild_hom(H), args.repeats)}
     rng = random.Random(1)
+    for order in (60, 120, 240):
+        doc = abelian_group(rng, order)
+        out["category_load_ms"][f"group_{order}"] = {
+            "median": median_ms(lambda: category_from_json(doc), args.repeats)}
+    rng = random.Random(1)
     for order in MONOID_LADDER:
-        H = hom_profunctor(category_from_json(abelian_group(rng, order)))
+        C = category_from_json(abelian_group(rng, order))
+        H = hom_profunctor(C)
         out["build_profunctor_ms"][f"group_{order}"] = {
             "elements": H.total_size(),
             "median": median_ms(lambda: rebuild_hom(H), args.repeats)}
         out["compose_group_hom_ms"][f"group_{order}"] = {
             "median": median_ms(lambda: compose_with_pairing(H, H), args.repeats)}
+        out["monoid_laws_ms"][f"group_{order}"] = {
+            "median": median_ms(lambda: _check_monoid_laws(C), args.repeats)}
     rng = random.Random(1)
     for n in SNF_LADDER + (64,):
         mat = random_matrix(random.Random(64) if n == 64 else rng, n)
