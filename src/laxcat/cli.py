@@ -11,33 +11,27 @@ result guard or a bug), reported in one line, with the traceback only
 under --debug.
 """
 
+from __future__ import annotations
+
 import argparse
 import json
 import sys
+from importlib import import_module
 from pathlib import Path
 
-from .collage import (block_multiply, check_absoluteness,
-                      check_bilimit_roundtrip, check_semiorthogonal,
-                      collage_of_profunctor, grothendieck,
-                      identity_block_decomposition, restrict_matrix)
-from .decat import (check_discrete_multiplication, check_lax_multiplicativity,
-                    check_multiplicativity)
+# each command imports the layer it runs.  decat loads no layer and is
+# imported here, because in-process callers that wrap laxcat's functions
+# (bench/spans.py) expect laxcat.decat loaded once laxcat.cli is
+from . import decat  # noqa: F401
 from .errors import CapExceeded, LaxcatError, SchemaError
-from .fincat import FinCategory, standard_category
 from .jsonio import (LOADERS, chainmap_to_json, collage_to_json,
                      complex_to_json, dumps_canonical, homology_to_json,
                      profunctor_to_json, sniff_kind, snf_to_json)
-from .k0chain import (cone, cone_complex, hom_complex, homology_all,
-                      is_acyclic, is_quasi_iso, smith_normal_form, tot)
-from .profunctor import (Profunctor, associator, check_cocontinuity,
-                         compose_profunctors, hom_profunctor, is_natural_iso,
-                         left_unitor, right_unitor)
-from .rand import (rand_category, rand_diagram, rand_profunctor,
-                   rng_from_seed)
 from .report import Report
 
 RANK_CAP = 32
 DEGREE_CAP = 16
+MATRIX_CAP = 64
 
 
 # -- caps -----------------------------------------------------------------------
@@ -47,6 +41,14 @@ def _check_caps(data, kind: str, caps, label: str):
     allocates it.  Nested inputs pass through Workspace.resolve on their
     own, so only this level is looked at; malformed fields are left to
     the loader to reject."""
+    if kind == "matrix":
+        rows = data.get("matrix") if isinstance(data, dict) else data
+        if isinstance(rows, list):
+            cols = max((len(r) for r in rows if isinstance(r, list)), default=0)
+            if len(rows) > MATRIX_CAP or cols > MATRIX_CAP:
+                raise CapExceeded(f"{label}: a {len(rows)}x{cols} matrix "
+                                  f"exceeds the cap of {MATRIX_CAP} rows "
+                                  f"and columns")
     if not isinstance(data, dict):
         return
     if kind == "category" and isinstance(data.get("objects"), list):
@@ -117,22 +119,26 @@ class Workspace:
 # -- commands ---------------------------------------------------------------------
 
 def cmd_compose(args, ws):
+    from .profunctor import compose_profunctors
     N = ws.resolve(args.outer, "profunctor")
     M = ws.resolve(args.inner, "profunctor")
     return profunctor_to_json(compose_profunctors(N, M)), 0
 
 
 def cmd_collage(args, ws):
+    from .collage import collage_of_profunctor
     P = ws.resolve(args.profunctor, "profunctor")
     return collage_to_json(collage_of_profunctor(P)), 0
 
 
 def cmd_grothendieck(args, ws):
+    from .collage import grothendieck
     X = ws.resolve(args.diagram, "diagram")
     return collage_to_json(grothendieck(X)), 0
 
 
 def cmd_blockmul(args, ws):
+    from .collage import block_multiply, grothendieck, restrict_matrix
     X = ws.resolve(args.middle, "diagram")
     N = ws.resolve(args.outer, "profunctor")
     M = ws.resolve(args.inner, "profunctor")
@@ -143,6 +149,7 @@ def cmd_blockmul(args, ws):
 
 
 def cmd_cone(args, ws):
+    from .k0chain import cone
     f = ws.resolve(args.chainmap, "chainmap")
     mc = cone(f)
     return {"complex": complex_to_json(mc.complex),
@@ -151,22 +158,26 @@ def cmd_cone(args, ws):
 
 
 def cmd_hom_complex(args, ws):
+    from .k0chain import hom_complex
     A = ws.resolve(args.source, "complex")
     B = ws.resolve(args.target, "complex")
     return complex_to_json(hom_complex(A, B)), 0
 
 
 def cmd_tot(args, ws):
+    from .k0chain import tot
     complexes, maps = ws.resolve(args.tower, "tower")
     return complex_to_json(tot(complexes, maps)), 0
 
 
 def cmd_homology(args, ws):
+    from .k0chain import homology_all
     C = ws.resolve(args.complex, "complex")
     return homology_to_json(homology_all(C)), 0
 
 
 def cmd_quasi_iso(args, ws):
+    from .k0chain import cone_complex, is_acyclic, is_quasi_iso
     f = ws.resolve(args.chainmap, "chainmap")
     direct = is_quasi_iso(f)
     via_cone = is_acyclic(cone_complex(f))
@@ -176,6 +187,7 @@ def cmd_quasi_iso(args, ws):
 
 
 def cmd_snf(args, ws):
+    from .k0chain import smith_normal_form
     m = ws.resolve(args.matrix, "matrix")
     dec = smith_normal_form(m)
     rep = dec.verify()
@@ -188,6 +200,8 @@ def cmd_snf(args, ws):
 # -- property checks ---------------------------------------------------------------
 
 def _check_monoid_laws(C: FinCategory) -> Report:
+    from .profunctor import (associator, hom_profunctor, is_natural_iso,
+                             left_unitor, right_unitor)
     H = hom_profunctor(C)
     rep = Report()
     rep.merge(is_natural_iso(left_unitor(H)), "left unitor")
@@ -197,32 +211,38 @@ def _check_monoid_laws(C: FinCategory) -> Report:
 
 
 def _check_semiorthogonal(P: Profunctor) -> Report:
+    from .collage import (check_semiorthogonal, collage_of_profunctor,
+                          identity_block_decomposition)
     G = collage_of_profunctor(P)
     rep = check_semiorthogonal(G)
     rep.merge(identity_block_decomposition(G)[0], "blocks")
     return rep
 
 
-# each property: the kinds of its inputs, and the check run on them
+# each property: the kinds of its inputs, and the module and function of
+# its check, imported when the property runs
 CHECKS = {
     "bilimit-roundtrip": (("diagram", "category", "profunctor"),
-                          check_bilimit_roundtrip),
-    "absoluteness": (("diagram", "category"), check_absoluteness),
+                          "collage", "check_bilimit_roundtrip"),
+    "absoluteness": (("diagram", "category"), "collage", "check_absoluteness"),
     "cocontinuity": (("profunctor", "profunctor", "profunctor"),
-                     check_cocontinuity),
-    "semiorthogonal": (("profunctor",), _check_semiorthogonal),
+                     "profunctor", "check_cocontinuity"),
+    "semiorthogonal": (("profunctor",), "cli", "_check_semiorthogonal"),
     "discrete-multiplication": (("profunctor", "profunctor"),
-                                check_discrete_multiplication),
+                                "decat", "check_discrete_multiplication"),
     "multiplicativity": (("profunctor", "profunctor"),
-                         check_multiplicativity),
+                         "decat", "check_multiplicativity"),
     "lax-multiplicativity": (("profunctor", "profunctor"),
-                             check_lax_multiplicativity),
-    "monoid-laws": (("category",), _check_monoid_laws),
+                             "decat", "check_lax_multiplicativity"),
+    "monoid-laws": (("category",), "cli", "_check_monoid_laws"),
 }
 
 
 def _draw(prop: str, rng, caps) -> tuple:
     """Seeded inputs for the check of prop, under the caps."""
+    from .collage import grothendieck
+    from .fincat import standard_category
+    from .rand import rand_category, rand_diagram, rand_profunctor
     obs = min(caps["objects"], 4)
     cell = caps["elements"]
     if prop == "bilimit-roundtrip":
@@ -255,9 +275,11 @@ def _draw(prop: str, rng, caps) -> tuple:
 
 def cmd_check(args, ws):
     prop = args.property
-    kinds, check = CHECKS[prop]
+    kinds, module, name = CHECKS[prop]
+    check = getattr(import_module(f".{module}", __package__), name)
     failures = []
     if args.randomized:
+        from .rand import rng_from_seed
         rng = rng_from_seed(args.seed)
         trials = args.count
         for i in range(trials):

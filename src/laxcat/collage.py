@@ -18,8 +18,6 @@ and its outer actions read off by the same gluing kernel
 (profunctor._glue).
 """
 
-from dataclasses import dataclass, field
-
 from .errors import (CompositionMismatch, IncompatibleActionData,
                      InvalidParameter, LaxcatError, NotACollage)
 from .fincat import (CatFunctor, FinCategory, _index, build_category,
@@ -29,12 +27,11 @@ from .profunctor import (CoendComposite, Profunctor, build_profunctor,
                          compose_with_pairing, hom_profunctor,
                          opposite_profunctor, restrict_along, _composite_id,
                          _glue)
-from .report import Report
+from .report import Record, Report
 from .unionfind import UnionFind
 
 
-@dataclass(eq=True)
-class Diagram:
+class Diagram(Record):
     """A strict functorial diagram of categories over a finite shape.
 
     fiber maps each shape object to a category; transition maps each shape
@@ -74,8 +71,7 @@ def build_diagram(shape: FinCategory, fiber, transition) -> Diagram:
     return Diagram(shape, fiber, transition)
 
 
-@dataclass(eq=True)
-class Collage:
+class Collage(Record):
     """A total category remembering how it was glued.
 
     obj_parts maps each total object to (shape object, fiber object);
@@ -88,10 +84,14 @@ class Collage:
     shape: FinCategory
     fiber: dict[str, FinCategory]
     injections: dict[str, CatFunctor]
-    obj_parts: dict[str, tuple[str, str]] = field(repr=False)
-    mor_parts: dict[str, tuple[str, str, str]] = field(repr=False)
-    diagram: Diagram | None = field(default=None, repr=False)
-    profunctor: Profunctor | None = field(default=None, repr=False)
+    obj_parts: dict[str, tuple[str, str]]
+    mor_parts: dict[str, tuple[str, str, str]]
+    diagram: Diagram | None = None
+    profunctor: Profunctor | None = None
+
+    def __repr__(self):
+        return (f"Collage(total={self.total!r}, shape={self.shape!r}, "
+                f"fiber={self.fiber!r}, injections={self.injections!r})")
 
 
 def _total_mor_id(gamma: str, payload: str, x: str) -> str:
@@ -289,8 +289,7 @@ def identity_block_decomposition(G: Collage):
 
 # -- lax matrices -------------------------------------------------------------
 
-@dataclass(eq=True)
-class LaxMatrix:
+class LaxMatrix(Record):
     """Blockwise view of a profunctor anchored on a collage total.
 
     side "source": the ambient profunctor maps out of the collage; entry s

@@ -6,19 +6,19 @@ categories the coend composite has no relations to impose, so the count
 matrix of a composite equals the matrix product; over categories with
 nontrivial morphisms the gluing can only shrink cells, and the helpers
 here make both halves of that comparison available.
+
+The profunctor layer is imported where it is called, so loading this
+module (as the command line does) loads no category code.
 """
 
-from dataclasses import dataclass
+from __future__ import annotations
 
 from .errors import CompositionMismatch, ShapeMismatch
-from .fincat import FinCategory
-from .profunctor import Profunctor, compose_profunctors, opposite_profunctor
-from .report import Report
+from .report import Record, Report
 from .unionfind import UnionFind
 
 
-@dataclass
-class CardMatrix:
+class CardMatrix(Record):
     """Integer matrix with named rows (target objects) and columns (source
     objects).  data is given as any nested sequence of int rows (a list of
     lists, a laxcat.intmat.Matrix) and stored as a tuple of int tuples."""
@@ -26,17 +26,12 @@ class CardMatrix:
     cols: tuple[str, ...]
     data: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        self.data = tuple(tuple(int(v) for v in row) for row in self.data)
+    def __init__(self, rows, cols, data):
+        super().__init__(rows, cols,
+                         tuple(tuple(int(v) for v in row) for row in data))
 
     def entry(self, row: str, col: str) -> int:
         return self.data[self.rows.index(row)][self.cols.index(col)]
-
-    def __eq__(self, other):
-        if not isinstance(other, CardMatrix):
-            return NotImplemented
-        return (self.rows == other.rows and self.cols == other.cols
-                and self.data == other.data)
 
     def __repr__(self):
         body = "; ".join(" ".join(str(v) for v in row) for row in self.data)
@@ -47,6 +42,7 @@ def _cell_components(P: Profunctor, d: str, c: str) -> int:
     """Number of orbits of the cell under all non-identity endo actions:
     the target's endomorphisms of d act on the left of P, the source's
     endomorphisms of c on the left of its opposite."""
+    from .profunctor import opposite_profunctor
     elems = P.elems(d, c)
     if not elems:
         return 0
@@ -94,6 +90,7 @@ def is_discrete(C: FinCategory) -> bool:
 def composite_vs_product(N: Profunctor, M: Profunctor,
                          mode: str = "raw") -> tuple[CardMatrix, CardMatrix]:
     """(counts of the coend composite, matrix product of the counts)."""
+    from .profunctor import compose_profunctors
     if M.target != N.source:
         raise CompositionMismatch("middle categories do not match")
     composite = compose_profunctors(N, M)

@@ -18,7 +18,6 @@ full scan runs only on failure, to report its first violation.
 """
 
 import itertools
-from dataclasses import dataclass, field
 
 from .errors import (
     InvalidParameter,
@@ -27,13 +26,12 @@ from .errors import (
     SearchBoundExceeded,
     UnitLawViolation,
 )
-from .report import Report
+from .report import Record, Report
 
 ISO_SEARCH_BOUND = 8
 
 
-@dataclass(eq=True)
-class FinCategory:
+class FinCategory(Record):
     """A finite category: objects, morphisms, identities, total composition.
 
     comp maps each composable pair (g, f) with dst(f) == src(g) to the
@@ -48,15 +46,8 @@ class FinCategory:
     dst: dict[str, str]
     identity: dict[str, str]
     comp: dict[tuple[str, str], str]
-    _homs: dict[tuple[str, str], tuple[str, ...]] = field(
-        default=None, repr=False, compare=False)
-    _leaving: dict[str, tuple[str, ...]] = field(
-        default=None, repr=False, compare=False)
-    _arriving: dict[str, tuple[str, ...]] = field(
-        default=None, repr=False, compare=False)
-    _generators: tuple[str, ...] = field(
-        default=None, repr=False, compare=False)
-    _opposite: "FinCategory" = field(default=None, repr=False, compare=False)
+    # caches, filled on first use
+    _homs = _leaving = _arriving = _generators = _opposite = None
 
     def hom(self, x: str, y: str) -> tuple[str, ...]:
         if self._homs is None:
@@ -348,8 +339,7 @@ def opposite(C: FinCategory) -> FinCategory:
 
 # -- functors -----------------------------------------------------------------
 
-@dataclass(eq=True)
-class CatFunctor:
+class CatFunctor(Record):
     source: FinCategory
     target: FinCategory
     obmap: dict[str, str]

@@ -10,17 +10,16 @@ Cross references: wherever a sub-object is expected, the JSON may hold
 either the inline object or a string naming a workspace entry; the
 `resolve(ref, kind)` callback supplied by the caller decides what names
 mean.
+
+Each loader imports the layer it builds when it runs, so reading a
+matrix never loads the category layer, nor a category the chain layer.
 """
+
+from __future__ import annotations
 
 import json
 
-from .collage import Collage, Diagram, build_diagram
 from .errors import SchemaError, UnboundedComplex
-from .fincat import CatFunctor, FinCategory, build_category, validate_functor
-from .intmat import as_matrix
-from .k0chain import (ChainComplex, ChainMap, HomologyGroup,
-                      SmithDecomposition, build_chain_map, build_complex)
-from .profunctor import Profunctor, build_profunctor
 
 
 def dumps_canonical(obj) -> str:
@@ -78,6 +77,7 @@ def category_to_json(C: FinCategory) -> dict:
 
 
 def category_from_json(data, resolve=None) -> FinCategory:
+    from .fincat import build_category
     _expect(data, "category",
             ("objects", "morphisms", "identities", "composition"))
     objects = _str_list(data["objects"], "category.objects")
@@ -122,6 +122,7 @@ def functor_to_json(F: CatFunctor) -> dict:
 
 
 def functor_from_json(data, resolve=default_resolver) -> CatFunctor:
+    from .fincat import CatFunctor, validate_functor
     _expect(data, "functor", ("source", "target", "obmap", "mormap"))
     C = _resolve(data["source"], "category", resolve, "functor.source")
     D = _resolve(data["target"], "category", resolve, "functor.target")
@@ -181,6 +182,7 @@ def profunctor_to_json(P: Profunctor) -> dict:
 
 
 def profunctor_from_json(data, resolve=default_resolver) -> Profunctor:
+    from .profunctor import build_profunctor
     _expect(data, "profunctor",
             ("source", "target", "elements", "left_action", "right_action"))
     C = _resolve(data["source"], "category", resolve, "profunctor.source")
@@ -209,6 +211,8 @@ def diagram_to_json(X: Diagram) -> dict:
 
 
 def diagram_from_json(data, resolve=default_resolver) -> Diagram:
+    from .collage import build_diagram
+    from .fincat import CatFunctor
     _expect(data, "diagram", ("shape", "fibers", "transitions"))
     shape = _resolve(data["shape"], "category", resolve, "diagram.shape")
     if not isinstance(data["fibers"], dict):
@@ -266,6 +270,7 @@ def complex_to_json(C: ChainComplex) -> dict:
 
 
 def complex_from_json(data, resolve=None) -> ChainComplex:
+    from .k0chain import build_complex
     _expect(data, "complex", ("window", "ranks", "differentials"))
     window = data["window"]
     if window is None:
@@ -298,6 +303,7 @@ def chainmap_to_json(f: ChainMap) -> dict:
 
 
 def chainmap_from_json(data, resolve=default_resolver) -> ChainMap:
+    from .k0chain import build_chain_map
     _expect(data, "chainmap", ("source", "target", "matrices"))
     A = _resolve(data["source"], "complex", resolve, "chainmap.source")
     B = _resolve(data["target"], "complex", resolve, "chainmap.target")
@@ -309,6 +315,7 @@ def chainmap_from_json(data, resolve=default_resolver) -> ChainMap:
 def tower_from_json(data, resolve=default_resolver):
     """[(complexes), (maps)] for the total-complex builder; each map entry
     carries only its matrices, endpoints are implied by position."""
+    from .k0chain import build_chain_map
     _expect(data, "tower", ("complexes", "maps"))
     if not isinstance(data["complexes"], list) or not isinstance(data["maps"], list):
         raise SchemaError("tower: complexes and maps must be lists")
@@ -327,6 +334,7 @@ def tower_from_json(data, resolve=default_resolver):
 
 
 def matrix_from_json(data, resolve=None):
+    from .intmat import as_matrix
     if isinstance(data, dict):
         _expect(data, "matrix", ("matrix",))
         data = data["matrix"]

@@ -24,14 +24,13 @@ Conventions fixed here and relied on everywhere else:
 """
 
 import math
-from dataclasses import dataclass, field
 
 from .errors import (BlockMismatch, CompositeNonzero,
                      DifferentialSquareNonzero, DimensionMismatch,
                      InvalidParameter, NotANullHomotopy, UnboundedComplex)
 from .intmat import (Matrix, as_matrix, eye, hstack, is_zero_matrix, vstack,
                      zeros)
-from .report import Report
+from .report import Record, Report
 
 
 def det_exact(a: Matrix) -> int:
@@ -274,8 +273,7 @@ def build_homotopy(source_map: ChainMap, target_map: ChainMap,
 
 # -- cone ----------------------------------------------------------------------
 
-@dataclass
-class MappingCone:
+class MappingCone(Record):
     complex: ChainComplex
     inclusion: ChainMap
     projection: ChainMap
@@ -455,15 +453,16 @@ def tot(complexes: list[ChainComplex], maps: list[ChainMap]) -> ChainComplex:
 
 # -- graded block matrices and the star product -----------------------------------
 
-@dataclass(frozen=True)
-class GradedIndex:
+class GradedIndex(Record):
     name: str
     grade: int
     size: int
 
+    def __hash__(self):
+        return hash(self._values(self))
 
-@dataclass
-class BlockGradedMatrix:
+
+class BlockGradedMatrix(Record):
     """Integer matrix split into blocks along graded index sets.
 
     Missing blocks are zero.  The star product inserts (-1)^grade on the
@@ -472,9 +471,10 @@ class BlockGradedMatrix:
     """
     rows: tuple[GradedIndex, ...]
     cols: tuple[GradedIndex, ...]
-    blocks: dict[tuple[str, str], Matrix] = field(default_factory=dict)
+    blocks: dict[tuple[str, str], Matrix]
 
-    def __post_init__(self):
+    def __init__(self, rows, cols, blocks=None):
+        super().__init__(rows, cols, {} if blocks is None else blocks)
         rnames = {r.name: r for r in self.rows}
         cnames = {c.name: c for c in self.cols}
         if len(rnames) != len(self.rows) or len(cnames) != len(self.cols):
@@ -544,8 +544,7 @@ def cone_star_matrix(f: ChainMap) -> BlockGradedMatrix:
 
 # -- Smith normal form -------------------------------------------------------------
 
-@dataclass
-class SmithDecomposition:
+class SmithDecomposition(Record):
     matrix: Matrix
     U: Matrix
     S: Matrix
@@ -667,10 +666,12 @@ def smith_normal_form(matrix) -> SmithDecomposition:
 
 # -- homology ------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HomologyGroup:
+class HomologyGroup(Record):
     free: int
     torsion: tuple[int, ...]
+
+    def __hash__(self):
+        return hash(self._values(self))
 
     def is_zero(self) -> bool:
         return self.free == 0 and not self.torsion

@@ -39,25 +39,22 @@ functors, P(G-, F-); the blocks of a collage's hom and the entries of a lax
 matrix are such restrictions.
 """
 
-from dataclasses import dataclass, field
 from itertools import product
 
 from .errors import CompositionMismatch, InvalidParameter, ShapeMismatch
 from .fincat import CatFunctor, FinCategory, along_generators, opposite
-from .report import Report
+from .report import Record, Report
 from .unionfind import UnionFind
 
 
-@dataclass(eq=True)
-class Profunctor:
+class Profunctor(Record):
     source: FinCategory
     target: FinCategory
     elements: dict[tuple[str, str], tuple[str, ...]]
     lact: dict[str, dict[str, str]]
     ract: dict[str, dict[str, str]]
-    pair_of: dict[str, tuple[str, str]] = field(
-        default=None, repr=False, compare=False)
-    _opposite: "Profunctor" = field(default=None, repr=False, compare=False)
+    # caches, filled on first use
+    pair_of = _opposite = None
 
     def elems(self, d: str, c: str) -> tuple[str, ...]:
         return self.elements[(d, c)]
@@ -271,8 +268,7 @@ def restrict_along(P: Profunctor, F: CatFunctor, G: CatFunctor) -> Profunctor:
 
 # -- transformations ----------------------------------------------------------
 
-@dataclass(eq=True)
-class ProTransformation:
+class ProTransformation(Record):
     source: Profunctor
     target: Profunctor
     components: dict[tuple[str, str], dict[str, str]]
@@ -370,8 +366,7 @@ def _composite_id(gen: tuple[str, str, str]) -> str:
     return f"({n}*{m}@{d})"
 
 
-@dataclass
-class CoendComposite:
+class CoendComposite(Record):
     """A glued profunctor together with its gluing data.
 
     class_of maps each glued member to the id of its class; rep_of recovers

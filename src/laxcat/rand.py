@@ -4,8 +4,11 @@ Every generator takes a random.Random and is deterministic for a fixed
 seed.  Instances are built so validity is automatic: profunctors arise as
 quotients of coproducts of representables, chain maps as dh + hd images,
 complexes as basis-changed sums of spheres and twisted disks with their
-homology known by construction.
+homology known by construction.  The chain generators import the chain
+layer when they run, so drawing categories never loads it.
 """
+
+from __future__ import annotations
 
 import itertools
 import math
@@ -15,11 +18,6 @@ from .collage import Diagram, build_diagram
 from .fincat import (CatFunctor, FinCategory, build_category,
                      compose_functors, enumerate_functors, from_poset,
                      product, standard_category)
-from .intmat import zeros
-from .k0chain import (ChainComplex, ChainMap, GradedMap, HomologyGroup,
-                      add_chain_maps, build_chain_map, build_complex,
-                      build_homotopy, compose_chain_maps, direct_sum,
-                      graded_map_image, identity_chain_map, zero_chain_map)
 from .profunctor import (ProTransformation, Profunctor,
                          build_profunctor, build_protransformation,
                          compose_transformations, coproduct,
@@ -240,6 +238,7 @@ def rand_complex(rng: random.Random, lo: int = -1, hi: int = 3,
                  max_rank: int = 4, shears: int = 6):
     """(complex, known homology); sums of spheres and m-twisted disks,
     then an integer change of basis that provably preserves homology."""
+    from .k0chain import HomologyGroup, build_complex, direct_sum
     summands = rng.randint(1, 3)
     C = None
     free: dict[int, int] = {}
@@ -284,6 +283,7 @@ def rand_graded(rng: random.Random, A: ChainComplex, B: ChainComplex,
                 degree: int = 1, density: float = 0.5,
                 lo: int = -2, hi: int = 2) -> dict:
     """Random graded map raising degree: component A_n -> B_{n+degree}."""
+    from .intmat import zeros
     h = {}
     for n in A.ranks:
         rows, cols = B.rank(n + degree), A.rank(n)
@@ -300,6 +300,7 @@ def rand_graded(rng: random.Random, A: ChainComplex, B: ChainComplex,
 def rand_chain_map(rng: random.Random, A: ChainComplex,
                    B: ChainComplex) -> ChainMap:
     """dh + hd of a random graded map: a chain map by construction."""
+    from .k0chain import graded_map_image
     return graded_map_image(A, B, rand_graded(rng, A, B))
 
 
@@ -310,6 +311,9 @@ def rand_quasi_iso_case(rng: random.Random):
     negative cases mix zero maps, scalings, and homology mismatches so the
     surjectivity branch gets exercised alongside descriptor mismatches.
     """
+    from .k0chain import (add_chain_maps, build_chain_map, build_complex,
+                          graded_map_image, identity_chain_map,
+                          zero_chain_map)
     branch = rng.randrange(4)
     if branch == 0:
         A, _ = rand_complex(rng)
@@ -334,6 +338,8 @@ def rand_universal_case(rng: random.Random):
     """(f, g, H) with H a null homotopy of g.f: f = D h and
     H = g.h + D m, for random graded maps h of degree 1 and m of degree 2;
     D H = g.D h + D D m = g.f."""
+    from .k0chain import (GradedMap, build_homotopy, compose_chain_maps,
+                          graded_map_image, zero_chain_map)
     A, _ = rand_complex(rng, shears=2)
     B, _ = rand_complex(rng, shears=2)
     C, _ = rand_complex(rng, shears=2)

@@ -1,6 +1,6 @@
 """Union-find over hashable keys, used for all set-level quotients."""
 
-from typing import Hashable, Iterable
+from collections.abc import Hashable, Iterable
 
 
 class UnionFind:

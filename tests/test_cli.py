@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -305,3 +306,21 @@ def test_draws_under_max_objects_1_have_one_object_categories():
                          for P in (x.source, x.target)]
             assert cats, prop
             assert all(len(C.objects) == 1 for C in cats), (prop, seed)
+
+
+@pytest.mark.parametrize("shape", [(65, 1), (1, 65)])
+def test_matrix_over_the_cap_exits_3_before_loading(tmp_path, capsys, shape):
+    rows, cols = shape
+    matrix = [[1] * cols for _ in range(rows)]
+    for i, doc in enumerate((matrix, {"matrix": matrix})):
+        path = tmp_path / f"m{i}.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code = main(["snf", str(path)])
+        assert time.perf_counter() - start < 0.1
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "64" in err
+    # the cap admits 64 rows and columns
+    path.write_text(json.dumps({"matrix": [[1] * 64] + [[0] * 64] * 63}))
+    assert main(["--out", str(tmp_path / "out.json"), "snf", str(path)]) == 0

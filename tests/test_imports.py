@@ -1,16 +1,24 @@
-"""No command loads numpy: the chain-complex layer keeps its exact
-matrices in laxcat.intmat.
+"""What each command loads.  No command loads numpy: the chain-complex
+layer keeps its exact matrices in laxcat.intmat.  Nothing loads
+dataclasses, inspect or typing.  Importing the command line loads no
+layer, and each command loads only the layer it runs.
 
-Each check runs in a fresh interpreter, so that only what the code under
-test imports is loaded, whatever this test process has imported.
+Each check runs in a fresh `python -S` interpreter, so that only what the
+code under test imports is loaded, whatever this test process has
+imported; -S keeps site-packages hooks (.pth files), which may preload
+modules such as typing, out of the picture.
 """
 
+import importlib
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import laxcat
+from laxcat.cli import CHECKS
 from laxcat.decat import CardMatrix, multiply_cards
 from laxcat.fincat import standard_category
 from laxcat.jsonio import dumps_canonical, profunctor_to_json
@@ -21,16 +29,23 @@ SRC = str(Path(laxcat.__file__).resolve().parent.parent)
 
 REPORT = """
 import json, sys
-print(json.dumps("numpy" in sys.modules))
+print(json.dumps(sorted(sys.modules)))
 """
 
+NEVER = {"numpy", "dataclasses", "inspect", "typing"}
+CATEGORY_LAYER = {"laxcat.fincat", "laxcat.profunctor", "laxcat.collage",
+                  "laxcat.rand"}
+CHAIN_LAYER = {"laxcat.k0chain", "laxcat.intmat"}
 
-def loads_numpy(code):
-    """Run code in a fresh interpreter; whether it left numpy loaded."""
-    p = subprocess.run([sys.executable, "-c", code + REPORT],
-                       capture_output=True, text=True, env={"PYTHONPATH": SRC})
+
+def loaded_modules(code):
+    """Run code in a fresh `python -S` interpreter; the modules it left
+    loaded."""
+    p = subprocess.run([sys.executable, "-S", "-c", code + REPORT],
+                       capture_output=True, text=True,
+                       env={"PYTHONPATH": SRC, "PYTHONDONTWRITEBYTECODE": "1"})
     assert p.returncode == 0, p.stderr
-    return json.loads(p.stdout.splitlines()[-1])
+    return set(json.loads(p.stdout.splitlines()[-1]))
 
 
 def cli_run(*argv):
@@ -44,7 +59,11 @@ def write(path, doc):
 
 
 def test_importing_the_package_and_cli_loads_no_numpy():
-    assert not loads_numpy("import laxcat, laxcat.cli")
+    loaded = loaded_modules("import laxcat, laxcat.cli")
+    assert not loaded & NEVER
+    assert {m for m in loaded if m.startswith("laxcat.")} == {
+        "laxcat.cli", "laxcat.jsonio", "laxcat.decat", "laxcat.errors",
+        "laxcat.report", "laxcat.unionfind"}
 
 
 def test_category_commands_load_no_numpy(tmp_path):
@@ -54,9 +73,19 @@ def test_category_commands_load_no_numpy(tmp_path):
     n = write(tmp_path / "n.json", profunctor_to_json(build_profunctor(
         two, pt, {("0", "0"): ["x"], ("0", "1"): ["y"]}, {}, {})))
     out = str(tmp_path / "out.json")
-    assert not loads_numpy(cli_run("--out", out, "compose", n, m))
-    assert not loads_numpy(
-        cli_run("--out", out, "check", "multiplicativity", n, m))
+    for argv in (("compose", n, m), ("check", "multiplicativity", n, m)):
+        loaded = loaded_modules(cli_run("--out", out, *argv))
+        assert not loaded & (NEVER | CHAIN_LAYER), argv
+        assert "laxcat.profunctor" in loaded
+
+
+def test_randomized_checks_load_no_chain_layer(tmp_path):
+    out = str(tmp_path / "out.json")
+    code = "".join(cli_run("--out", out, "check", prop, "--randomized",
+                           "--count", "1") for prop in CHECKS)
+    loaded = loaded_modules(code)
+    assert not loaded & (NEVER | CHAIN_LAYER)
+    assert "laxcat.rand" in loaded
 
 
 def test_chain_commands_load_no_numpy(tmp_path):
@@ -65,8 +94,11 @@ def test_chain_commands_load_no_numpy(tmp_path):
         "window": [0, 1], "ranks": {"0": 1, "1": 1},
         "differentials": {"1": [[6]]}})
     snf_out, hom_out = str(tmp_path / "snf.json"), str(tmp_path / "hom.json")
-    assert not loads_numpy(cli_run("--out", snf_out, "snf", mat))
-    assert not loads_numpy(cli_run("--out", hom_out, "homology", disk))
+    for argv in (("--out", snf_out, "snf", mat),
+                 ("--out", hom_out, "homology", disk)):
+        loaded = loaded_modules(cli_run(*argv))
+        assert not loaded & (NEVER | CATEGORY_LAYER), argv
+        assert "laxcat.k0chain" in loaded
     assert json.loads(Path(snf_out).read_text())["diagonal"] == [2, 4]
     assert json.loads(Path(hom_out).read_text()) == {
         "0": {"free": 0, "torsion": [6]}}
@@ -74,7 +106,9 @@ def test_chain_commands_load_no_numpy(tmp_path):
 
 def test_package_exports_resolve_to_k0chain():
     code = """
-import laxcat, laxcat.k0chain
+import sys, laxcat
+assert not [m for m in sys.modules if m.startswith("laxcat.")]
+import laxcat.k0chain
 assert laxcat.ChainComplex is laxcat.k0chain.ChainComplex
 assert laxcat.cone is laxcat.k0chain.cone
 try:
@@ -84,7 +118,23 @@ except AttributeError:
 else:
     raise AssertionError("unknown attribute resolved")
 """
-    assert not loads_numpy(code)
+    assert not loaded_modules(code) & NEVER
+
+
+def test_package_exports_resolve_lazily():
+    for name in laxcat.__all__:
+        obj = getattr(laxcat, name)
+        assert obj.__module__.startswith("laxcat."), name
+        assert getattr(importlib.import_module(obj.__module__), name) is obj
+    assert "__all__" in dir(laxcat)
+    assert set(laxcat.__all__) <= set(dir(laxcat))
+    namespace = {}
+    exec("from laxcat import *", namespace)
+    assert all(namespace[name] is getattr(laxcat, name)
+               for name in laxcat.__all__)
+    for missing in ("no_such_name", "dataclass"):
+        with pytest.raises(AttributeError, match=missing):
+            getattr(laxcat, missing)
 
 
 def test_card_matrix_reads_as_before():

@@ -22,15 +22,25 @@ and eliminates one 64×64 matrix drawn at seed 64.  Each timed
 no per-category cache outlives a repeat.  The chain-map rungs run over the
 ten `rand_universal_case` draws (f, g, H) of seeds 0-9: `build_chain_map`
 of f and of g, `cone(f)`, and the round trip
-`cone_to_data(f, cone_from_data(f, g, H))`.  Prints one JSON object of
-per-rung medians in milliseconds.
+`cone_to_data(f, cone_from_data(f, g, H))`.  The start-up rungs time a
+fresh `python -m laxcat` process end to end for `--help`, `compose` of two
+small profunctors, `snf` of a 3×3 matrix and `check monoid-laws
+--randomized --count 1`, each from a copy of SRC without bytecode (every
+imported module is compiled on each call, as in a checkout run with
+PYTHONDONTWRITEBYTECODE=1) and from a `compileall`ed copy.  Prints one JSON
+object of per-rung medians in milliseconds.
 """
 
 import argparse
+import compileall
 import json
+import os
 import random
+import shutil
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -44,6 +54,51 @@ def median_ms(fn, repeats):
         fn()
         times.append(1000 * (time.perf_counter() - t0))
     return statistics.median(times)
+
+
+def startup_ms(src, repeats):
+    """Median wall time of fresh `python -m laxcat` commands, from a copy
+    of src without bytecode and from a byte-compiled one."""
+    from laxcat.fincat import standard_category
+    from laxcat.jsonio import dumps_canonical, profunctor_to_json
+    from laxcat.profunctor import build_profunctor
+    pt, two = standard_category("discrete", 1), standard_category("discrete", 2)
+    docs = {"m": build_profunctor(pt, two, {("0", "0"): ["a"],
+                                            ("1", "0"): ["b", "c"]}, {}, {}),
+            "n": build_profunctor(two, pt, {("0", "0"): ["x"],
+                                            ("0", "1"): ["y"]}, {}, {})}
+    commands = {"help": ["--help"], "compose": ["compose", "n", "m"],
+                "snf": ["snf", "mat"],
+                "check_monoid_laws": ["check", "monoid-laws", "--randomized",
+                                      "--count", "1"]}
+    out = {name: {} for name in commands}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, P in docs.items():
+            (tmp / f"{name}.json").write_text(
+                dumps_canonical(profunctor_to_json(P)))
+        (tmp / "mat.json").write_text("[[2, 4, 1], [6, 8, 3], [1, 1, 1]]")
+        for mode in ("pycache_free", "compiled"):
+            copy = tmp / mode
+            shutil.copytree(Path(src) / "laxcat", copy / "laxcat",
+                            ignore=shutil.ignore_patterns("__pycache__"))
+            if mode == "compiled":
+                compileall.compile_dir(copy, quiet=1)
+            env = dict(os.environ, PYTHONPATH=str(copy),
+                       PYTHONDONTWRITEBYTECODE="1")
+            for name, argv in commands.items():
+                run = [sys.executable, "-m", "laxcat", "--workspace", str(tmp),
+                       "--out", str(tmp / "out.json"), *argv]
+
+                # with stderr piped, run() returns on its end of file, at
+                # exit; with no pipe, wait(timeout) polls in steps of up
+                # to 50 ms, which would quantize the times
+                def call():
+                    subprocess.run(run, env=env, check=True, timeout=60,
+                                   stdout=subprocess.DEVNULL,
+                                   stderr=subprocess.PIPE)
+                out[name][mode] = median_ms(call, repeats)
+    return out
 
 
 def main(argv=None):
@@ -75,7 +130,8 @@ def main(argv=None):
     out = {"build_category_ms": {}, "category_load_ms": {},
            "build_profunctor_ms": {}, "compose_group_hom_ms": {},
            "monoid_laws_ms": {}, "snf_elimination_ms": {},
-           "snf_verify_ms": {}, "chain_maps_ms": {}}
+           "snf_verify_ms": {}, "chain_maps_ms": {},
+           "startup_ms": startup_ms(args.src, args.repeats)}
     for a, b in HOM_LADDER:
         square = product(standard_category("simplex", a),
                          standard_category("simplex", b))
