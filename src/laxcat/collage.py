@@ -2,33 +2,34 @@
 
 grothendieck() builds the total category of a strict functorial diagram
 over a finite shape; collage_of_profunctor() glues two categories along a
-profunctor, with the profunctor elements as the only cross morphisms.  Both
-use the same naming scheme, so gluing along the representable profunctor of
-a functor F gives, entry for entry, the same table as the Grothendieck
-construction over the interval with transition F.
+profunctor, with the profunctor elements as the only cross morphisms.  Each
+lists its total morphisms and its composition rule, and one builder, _total,
+does the rest: objects '(s,x)', identities, the composition table, its
+validation and the fiber injections.  Both use the same naming scheme, so
+gluing along the representable profunctor of a functor F gives, entry for
+entry, the same table as the Grothendieck construction over the interval
+with transition F.
 
 A profunctor whose source or target is a total category can be viewed as a
 lax matrix: one profunctor entry per fiber, plus the transition actions
 along the canonical morphisms (gamma, id).  restrict_matrix / assemble_matrix
 convert between the ambient and blockwise views losslessly, and
 block_multiply computes coend composites fiberwise without ever assembling
-the middle.  Like profunctor.compose_with_pairing it glues along the
-generators of each fiber and of the shape only, and its classes are named
-and its outer actions read off by the same gluing kernel
-(profunctor._glue).
+the middle.  It runs the union loop of profunctor.compose_with_pairing,
+profunctor._coend, on the middle total presented by its fibers: the middle
+arrows are the generators of each fiber, inside one entry, and the canonical
+transitions along the generators of the shape.
 """
 
 from .errors import (CompositionMismatch, IncompatibleActionData,
                      InvalidParameter, LaxcatError, NotACollage)
-from .fincat import (CatFunctor, FinCategory, _index, build_category,
-                     compose_functors, identity_functor, standard_category,
-                     validate_functor)
+from .fincat import (CatFunctor, FinCategory, _index, _pair_id,
+                     build_category, compose_functors, identity_functor,
+                     product, standard_category, validate_functor)
 from .profunctor import (CoendComposite, Profunctor, build_profunctor,
                          compose_with_pairing, hom_profunctor,
-                         opposite_profunctor, restrict_along, _composite_id,
-                         _glue)
+                         opposite_profunctor, restrict_along, _coend)
 from .report import Record, Report
-from .unionfind import UnionFind
 
 
 class Diagram(Record):
@@ -94,8 +95,54 @@ class Collage(Record):
                 f"fiber={self.fiber!r}, injections={self.injections!r})")
 
 
+def _total_ob_id(s: str, x: str) -> str:
+    return f"({s},{x})"
+
+
 def _total_mor_id(gamma: str, payload: str, x: str) -> str:
     return f"({gamma},{payload}@{x})"
+
+
+def _cross_id(p: str) -> str:
+    return f"(u,{p})"
+
+
+def _total(S: FinCategory, fibers, arrows, compose, **origin) -> Collage:
+    """The collage of the fibers over S with the given total morphisms.
+
+    fibers maps each shape object s to its category; the total objects are
+    '(s,x)' in fibers order, with the identity (id_s,id_x@x).  arrows lists
+    every total morphism as (id, parts, src, dst), parts as in
+    Collage.mor_parts, and compose(second, first) is the id of the composite
+    of two composable morphisms given by their parts.  origin names the
+    diagram or the profunctor the collage remembers.
+    """
+    objects, obj_parts, identity = [], {}, {}
+    for s, Cs in fibers.items():
+        for x in Cs.objects:
+            oid = _total_ob_id(s, x)
+            objects.append(oid)
+            obj_parts[oid] = (s, x)
+            identity[oid] = _total_mor_id(S.identity[s], Cs.identity[x], x)
+    mor_parts, src, dst = {}, {}, {}
+    for mid, parts, a, b in arrows:
+        if mid in mor_parts:
+            raise InvalidParameter("duplicate morphism ids")
+        mor_parts[mid], src[mid], dst[mid] = parts, a, b
+    leaving = _index(objects, mor_parts, src)
+    comp = {}
+    for m1, first in mor_parts.items():
+        for m2 in leaving[dst[m1]]:
+            comp[(m2, m1)] = compose(mor_parts[m2], first)
+    total = build_category(objects, mor_parts, src, dst, identity, comp)
+    # each fiber's inclusion, along the identity of its shape object
+    injections = {s: CatFunctor(Cs, total,
+                                {x: _total_ob_id(s, x) for x in Cs.objects},
+                                {f: _total_mor_id(S.identity[s], f, Cs.src[f])
+                                 for f in Cs.morphisms})
+                  for s, Cs in fibers.items()}
+    return Collage(total, S, dict(fibers), injections, obj_parts, mor_parts,
+                   **origin)
 
 
 def grothendieck(X: Diagram) -> Collage:
@@ -107,57 +154,25 @@ def grothendieck(X: Diagram) -> Collage:
     (delta,g@y') . (gamma,f@x) = (delta.gamma, (g . delta(f))@x).
     """
     S = X.shape
-    fibers = {s: X.fiber[s] for s in S.objects}
-    objects, obj_parts, identity = _fiber_objects(S, fibers)
-    morphisms, mor_parts, src, dst = [], {}, {}, {}
+    arrows = []
     for gamma in S.morphisms:
         s, t = S.src[gamma], S.dst[gamma]
-        F = X.transition[gamma]
-        T = X.fiber[t]
+        T, F = X.fiber[t], X.transition[gamma]
         for x in X.fiber[s].objects:
-            fx = F.obmap[x]
             for y in T.objects:
-                for f in T.hom(fx, y):
-                    mid = _total_mor_id(gamma, f, x)
-                    morphisms.append(mid)
-                    mor_parts[mid] = (gamma, x, f)
-                    src[mid] = f"({s},{x})"
-                    dst[mid] = f"({t},{y})"
-    leaving = _index(objects, morphisms, src)
-    comp = {}
-    for m1 in morphisms:
-        gamma, x, f = mor_parts[m1]
-        for m2 in leaving[dst[m1]]:
-            delta, y, g = mor_parts[m2]
-            u = S.dst[delta]
-            U = X.fiber[u]
-            Fd = X.transition[delta]
-            comp[(m2, m1)] = _total_mor_id(
-                S.comp[(delta, gamma)], U.comp[(g, Fd.mormap[f])], x)
-    total = build_category(objects, morphisms, src, dst, identity, comp)
-    return Collage(total, S, dict(X.fiber), _injections(S, fibers, total),
-                   obj_parts, mor_parts, diagram=X)
+                for f in T.hom(F.obmap[x], y):
+                    arrows.append((_total_mor_id(gamma, f, x), (gamma, x, f),
+                                   _total_ob_id(s, x), _total_ob_id(t, y)))
+    # along delta: the target fiber's composition and delta's morphism map
+    after = {delta: (X.fiber[S.dst[delta]].comp, X.transition[delta].mormap)
+             for delta in S.morphisms}
 
-
-def _fiber_objects(S: FinCategory, fibers):
-    """The total objects '(s,x)' with their parts and identities."""
-    objects, obj_parts, identity = [], {}, {}
-    for s, Cs in fibers.items():
-        for x in Cs.objects:
-            oid = f"({s},{x})"
-            objects.append(oid)
-            obj_parts[oid] = (s, x)
-            identity[oid] = _total_mor_id(S.identity[s], Cs.identity[x], x)
-    return objects, obj_parts, identity
-
-
-def _injections(S: FinCategory, fibers, total: FinCategory):
-    """Each fiber's inclusion into the total category, along the identity
-    of its shape object."""
-    return {s: CatFunctor(Cs, total, {x: f"({s},{x})" for x in Cs.objects},
-                          {f: _total_mor_id(S.identity[s], f, Cs.src[f])
-                           for f in Cs.morphisms})
-            for s, Cs in fibers.items()}
+    def compose(second, first):
+        (delta, _, g), (gamma, x, f) = second, first
+        comp, push = after[delta]
+        return _total_mor_id(S.comp[(delta, gamma)], comp[(g, push[f])], x)
+    return _total(S, {s: X.fiber[s] for s in S.objects}, arrows, compose,
+                  diagram=X)
 
 
 def collage_of_profunctor(P: Profunctor) -> Collage:
@@ -170,40 +185,25 @@ def collage_of_profunctor(P: Profunctor) -> Collage:
     """
     S = standard_category("interval")
     fibers = {"0": P.source, "1": P.target}
-    objects, obj_parts, identity = _fiber_objects(S, fibers)
-    morphisms, mor_parts, src, dst = [], {}, {}, {}
-    for tag, Cs in fibers.items():
-        along = S.identity[tag]
-        for f in Cs.morphisms:
-            mid = _total_mor_id(along, f, Cs.src[f])
-            morphisms.append(mid)
-            mor_parts[mid] = (along, Cs.src[f], f)
-            src[mid] = f"({tag},{Cs.src[f]})"
-            dst[mid] = f"({tag},{Cs.dst[f]})"
-    for (b, a), es in P.elements.items():
-        for p in es:
-            mid = f"(u,{p})"
-            morphisms.append(mid)
-            mor_parts[mid] = ("u", a, p)
-            src[mid], dst[mid] = f"(0,{a})", f"(1,{b})"
-    leaving = _index(objects, morphisms, src)
-    comp = {}
-    for m1 in morphisms:
-        g1, x1, p1 = mor_parts[m1]
-        for m2 in leaving[dst[m1]]:
-            g2, x2, p2 = mor_parts[m2]
-            # no morphism leaves the B side: u composes only after an A
-            # morphism or before a B morphism
-            if g1 == g2:
-                comp[(m2, m1)] = _total_mor_id(
-                    g1, fibers[S.src[g1]].comp[(p2, p1)], x1)
-            elif g2 == "u":
-                comp[(m2, m1)] = f"(u,{P.ract[p1][p2]})"
-            else:
-                comp[(m2, m1)] = f"(u,{P.lact[p2][p1]})"
-    total = build_category(objects, morphisms, src, dst, identity, comp)
-    return Collage(total, S, fibers, _injections(S, fibers, total), obj_parts,
-                   mor_parts, profunctor=P)
+    arrows = [(_total_mor_id(S.identity[tag], f, Cs.src[f]),
+               (S.identity[tag], Cs.src[f], f),
+               _total_ob_id(tag, Cs.src[f]), _total_ob_id(tag, Cs.dst[f]))
+              for tag, Cs in fibers.items() for f in Cs.morphisms]
+    arrows += [(_cross_id(p), ("u", a, p), _total_ob_id("0", a),
+                _total_ob_id("1", b))
+               for (b, a), es in P.elements.items() for p in es]
+    comp_along = {S.identity[tag]: Cs.comp for tag, Cs in fibers.items()}
+
+    def compose(second, first):
+        # no morphism leaves the B side: u composes only after an A
+        # morphism or before a B morphism
+        (g2, _, p2), (g1, x1, p1) = second, first
+        if g1 == g2:
+            return _total_mor_id(g1, comp_along[g1][(p2, p1)], x1)
+        if g2 == "u":
+            return _cross_id(P.ract[p1][p2])
+        return _cross_id(P.lact[p2][p1])
+    return _total(S, fibers, arrows, compose, profunctor=P)
 
 
 def check_semiorthogonal(G: Collage) -> Report:
@@ -225,16 +225,17 @@ def check_semiorthogonal(G: Collage) -> Report:
                     rep.fail(f"injection {s} not fully faithful at ({x!r}, {y!r})")
     if set(G.fiber) == {"0", "1"}:
         A, B = G.fiber["0"], G.fiber["1"]
+        at_a, at_b = G.injections["0"].obmap, G.injections["1"].obmap
         for b in B.objects:
             for a in A.objects:
-                back = total.hom(f"(1,{b})", f"(0,{a})")
+                back = total.hom(at_b[b], at_a[a])
                 if back:
                     rep.fail(f"backwards morphisms from (1,{b!r}) to (0,{a!r}): {back}")
         if G.profunctor is not None:
             P = G.profunctor
             for (b, a), es in P.elements.items():
-                cross = total.hom(f"(0,{a})", f"(1,{b})")
-                if sorted(cross) != sorted(f"(u,{p})" for p in es):
+                cross = total.hom(at_a[a], at_b[b])
+                if sorted(cross) != sorted(map(_cross_id, es)):
                     rep.fail(f"cross hom at ({b!r}, {a!r}) does not match elements")
     else:
         rep.fail("semiorthogonality only applies to two-fiber collages")
@@ -270,7 +271,7 @@ def identity_block_decomposition(G: Collage):
         P = G.profunctor
         blk = blocks[("1", "0")]
         for (b, a), es in P.elements.items():
-            if sorted(blk.elements[(b, a)]) != sorted(f"(u,{p})" for p in es):
+            if sorted(blk.elements[(b, a)]) != sorted(map(_cross_id, es)):
                 rep.fail(f"lower-left block differs from the profunctor at ({b!r}, {a!r})")
         # the unwrapping bijection intertwines the actions; the right
         # actions are the left actions of the opposites
@@ -282,7 +283,7 @@ def identity_block_decomposition(G: Collage):
                     if Q.target.src[g] != y:
                         continue
                     for p in es:
-                        if Qblk.lact[g][f"(u,{p})"] != f"(u,{Q.lact[g][p]})":
+                        if Qblk.lact[g][_cross_id(p)] != _cross_id(Q.lact[g][p]):
                             rep.fail(f"lower-left {side} action differs at {p!r}")
     return rep, blocks
 
@@ -366,15 +367,12 @@ def assemble_matrix(data: LaxMatrix) -> Profunctor:
             raise IncompatibleActionData(f"entry {s!r} has wrong endpoints")
 
     elements = {}
-    for s in S.objects:
-        entry = data.entries[s]
-        for x in G.fiber[s].objects:
+    for oid, (s, x) in G.obj_parts.items():
+        for d in other.objects:
             if side == "source":
-                for d in other.objects:
-                    elements[(d, f"({s},{x})")] = entry.elements[(d, x)]
+                elements[(d, oid)] = data.entries[s].elements[(d, x)]
             else:
-                for c in other.objects:
-                    elements[(f"({s},{x})", c)] = entry.elements[(x, c)]
+                elements[(oid, d)] = data.entries[s].elements[(x, d)]
 
     def transition_leg(gamma, x):
         if S.is_identity(gamma):
@@ -489,50 +487,34 @@ def block_multiply(N: LaxMatrix, M: LaxMatrix) -> CoendComposite:
     G = N.collage
     S = G.shape
     C, E = M.other, N.other
-
-    classes = {}
-    for e in E.objects:
+    left, right = {}, {}
+    for d, (s, x) in G.obj_parts.items():
+        for e in E.objects:
+            left[(e, d)] = N.entries[s].elements[(e, x)]
         for c in C.objects:
-            gens = []
-            for s in S.objects:
-                for x in G.fiber[s].objects:
-                    mid_ob = f"({s},{x})"
-                    for n in N.entries[s].elements[(e, x)]:
-                        for m in M.entries[s].elements[(x, c)]:
-                            gens.append((mid_ob, n, m))
-            uf = UnionFind(gens)
-            # gluing along fiber morphisms, within one entry
-            for s in S.objects:
-                Cs = G.fiber[s]
-                Ne, Me = N.entries[s], M.entries[s]
-                for f in Cs.generators():
-                    x, y = Cs.src[f], Cs.dst[f]
-                    for n in Ne.elements[(e, y)]:
-                        for m in Me.elements[(x, c)]:
-                            uf.union((f"({s},{x})", Ne.ract[f][n], m),
-                                     (f"({s},{y})", n, Me.lact[f][m]))
-            # gluing along shape transitions
-            for gamma in S.generators():
-                s, t = S.src[gamma], S.dst[gamma]
-                F = G.diagram.transition[gamma]
-                for x in G.fiber[s].objects:
-                    fx = F.obmap[x]
-                    for n in N.entries[t].elements[(e, fx)]:
-                        for m in M.entries[s].elements[(x, c)]:
-                            uf.union((f"({s},{x})",
-                                      N.transition[gamma][x][n], m),
-                                     (f"({t},{fx})", n,
-                                      M.transition[gamma][x][m]))
-            classes[(e, c)] = uf.classes()
+            right[(d, c)] = M.entries[s].elements[(x, c)]
+    # the fiber generators, within one entry, then the transitions along the
+    # shape generators
+    arrows = []
+    for s in S.objects:
+        Cs, Ne, Me = G.fiber[s], N.entries[s], M.entries[s]
+        arrows += [(_total_ob_id(s, Cs.src[f]), _total_ob_id(s, Cs.dst[f]),
+                    Ne.ract[f], Me.lact[f]) for f in Cs.generators()]
+    for gamma in S.generators():
+        s, t = S.src[gamma], S.dst[gamma]
+        F = G.diagram.transition[gamma]
+        arrows += [(_total_ob_id(s, x), _total_ob_id(t, F.obmap[x]),
+                    N.transition[gamma][x], M.transition[gamma][x])
+                   for x in G.fiber[s].objects]
 
     def lact(eps, gens):
-        return [(mid, N.entries[G.obj_parts[mid][0]].lact[eps][n], m)
-                for mid, n, m in gens]
+        return [(d, N.entries[G.obj_parts[d][0]].lact[eps][n], m)
+                for d, n, m in gens]
 
     def ract(sigma, gens):
-        return [(mid, n, M.entries[G.obj_parts[mid][0]].ract[sigma][m])
-                for mid, n, m in gens]
-    return _glue(C, E, classes, _composite_id, lact, ract)
+        return [(d, n, M.entries[G.obj_parts[d][0]].ract[sigma][m])
+                for d, n, m in gens]
+    return _coend(C, E, list(G.obj_parts), left, right, arrows, lact, ract)
 
 
 def check_block_multiply(N: LaxMatrix, M: LaxMatrix) -> Report:
@@ -557,17 +539,15 @@ def check_absoluteness(X: Diagram, E: FinCategory) -> Report:
     object and must be an isomorphism of categories; this is the
     finite-instance form of collages being preserved by cocontinuous
     padding."""
-    from .fincat import product
-
     rep = Report()
     S = X.shape
     fibers = {s: product(X.fiber[s], E) for s in S.objects}
     transitions = {}
     for gamma, F in X.transition.items():
         src_fib, dst_fib = fibers[S.src[gamma]], fibers[S.dst[gamma]]
-        obmap = {f"({x},{e})": f"({F.obmap[x]},{e})"
+        obmap = {_pair_id(x, e): _pair_id(F.obmap[x], e)
                  for x in X.fiber[S.src[gamma]].objects for e in E.objects}
-        mormap = {f"({f},{eps})": f"({F.mormap[f]},{eps})"
+        mormap = {_pair_id(f, eps): _pair_id(F.mormap[f], eps)
                   for f in X.fiber[S.src[gamma]].morphisms
                   for eps in E.morphisms}
         transitions[gamma] = CatFunctor(src_fib, dst_fib, obmap, mormap)
@@ -576,26 +556,12 @@ def check_absoluteness(X: Diagram, E: FinCategory) -> Report:
     G2 = grothendieck(XE)
     padded = product(G1.total, E)
 
-    obmap, mormap = {}, {}
-    for s in S.objects:
-        for x in X.fiber[s].objects:
-            for e in E.objects:
-                obmap[f"({s},({x},{e}))"] = f"(({s},{x}),{e})"
-    for gamma in S.morphisms:
-        s, t = S.src[gamma], S.dst[gamma]
-        F = X.transition[gamma]
-        Ct = X.fiber[t]
-        for x in X.fiber[s].objects:
-            for e in E.objects:
-                for f in Ct.morphisms:
-                    if Ct.src[f] != F.obmap[x]:
-                        continue
-                    for eps in E.morphisms:
-                        if E.src[eps] != e:
-                            continue
-                        g2_id = _total_mor_id(gamma, f"({f},{eps})", f"({x},{e})")
-                        pad_id = f"({_total_mor_id(gamma, f, x)},{eps})"
-                        mormap[g2_id] = pad_id
+    obmap = {_total_ob_id(s, _pair_id(x, e)): _pair_id(_total_ob_id(s, x), e)
+             for s in S.objects for x in X.fiber[s].objects for e in E.objects}
+    mormap = {_total_mor_id(gamma, _pair_id(f, eps), _pair_id(x, E.src[eps])):
+              _pair_id(mid, eps)
+              for mid, (gamma, x, f) in G1.mor_parts.items()
+              for eps in E.morphisms}
     Phi = CatFunctor(G2.total, padded, obmap, mormap)
     sub = validate_functor(Phi)
     rep.merge(sub, prefix="comparison functor: ")

@@ -300,26 +300,44 @@ def standard_category(kind: str, *args) -> FinCategory:
     raise InvalidParameter(f"unknown standard category kind {kind!r}")
 
 
+_ESCAPE = str.maketrans({ch: "\\" + ch for ch in "\\,()"})
+
+
+def _pair_id(x: str, y: str) -> str:
+    """'(x,y)', injective: a part is written as it is, as in '((a,b),c)', if
+    its parentheses balance and it has no comma outside them and no
+    backslash; otherwise each backslash, comma and parenthesis in it is
+    escaped.  The first comma outside parentheses and escapes splits the
+    name back into its parts.
+    """
+    parts = []
+    for part in (x, y):
+        depth = 0
+        for ch in part:
+            depth += (ch == "(") - (ch == ")")
+            if depth < 0 or ch == "\\" or ch == "," and not depth:
+                depth = -1
+                break
+        parts.append(part if depth == 0 else part.translate(_ESCAPE))
+    return f"({parts[0]},{parts[1]})"
+
+
 def product(C: FinCategory, D: FinCategory) -> FinCategory:
-    """Product category; objects '(x,y)', morphisms '(f,g)' componentwise."""
-    objects = tuple(f"({x},{y})" for x in C.objects for y in D.objects)
-    morphisms = []
-    src, dst = {}, {}
-    for f in C.morphisms:
-        for g in D.morphisms:
-            m = f"({f},{g})"
-            morphisms.append(m)
-            src[m] = f"({C.src[f]},{D.src[g]})"
-            dst[m] = f"({C.dst[f]},{D.dst[g]})"
-    identity = {f"({x},{y})": f"({C.identity[x]},{D.identity[y]})"
-                for x in C.objects for y in D.objects}
+    """Product category; objects '(x,y)', morphisms '(f,g)', by _pair_id."""
+    ob = {(x, y): _pair_id(x, y) for x in C.objects for y in D.objects}
+    mor = {(f, g): _pair_id(f, g) for f in C.morphisms for g in D.morphisms}
+    src = {m: ob[(C.src[f], D.src[g])] for (f, g), m in mor.items()}
+    dst = {m: ob[(C.dst[f], D.dst[g])] for (f, g), m in mor.items()}
+    identity = {o: mor[(C.identity[x], D.identity[y])]
+                for (x, y), o in ob.items()}
     comp = {}
-    for (f1, g1) in itertools.product(C.morphisms, D.morphisms):
-        for (f2, g2) in itertools.product(C.arriving(C.src[f1]),
-                                          D.arriving(D.src[g1])):
-            comp[(f"({f1},{g1})", f"({f2},{g2})")] = (
-                f"({C.comp[(f1, f2)]},{D.comp[(g1, g2)]})")
-    return build_category(objects, tuple(morphisms), src, dst, identity, comp)
+    for (f1, g1), m1 in mor.items():
+        for f2, g2 in itertools.product(C.arriving(C.src[f1]),
+                                        D.arriving(D.src[g1])):
+            comp[(m1, mor[(f2, g2)])] = mor[(C.comp[(f1, f2)],
+                                             D.comp[(g1, g2)])]
+    return build_category(tuple(ob.values()), tuple(mor.values()), src, dst,
+                          identity, comp)
 
 
 def opposite(C: FinCategory) -> FinCategory:
@@ -378,6 +396,11 @@ def validate_functor(F: CatFunctor) -> Report:
             continue
         if D.src[fm] != F.obmap.get(C.src[m]) or D.dst[fm] != F.obmap.get(C.dst[m]):
             rep.fail(f"morphism {m!r}: image endpoints disagree with object map")
+    for kind, table, domain in (("object", F.obmap, set(C.objects)),
+                                ("morphism", F.mormap, C.src)):
+        for key in table:
+            if key not in domain:
+                rep.fail(f"{kind} map key {key!r} is not a source {kind}")
     if rep.ok:
         for x in C.objects:
             if F.mormap[C.identity[x]] != D.identity[F.obmap[x]]:

@@ -26,10 +26,14 @@ of gluing along every middle morphism.  The laws go along generators too,
 by fincat.along_generators: functoriality, commuting actions and the outer
 actions of _glue.
 
-Every gluing construction (the coend composite, the blockwise product of
-collage.block_multiply and the quotient by a relation) runs its own union
-loop and hands the classes to _glue, the one place where classes are named
-and the outer actions are checked and read off their least members.
+The coend union loop is written once, in _coend, over a middle category
+given by its ordered objects and by arrows carrying the factors' tables
+(Loregian, (Co)end Calculus, arXiv:1501.02503): compose_with_pairing passes
+the middle generators, collage.block_multiply the fiber generators and the
+canonical transitions (gamma, id) of a collage total.  _coend and
+quotient_by_relation, which closes a relation under the actions, hand their
+classes to _glue, the one place where classes are named and the outer
+actions are checked and read off their least members.
 
 The right action of P is the left action of opposite_profunctor(P), a
 cached view that shares P's tables.  So the laws, naturality and the
@@ -383,39 +387,44 @@ def compose_with_pairing(N: Profunctor, M: Profunctor) -> CoendComposite:
     """Coend composite of N after M, with the generator-to-class maps.
 
     Generators at (e, c) are triples (d, n, m) with n in N(e, d) and
-    m in M(d, c); for every middle morphism gamma: d -> d', pulling n back
-    and pushing m forward land in the same class:
-
-        (d, N.ract[gamma](n'), m)  ~  (d', n', M.lact[gamma](m))
-
-    for n' in N(e, d') and m in M(d, c).  The union loop runs over
-    D.generators() only: the relation along a composite beta.alpha is the
-    relation along alpha followed by the one along beta, as the module
-    docstring spells out, so the classes come out the same.
+    m in M(d, c).  Each middle generator gamma: d -> d' is one arrow of
+    _coend, gluing (d, N.ract[gamma](n'), m) ~ (d', n', M.lact[gamma](m));
+    the relations along composites follow, as the module docstring shows.
     """
     if M.target != N.source:
         raise CompositionMismatch(
             "middle categories differ: target of the right factor must "
             "equal source of the left factor")
     C, D, E = M.source, M.target, N.target
+    return _coend(C, E, D.objects, N.elements, M.elements,
+                  [(D.src[g], D.dst[g], N.ract[g], M.lact[g])
+                   for g in D.generators()],
+                  lambda eps, gs: [(d, N.lact[eps][n], m) for d, n, m in gs],
+                  lambda sigma, gs: [(d, n, M.ract[sigma][m]) for d, n, m in gs])
 
+
+def _coend(source: FinCategory, target: FinCategory, middle, left, right,
+           arrows, act_left, act_right) -> CoendComposite:
+    """The coend union loop over the middle objects, then _glue.
+
+    left[(e, d)] and right[(d, c)] are the two factors' elements at the
+    middle object d.  A middle arrow (d, d2, pull, push) from d to d2
+    carries the factors' tables along it and glues, in each outer cell
+    (e, c), (d, pull[n2], m) ~ (d2, n2, push[m]) for n2 in left[(e, d2)]
+    and m in right[(d, c)].  act_left and act_right are _glue's.
+    """
     classes = {}
-    for e in E.objects:
-        for c in C.objects:
-            gens = [(d, n, m) for d in D.objects
-                    for n in N.elements[(e, d)]
-                    for m in M.elements[(d, c)]]
-            uf = UnionFind(gens)
-            for gamma in D.generators():
-                d, d2 = D.src[gamma], D.dst[gamma]
-                for n2 in N.elements[(e, d2)]:
-                    for m in M.elements[(d, c)]:
-                        uf.union((d, N.ract[gamma][n2], m),
-                                 (d2, n2, M.lact[gamma][m]))
+    for e in target.objects:
+        for c in source.objects:
+            uf = UnionFind((d, n, m) for d in middle
+                           for n in left[(e, d)] for m in right[(d, c)])
+            for d, d2, pull, push in arrows:
+                ms = right[(d, c)]
+                for n2 in left[(e, d2)]:
+                    for m in ms:
+                        uf.union((d, pull[n2], m), (d2, n2, push[m]))
             classes[(e, c)] = uf.classes()
-    return _glue(C, E, classes, _composite_id,
-                 lambda eps, gs: [(d, N.lact[eps][n], m) for d, n, m in gs],
-                 lambda sigma, gs: [(d, n, M.ract[sigma][m]) for d, n, m in gs])
+    return _glue(source, target, classes, _composite_id, act_left, act_right)
 
 
 def _glue(source: FinCategory, target: FinCategory, classes, name,

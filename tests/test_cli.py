@@ -7,13 +7,13 @@ import pytest
 
 import laxcat.k0chain as k0chain
 from laxcat.cli import CHECKS, _draw, main
-from laxcat.collage import Diagram, grothendieck
-from laxcat.fincat import FinCategory, standard_category
+from laxcat.collage import Diagram, build_diagram, grothendieck
+from laxcat.fincat import FinCategory, build_category, standard_category
 from laxcat.jsonio import (category_to_json, chainmap_to_json,
                            complex_to_json, diagram_to_json, dumps_canonical,
                            profunctor_to_json)
 from laxcat.k0chain import build_chain_map, build_complex
-from laxcat.profunctor import Profunctor, build_profunctor
+from laxcat.profunctor import Profunctor, build_profunctor, empty_profunctor
 from laxcat.rand import rand_diagram, rand_profunctor, rng_from_seed
 from laxcat.report import Report
 
@@ -85,6 +85,40 @@ def test_collage_and_grothendieck(ws):
     g = run("--workspace", str(ws), "grothendieck", "x")
     assert g.returncode == 0
     assert json.loads(g.stdout)["origin"]["kind"] == "diagram"
+
+
+def test_stray_transition_key_is_named(ws, tmp_path, capsys):
+    doc = json.loads((ws / "x.json").read_text())
+    obmap = doc["transitions"]["u"]["obmap"]
+    obmap["zz"] = obmap[min(obmap)]
+    path = tmp_path / "stray.json"
+    path.write_text(json.dumps(doc))
+    assert main(["grothendieck", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("validation failed: transition 'u' is not a functor: "
+                   "object map key 'zz' is not a source object\n")
+
+
+def test_colliding_total_ids_are_rejected(tmp_path, capsys):
+    # '(id_0,a@b@c)' names both a@b: c -> z and a: b@c -> z
+    objects = ("c", "b@c", "z")
+    ids = {x: f"id_{x}" for x in objects}
+    src = {**{i: x for x, i in ids.items()}, "a@b": "c", "a": "b@c"}
+    dst = {**{i: x for x, i in ids.items()}, "a@b": "z", "a": "z"}
+    comp = {(i, i): i for i in ids.values()}
+    for f in ("a@b", "a"):
+        comp[(f, ids[src[f]])] = comp[(ids["z"], f)] = f
+    C = build_category(objects, [*ids.values(), "a@b", "a"], src, dst, ids,
+                       comp)
+    X = build_diagram(standard_category("discrete", 1), {"0": C}, {})
+    for command, doc in (("grothendieck", diagram_to_json(X)),
+                         ("collage", profunctor_to_json(
+                             empty_profunctor(C, C)))):
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "validation failed: duplicate morphism ids\n")
 
 
 def test_cone_homology_quasi_iso(ws, tmp_path):

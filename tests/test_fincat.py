@@ -1,10 +1,11 @@
 import ast
+import itertools
 
 import pytest
 
 from laxcat.errors import (InvalidParameter, MissingComposite, NonAssociative,
                            SearchBoundExceeded, UnitLawViolation)
-from laxcat.fincat import (CatFunctor, FinCategory, build_category,
+from laxcat.fincat import (CatFunctor, FinCategory, _pair_id, build_category,
                            compose_functors, enumerate_functors,
                            find_isomorphism, from_poset, identity_functor,
                            opposite, product, standard_category,
@@ -108,6 +109,41 @@ def test_product_sizes():
     assert len(P.objects) == 4
     assert len(P.morphisms) == 9
     assert P.compose("(id_1,u)", "(u,id_0)") == "(u,u)"
+
+
+def discrete_on(*objects):
+    ids = {x: f"id_{x}" for x in objects}
+    src = {i: x for x, i in ids.items()}
+    return build_category(objects, tuple(ids.values()), src, dict(src), ids,
+                          {(i, i): i for i in ids.values()})
+
+
+def test_product_of_ids_with_commas():
+    # the unescaped names gave both ('a,b', 'c') and ('a', 'b,c') the
+    # object '(a,b,c)', and build_category rejected the product
+    P = product(discrete_on("a,b", "a"), discrete_on("c", "b,c"))
+    assert sorted(P.objects) == ["(a,b\\,c)", "(a,c)", "(a\\,b,b\\,c)",
+                                 "(a\\,b,c)"]
+    assert P.identity["(a\\,b,c)"] == "(id_a\\,b,id_c)"
+
+
+def test_pair_id_is_injective_and_keeps_balanced_ids():
+    assert _pair_id("((0,1),2)", "f@x") == "(((0,1),2),f@x)"
+    assert _pair_id("a)", "(b") == "(a\\),\\(b)"
+    parts = ["".join(w) for k in range(5)
+             for w in itertools.product("a,()\\", repeat=k)]
+    pairs = list(itertools.product(parts, repeat=2))
+    assert len(pairs) == 609_961
+    assert len({_pair_id(x, y) for x, y in pairs}) == len(pairs)
+
+
+def test_validate_functor_names_stray_keys():
+    I = standard_category("interval")
+    F = identity_functor(I)
+    stray = CatFunctor(I, I, {**F.obmap, "zz": "0"}, {**F.mormap, "v": "u"})
+    assert validate_functor(stray).failures == [
+        "object map key 'zz' is not a source object",
+        "morphism map key 'v' is not a source morphism"]
 
 
 def test_identity_functor_valid():

@@ -2,7 +2,8 @@
 """In-process size ladder of the kernels that dominate the `tables` and
 `chains` workloads: validation of a collage total, of a finite group loaded
 from JSON and of a hom profunctor, the coend composite of a finite group's
-hom profunctor with itself, the monoid-laws check, Smith normal form
+hom profunctor with itself, the Grothendieck total and the blockwise coend
+of a diagram, the monoid-laws check, Smith normal form
 (elimination, and the self-check `SmithDecomposition.verify`), and the
 chain-map constructions.
 
@@ -14,8 +15,13 @@ times any checkout.  Inputs are those of `bench/run.py --seed 1`: for
 seed-1 groups of orders 12, 24 and 36 (their hom profunctors validated and
 composed with themselves, and the check of `laxcat check monoid-laws` on
 the groups); for `chains`, the seed-1 matrices of sizes 16, 32, 48 and 56
-(entries in [-5, 5]).  To show the scaling past the workload, the ladder
-also loads, through `category_from_json`, the groups that the workload's
+(entries in [-5, 5]).  The collage rungs time `grothendieck` and
+`block_multiply` on the interval-shaped diagram with fibers Δ2×Δk and
+Δ3×Δk, k = 1, 2, 3, and transition F×id for the face map F: Δ2 -> Δ3 that
+skips 1 (product fibers, as in the workload's `prod_diagram`); the block
+product squares the hom profunctor of the total, cut into blocks on both
+sides.  To show the scaling past the workload, the ladder also loads,
+through `category_from_json`, the groups that the workload's
 `abelian_group` draws from one seed-1 generator for orders 60, 120 and 240,
 and eliminates one 64×64 matrix drawn at seed 64.  Each timed
 `build_profunctor` call gets a fresh, unvalidated copy of the category, so
@@ -109,9 +115,11 @@ def main(argv=None):
     sys.path.insert(0, args.src)
     sys.path.insert(0, str(ROOT / "bench"))
     from laxcat.cli import _check_monoid_laws
-    from laxcat.collage import collage_of_profunctor
-    from laxcat.fincat import (FinCategory, build_category, product,
-                               standard_category)
+    from laxcat.collage import (block_multiply, build_diagram,
+                                collage_of_profunctor, grothendieck,
+                                restrict_matrix)
+    from laxcat.fincat import (CatFunctor, FinCategory, build_category,
+                               product, standard_category)
     from laxcat.jsonio import category_from_json
     from laxcat.k0chain import (build_chain_map, cone, cone_from_data,
                                 cone_to_data, smith_normal_form)
@@ -131,6 +139,7 @@ def main(argv=None):
            "build_profunctor_ms": {}, "compose_group_hom_ms": {},
            "monoid_laws_ms": {}, "snf_elimination_ms": {},
            "snf_verify_ms": {}, "chain_maps_ms": {},
+           "grothendieck_ms": {}, "block_multiply_ms": {},
            "startup_ms": startup_ms(args.src, args.repeats)}
     for a, b in HOM_LADDER:
         square = product(standard_category("simplex", a),
@@ -145,6 +154,25 @@ def main(argv=None):
         out["build_profunctor_ms"][f"hom_{a}x{b}"] = {
             "elements": H.total_size(),
             "median": median_ms(lambda: rebuild_hom(H), args.repeats)}
+    I, S0, S1 = (standard_category("interval"), standard_category("simplex", 2),
+                 standard_category("simplex", 3))
+    face = {"0": "0", "1": "2", "2": "3"}
+    for k in (1, 2, 3):
+        Q = standard_category("simplex", k)
+        T = CatFunctor(product(S0, Q), product(S1, Q),
+                       {f"({x},{q})": f"({face[x]},{q})"
+                        for x in S0.objects for q in Q.objects},
+                       {f"({f},{g})": f"({face[S0.src[f]]}<={face[S0.dst[f]]},{g})"
+                        for f in S0.morphisms for g in Q.morphisms})
+        X = build_diagram(I, {"0": T.source, "1": T.target}, {"u": T})
+        G = grothendieck(X)
+        out["grothendieck_ms"][f"simplex_2x{k}"] = {
+            "morphisms": len(G.total.morphisms),
+            "median": median_ms(lambda: grothendieck(X), args.repeats)}
+        H = hom_profunctor(G.total)
+        N, M = restrict_matrix(H, G, "source"), restrict_matrix(H, G, "target")
+        out["block_multiply_ms"][f"simplex_2x{k}"] = {
+            "median": median_ms(lambda: block_multiply(N, M), args.repeats)}
     rng = random.Random(1)
     for order in (60, 120, 240):
         doc = abelian_group(rng, order)
