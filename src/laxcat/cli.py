@@ -2,22 +2,25 @@
 
 Inputs are JSON files: either paths ending in .json or bare names looked
 up as NAME.json inside --workspace.  Every command writes a single JSON
-document (stdout by default, --out FILE otherwise) produced with sorted
-keys and fixed indentation, so equal inputs give byte-equal outputs.
+document (stdout by default, --out FILE otherwise) with sorted keys and
+fixed indentation, so equal inputs give byte-equal outputs; the text is
+streamed to the output as jsonio.write_canonical makes it.
 
 Exit codes: 0 success, 1 a checked property failed, 2 invalid input or
-usage, 3 an input breached the size caps, 4 an internal error (a failed
-result guard or a bug), reported in one line, with the traceback only
-under --debug.
+usage (an output that cannot be opened or written included), 3 an input
+breached the size caps, 4 an internal error (a failed result guard or a
+bug, the output encoder's included), reported in one line, with the
+traceback only under --debug.  After an exit 4 while writing, stdout may
+hold a partial document; a partly written --out file is removed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from importlib import import_module
-from pathlib import Path
 
 # each command imports the layer it runs.  decat loads no layer and is
 # imported here, because in-process callers that wrap laxcat's functions
@@ -25,8 +28,8 @@ from pathlib import Path
 from . import decat  # noqa: F401
 from .errors import CapExceeded, LaxcatError, SchemaError
 from .jsonio import (LOADERS, chainmap_to_json, collage_to_json,
-                     complex_to_json, dumps_canonical, homology_to_json,
-                     profunctor_to_json, sniff_kind, snf_to_json)
+                     complex_to_json, homology_to_json, profunctor_to_json,
+                     sniff_kind, snf_to_json, write_canonical)
 from .report import Report
 
 RANK_CAP = 32
@@ -85,7 +88,7 @@ class Workspace:
     """Resolves names and paths against a directory of JSON files."""
 
     def __init__(self, root, caps):
-        self.root = Path(root) if root else None
+        self.root = root or None
         self.caps = caps
         self._cache = {}
 
@@ -99,14 +102,15 @@ class Workspace:
         if key in self._cache:
             return self._cache[key]
         if ref.endswith(".json"):
-            path = Path(ref)
+            path = ref
         elif self.root is not None:
-            path = self.root / f"{ref}.json"
+            path = os.path.join(self.root, f"{ref}.json")
         else:
             raise SchemaError(f"name {ref!r} needs --workspace to resolve")
-        if not path.is_file():
+        if not os.path.isfile(path):
             raise SchemaError(f"no such input: {path}")
-        data = json.loads(path.read_text())
+        with open(path) as f:
+            data = json.loads(f.read())
         actual = sniff_kind(data)
         if actual != kind:
             raise SchemaError(f"{ref!r} holds a {actual}, expected a {kind}")
@@ -369,6 +373,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _internal_error(e, debug) -> int:
+    """Exit 4: a failed result guard or a bug, never a property of the
+    input."""
+    if debug:
+        import traceback  # only here: every command would pay its import
+        traceback.print_exc()
+    print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+    return 4
+
+
+def _write(doc, out):
+    """Stream the canonical text of doc to the file out, or to stdout.  A
+    file left partly written by an error is removed."""
+    if not out:
+        write_canonical(doc, sys.stdout.write)
+        return
+    f = open(out, "w")
+    try:
+        with f:
+            write_canonical(doc, f.write)
+    except BaseException:
+        try:
+            os.remove(out)
+        except OSError:
+            pass
+        raise
+
+
 def main(argv=None) -> int:
     # exact results outgrow the default 4300-digit int <-> str limit
     if hasattr(sys, "set_int_max_str_digits"):
@@ -382,7 +414,6 @@ def main(argv=None) -> int:
     ws = Workspace(args.workspace, caps)
     try:
         doc, code = COMMANDS[args.command][0](args, ws)
-        text = dumps_canonical(doc)
     except CapExceeded as e:
         print(f"cap exceeded: {e}", file=sys.stderr)
         return 3
@@ -396,18 +427,12 @@ def main(argv=None) -> int:
         print(f"validation failed: {e}", file=sys.stderr)
         return 2
     except Exception as e:
-        # a failed result guard or a bug, never a property of the input
-        if args.debug:
-            import traceback  # only here: every command would pay its import
-            traceback.print_exc()
-        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 4
+        return _internal_error(e, args.debug)
     try:
-        if args.out:
-            Path(args.out).write_text(text)
-        else:
-            sys.stdout.write(text)
+        _write(doc, args.out)
     except OSError as e:
         print(f"cannot write output: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        return _internal_error(e, args.debug)
     return code

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+import laxcat.cli as cli
 import laxcat.k0chain as k0chain
 from laxcat.cli import CHECKS, _draw, main
 from laxcat.collage import Diagram, build_diagram, grothendieck
@@ -199,6 +200,58 @@ def test_unwritable_out_exits_2_in_one_line(ws, tmp_path):
     assert r.stdout == ""
     assert r.stderr == ("cannot write output: [Errno 2] No such file or "
                         f"directory: '{target}'\n")
+
+
+def unserializable(args, ws):
+    """A command result whose second key cannot be encoded, after more
+    text than one flush."""
+    return {"a": ["x" * 64] * 2000, "b": [1, object()]}, 0
+
+
+def test_unserializable_result_exits_4_and_leaves_no_out_file(
+        ws, tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(cli.COMMANDS, "snf",
+                        (unserializable, ("matrix",), "broken"))
+    target = tmp_path / "result.json"
+    assert main(["--workspace", str(ws), "--out", str(target),
+                 "snf", "mat"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("internal error: TypeError: Object of type object is "
+                   "not JSON serializable\n")
+    assert not target.exists()
+    # on stdout the document is cut short where the encoder failed
+    assert main(["--workspace", str(ws), "snf", "mat"]) == 4
+    out, err = capsys.readouterr()
+    assert out.startswith('{\n  "a": [\n') and len(out) >= 65536
+    assert err.count("\n") == 1 and err.startswith("internal error: ")
+
+
+def test_compose_with_colliding_cell_keys_exits_2(tmp_path, capsys):
+    """The composite has elements in cells ('a,b', 'c') and ('a', 'b,c'),
+    whose keys would both read '(a,b,c)'."""
+    def discrete(*names):
+        ids = {x: f"id_{x}" for x in names}
+        src = {i: x for x, i in ids.items()}
+        return build_category(names, list(src), src, dict(src), ids,
+                              {(i, i): i for i in src})
+    pt = standard_category("discrete", 1)
+    M = build_profunctor(discrete("c", "b,c"), pt,
+                         {("0", "c"): ["m1"], ("0", "b,c"): ["m2"]}, {}, {})
+    N = build_profunctor(pt, discrete("a,b", "a"),
+                         {("a,b", "0"): ["n1"], ("a", "0"): ["n2"]}, {}, {})
+    paths = []
+    for name, P in (("n", N), ("m", M)):
+        paths.append(str(tmp_path / f"{name}.json"))
+        (tmp_path / f"{name}.json").write_text(
+            dumps_canonical(profunctor_to_json(P)))
+    out = tmp_path / "out.json"
+    assert main(["--out", str(out), "compose", *paths]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("validation failed: cells (")
+    assert err.endswith("both have the element key '(a,b,c)'\n")
+    assert not out.exists()
 
 
 def test_check_monoid_laws_randomized(ws):

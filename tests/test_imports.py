@@ -1,7 +1,7 @@
 """What each command loads.  No command loads numpy: the chain-complex
 layer keeps its exact matrices in laxcat.intmat.  Nothing loads
-dataclasses, inspect or typing.  Importing the command line loads no
-layer, and each command loads only the layer it runs.
+dataclasses, inspect, typing or pathlib.  Importing the command line
+loads no layer, and each command loads only the layer it runs.
 
 Each check runs in a fresh `python -S` interpreter, so that only what the
 code under test imports is loaded, whatever this test process has
@@ -32,7 +32,7 @@ import json, sys
 print(json.dumps(sorted(sys.modules)))
 """
 
-NEVER = {"numpy", "dataclasses", "inspect", "typing"}
+NEVER = {"numpy", "dataclasses", "inspect", "typing", "pathlib"}
 CATEGORY_LAYER = {"laxcat.fincat", "laxcat.profunctor", "laxcat.collage",
                   "laxcat.rand"}
 CHAIN_LAYER = {"laxcat.k0chain", "laxcat.intmat"}
@@ -102,6 +102,23 @@ def test_chain_commands_load_no_numpy(tmp_path):
     assert json.loads(Path(snf_out).read_text())["diagonal"] == [2, 4]
     assert json.loads(Path(hom_out).read_text()) == {
         "0": {"free": 0, "torsion": [6]}}
+
+
+def test_commands_load_no_pathlib(tmp_path):
+    """cli resolves and writes files with os.path and open: pathlib, with
+    the urllib and ipaddress modules it imports, stays unloaded."""
+    pt, two = standard_category("discrete", 1), standard_category("discrete", 2)
+    m = write(tmp_path / "m.json", profunctor_to_json(build_profunctor(
+        pt, two, {("0", "0"): ["a"], ("1", "0"): ["b", "c"]}, {}, {})))
+    n = write(tmp_path / "n.json", profunctor_to_json(build_profunctor(
+        two, pt, {("0", "0"): ["x"], ("0", "1"): ["y"]}, {}, {})))
+    mat = write(tmp_path / "mat.json", {"matrix": [[2, 4], [6, 8]]})
+    out = str(tmp_path / "out.json")
+    for argv in (("--help",), ("--out", out, "compose", n, m),
+                 ("--out", out, "snf", mat)):
+        loaded = loaded_modules(cli_run(*argv))
+        assert "pathlib" not in loaded, argv
+    assert json.loads(Path(out).read_text())["diagonal"] == [2, 4]
 
 
 def test_package_exports_resolve_to_k0chain():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laxcat.collage import collage_of_profunctor
-from laxcat.errors import SchemaError, UnboundedComplex
+from laxcat.errors import InvalidParameter, SchemaError, UnboundedComplex
 from laxcat.fincat import build_category, standard_category
 from laxcat.jsonio import (category_from_json, category_to_json,
                            chainmap_from_json, chainmap_to_json,
@@ -167,6 +167,24 @@ def test_cell_keys_with_commas_roundtrip():
     P = build_profunctor(C, D, {("x", "a,b"): ["e0"]}, {}, {})
     Q = profunctor_from_json(profunctor_to_json(P))
     assert Q.elements == P.elements
+
+
+def test_colliding_cell_keys_are_rejected_on_dump():
+    # ("a,b", "c") and ("a", "b,c") both render as "(a,b,c)"
+    from laxcat.profunctor import build_profunctor
+    P = build_profunctor(comma_category(["c", "b,c"]),
+                         comma_category(["a,b", "a"]),
+                         {("a,b", "c"): ["p"], ("a", "b,c"): ["q"]}, {}, {})
+    assert P.total_size() == 2
+    with pytest.raises(InvalidParameter,
+                       match=r"cells \('a', 'b,c'\) and \('a,b', 'c'\) "
+                             r"both have the element key '\(a,b,c\)'"):
+        profunctor_to_json(P)
+    # an empty cell loses nothing, so its key may repeat another's
+    Q = build_profunctor(comma_category(["c", "b,c"]),
+                         comma_category(["a,b", "a"]),
+                         {("a,b", "c"): ["p"]}, {}, {})
+    assert profunctor_to_json(Q)["elements"] == {"(a,b,c)": ["p"]}
 
 
 def test_ambiguous_cell_key_rejected():

@@ -28,7 +28,15 @@ and eliminates one 64×64 matrix drawn at seed 64.  Each timed
 no per-category cache outlives a repeat.  The chain-map rungs run over the
 ten `rand_universal_case` draws (f, g, H) of seeds 0-9: `build_chain_map`
 of f and of g, `cone(f)`, and the round trip
-`cone_to_data(f, cone_from_data(f, g, H))`.  The start-up rungs time a
+`cone_to_data(f, cone_from_data(f, g, H))`.  The canonical-dump rungs
+encode the seed-1 `snf` documents of sizes 32, 48, 56 and 64 (the last
+from the seed-64 matrix), the collage documents of the hom ladder and the
+output documents of a whole seed-1 `tables` pass, each read back from its
+`--out` file, by two routes into a counting sink: the reference
+`json.dumps(doc, sort_keys=True, indent=2) + "\n"`, and
+`jsonio.write_canonical` where SRC has it; `canonical_dump_ms` is the
+median time and `canonical_dump_peak_kib` the tracemalloc peak of the
+largest document's encoding.  The start-up rungs time a
 fresh `python -m laxcat` process end to end for `--help`, `compose` of two
 small profunctors, `snf` of a 3×3 matrix and `check monoid-laws
 --randomized --count 1`, each from a copy of SRC without bytecode (every
@@ -48,6 +56,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -107,6 +116,61 @@ def startup_ms(src, repeats):
     return out
 
 
+def dump_routes(jsonio):
+    """The routes that encode a document into write, by name."""
+    routes = {"json_dumps": lambda doc, write: write(
+        json.dumps(doc, sort_keys=True, indent=2) + "\n")}
+    if hasattr(jsonio, "write_canonical"):
+        routes["write_canonical"] = jsonio.write_canonical
+    return routes
+
+
+def dump_rungs(out, name, docs, routes, repeats):
+    """Time each route over docs into a sink that only counts, and take the
+    tracemalloc peak of each route on the largest document."""
+    written = [0]
+
+    def count(piece):
+        written[0] += len(piece)
+
+    rung = {}
+    for route, encode in routes.items():
+        written[0] = 0
+        rung[route] = median_ms(lambda: [encode(d, count) for d in docs],
+                                repeats)
+    out["canonical_dump_ms"][name] = {"chars": written[0] // repeats, **rung}
+    largest = max(docs, key=lambda d: len(json.dumps(d)))
+    peaks = {}
+    for route, encode in routes.items():
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            encode(largest, count)
+            peaks[route] = (tracemalloc.get_traced_memory()[1] - base) / 1024
+        finally:
+            tracemalloc.stop()
+    out["canonical_dump_peak_kib"][name] = peaks
+
+
+def tables_outputs():
+    """The output documents of one seed-1 pass of the `tables` workload,
+    each run by laxcat.cli.main and read back from its --out file."""
+    from laxcat.cli import main
+    from workloads import Workspace, tables
+    docs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        ws = Workspace(Path(tmp))
+        (ws.root / "out").mkdir()
+        for op in tables(1, ws):
+            main(["--workspace", tmp, "--out", ws.out(op.name),
+                  "--max-objects", str(op.caps[0]),
+                  "--max-elements", str(op.caps[1]), *op.args])
+            path = Path(ws.out(op.name))
+            if path.is_file():
+                docs.append(json.loads(path.read_text()))
+    return docs
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src", nargs="?", default=str(ROOT / "src"))
@@ -120,7 +184,8 @@ def main(argv=None):
                                 restrict_matrix)
     from laxcat.fincat import (CatFunctor, FinCategory, build_category,
                                product, standard_category)
-    from laxcat.jsonio import category_from_json
+    import laxcat.jsonio
+    from laxcat.jsonio import category_from_json, collage_to_json, snf_to_json
     from laxcat.k0chain import (build_chain_map, cone, cone_from_data,
                                 cone_to_data, smith_normal_form)
     from laxcat.profunctor import (build_profunctor, compose_with_pairing,
@@ -140,11 +205,20 @@ def main(argv=None):
            "monoid_laws_ms": {}, "snf_elimination_ms": {},
            "snf_verify_ms": {}, "chain_maps_ms": {},
            "grothendieck_ms": {}, "block_multiply_ms": {},
+           "canonical_dump_ms": {}, "canonical_dump_peak_kib": {},
            "startup_ms": startup_ms(args.src, args.repeats)}
+    routes = dump_routes(laxcat.jsonio)
+    # exact SNF transforms outgrow the default int -> str digit limit, as
+    # the command line allows them to
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     for a, b in HOM_LADDER:
         square = product(standard_category("simplex", a),
                          standard_category("simplex", b))
-        T = collage_of_profunctor(hom_profunctor(square)).total
+        G = collage_of_profunctor(hom_profunctor(square))
+        dump_rungs(out, f"collage_hom_{a}x{b}", [collage_to_json(G)], routes,
+                   args.repeats)
+        T = G.total
         out["build_category_ms"][f"collage_hom_{a}x{b}"] = {
             "morphisms": len(T.morphisms),
             "median": median_ms(lambda: build_category(
@@ -201,6 +275,11 @@ def main(argv=None):
             "median": median_ms(lambda: smith_normal_form(mat), args.repeats)}
         out["snf_verify_ms"][f"n_{n}"] = {
             "median": median_ms(dec.verify, args.repeats)}
+        if n >= 32:
+            dump_rungs(out, f"snf_{n}", [snf_to_json(dec)], routes,
+                       args.repeats)
+    dump_rungs(out, "tables_outputs", tables_outputs(), routes,
+               args.repeats)
     cases = [rand_universal_case(rng_from_seed(seed)) for seed in range(10)]
     rungs = {
         "build_chain_map": lambda f, g, H: [
