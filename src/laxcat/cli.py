@@ -28,8 +28,9 @@ from importlib import import_module
 from . import decat  # noqa: F401
 from .errors import CapExceeded, LaxcatError, SchemaError
 from .jsonio import (LOADERS, chainmap_to_json, collage_to_json,
-                     complex_to_json, homology_to_json, profunctor_to_json,
-                     sniff_kind, snf_to_json, write_canonical)
+                     complex_to_json, homology_to_json, parse_degree,
+                     profunctor_to_json, sniff_kind, snf_to_json,
+                     write_canonical)
 from .report import Report
 
 RANK_CAP = 32
@@ -66,9 +67,8 @@ def _check_caps(data, kind: str, caps, label: str):
     elif kind == "complex" and isinstance(data.get("ranks"), dict):
         ranks = {}
         for key, r in data["ranks"].items():
-            try:
-                n = int(key)
-            except (TypeError, ValueError):
+            n = parse_degree(key)
+            if n is None:
                 continue
             if isinstance(r, int) and not isinstance(r, bool) and r > 0:
                 ranks[n] = r
@@ -109,8 +109,13 @@ class Workspace:
             raise SchemaError(f"name {ref!r} needs --workspace to resolve")
         if not os.path.isfile(path):
             raise SchemaError(f"no such input: {path}")
-        with open(path) as f:
-            data = json.loads(f.read())
+        try:
+            with open(path, encoding="utf-8") as f:
+                data = json.loads(f.read())
+        except UnicodeDecodeError as e:
+            raise SchemaError(f"{path} is not UTF-8: {e}")
+        except RecursionError:
+            raise SchemaError(f"{path} is nested too deeply")
         actual = sniff_kind(data)
         if actual != kind:
             raise SchemaError(f"{ref!r} holds a {actual}, expected a {kind}")
@@ -389,7 +394,7 @@ def _write(doc, out):
     if not out:
         write_canonical(doc, sys.stdout.write)
         return
-    f = open(out, "w")
+    f = open(out, "w", encoding="utf-8")
     try:
         with f:
             write_canonical(doc, f.write)

@@ -295,6 +295,47 @@ def test_invalid_inputs_exit_2(ws, tmp_path):
     assert r.stderr == "validation failed: row 1 has 1 entries, expected 2\n"
 
 
+@pytest.mark.parametrize("text, message", [
+    # bytes that are not UTF-8
+    (b'{"objects": ["\xff"]}', "is not UTF-8: 'utf-8' codec can't decode"),
+    (b"[" * 200_000 + b"]" * 200_000, "is nested too deeply"),
+    # degree keys other than canonical decimal, which int() reads as
+    # degree 1 a second time, as degree 10, and as degree 20: a span over
+    # the degree cap, yet the loader's error and not the cap must answer
+    (b'{"window": [0, 1], "ranks": {"1": 1, "01": 2}, "differentials": {}}',
+     "complex.ranks: key '01' is not a degree"),
+    (b'{"window": [0, 10], "ranks": {"1_0": 1}, "differentials": {}}',
+     "complex.ranks: key '1_0' is not a degree"),
+    (b'{"window": [0, 20], "ranks": {"0": 1, "0020": 1}, '
+     b'"differentials": {}}',
+     "complex.ranks: key '0020' is not a degree"),
+], ids=["not_utf_8", "nested", "leading_zero", "underscore",
+        "leading_zero_over_cap"])
+def test_undecodable_deep_and_ambiguous_inputs_exit_2(tmp_path, text,
+                                                      message):
+    path = tmp_path / "in.json"
+    path.write_bytes(text)
+    r = run("homology", str(path))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.count("\n") == 1 and "Traceback" not in r.stderr
+    assert r.stderr.startswith("invalid input: ") and message in r.stderr
+
+
+def test_files_are_read_and_written_as_utf_8(ws, tmp_path):
+    """No open call falls back to the locale encoding."""
+    target = tmp_path / "result.json"
+    r = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding",
+         "-W", "error::EncodingWarning", "-m", "laxcat",
+         "--workspace", str(ws), "--out", str(target), "compose", "n", "m"],
+        capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stderr == ""
+    assert target.read_text(encoding="utf-8") == run(
+        "--workspace", str(ws), "compose", "n", "m").stdout
+
+
 def test_snf_of_an_entry_over_4300_digits(tmp_path):
     digits = "7" * 5000
     big = tmp_path / "big.json"

@@ -33,10 +33,11 @@ encode the seed-1 `snf` documents of sizes 32, 48, 56 and 64 (the last
 from the seed-64 matrix), the collage documents of the hom ladder and the
 output documents of a whole seed-1 `tables` pass, each read back from its
 `--out` file, by two routes into a counting sink: the reference
-`json.dumps(doc, sort_keys=True, indent=2) + "\n"`, and
-`jsonio.write_canonical` where SRC has it; `canonical_dump_ms` is the
-median time and `canonical_dump_peak_kib` the tracemalloc peak of the
-largest document's encoding.  The start-up rungs time a
+`json.dumps(doc, sort_keys=True, indent=2) + "\n"`, one string built
+whole, and `jsonio.write_canonical` where SRC has it, the same encoder's
+`iterencode` tokens handed on in 64 KiB pieces; `canonical_dump_ms` is
+the median time and `canonical_dump_peak_kib` the tracemalloc peak of
+the largest document's encoding.  The start-up rungs time a
 fresh `python -m laxcat` process end to end for `--help`, `compose` of two
 small profunctors, `snf` of a 3×3 matrix and `check monoid-laws
 --randomized --count 1`, each from a copy of SRC without bytecode (every
