@@ -3,12 +3,15 @@
 grothendieck() builds the total category of a strict functorial diagram
 over a finite shape; collage_of_profunctor() glues two categories along a
 profunctor, with the profunctor elements as the only cross morphisms.  Each
-lists its total morphisms and its composition rule, and one builder, _total,
-does the rest: objects '(s,x)', identities, the composition table, its
-validation and the fiber injections.  Both use the same naming scheme, so
-gluing along the representable profunctor of a functor F gives, entry for
-entry, the same table as the Grothendieck construction over the interval
-with transition F.
+lists its total morphisms and its composition rule on their parts, and one
+builder, _total, does the rest: objects '(s,x)', identities, the
+composition table, its validation and the fiber injections.  Both name
+through laxcat.ids, the morphism over gamma with payload f at x
+'(gamma,f@x)' and the cross morphism of the element p '(u,p)', so every
+name is injective whatever the ids hold, and gluing along the
+representable profunctor of a functor F, whose elements are 'h@c', gives,
+entry for entry, the same table as the Grothendieck construction over the
+interval with transition F.
 
 A profunctor whose source or target is a total category can be viewed as a
 lax matrix: one profunctor entry per fiber, plus the transition actions
@@ -23,9 +26,10 @@ transitions along the generators of the shape.
 
 from .errors import (CompositionMismatch, IncompatibleActionData,
                      InvalidParameter, LaxcatError, NotACollage)
-from .fincat import (CatFunctor, FinCategory, _index, _pair_id,
-                     build_category, compose_functors, identity_functor,
-                     product, standard_category, validate_functor)
+from .fincat import (CatFunctor, FinCategory, _index, build_category,
+                     compose_functors, identity_functor, product,
+                     standard_category, validate_functor)
+from .ids import join_id, pair_id
 from .profunctor import (CoendComposite, Profunctor, build_profunctor,
                          compose_with_pairing, hom_profunctor,
                          opposite_profunctor, restrict_along, _coend)
@@ -95,53 +99,43 @@ class Collage(Record):
                 f"fiber={self.fiber!r}, injections={self.injections!r})")
 
 
-def _total_ob_id(s: str, x: str) -> str:
-    return f"({s},{x})"
-
-
-def _total_mor_id(gamma: str, payload: str, x: str) -> str:
-    return f"({gamma},{payload}@{x})"
-
-
-def _cross_id(p: str) -> str:
-    return f"(u,{p})"
-
-
 def _total(S: FinCategory, fibers, arrows, compose, **origin) -> Collage:
     """The collage of the fibers over S with the given total morphisms.
 
     fibers maps each shape object s to its category; the total objects are
-    '(s,x)' in fibers order, with the identity (id_s,id_x@x).  arrows lists
-    every total morphism as (id, parts, src, dst), parts as in
-    Collage.mor_parts, and compose(second, first) is the id of the composite
-    of two composable morphisms given by their parts.  origin names the
-    diagram or the profunctor the collage remembers.
+    pair_id(s, x) in fibers order.  arrows lists every total morphism as
+    (id, parts, a, b), parts as in Collage.mor_parts and a, b the
+    (shape object, fiber object) parts of its endpoints, the identities
+    among them.  compose(second, first) gives the parts of the composite
+    of two composable morphisms given by their parts.  Each id is rendered
+    once, here or in arrows, and found again through its parts.  origin
+    names the diagram or the profunctor the collage remembers.
     """
-    objects, obj_parts, identity = [], {}, {}
-    for s, Cs in fibers.items():
-        for x in Cs.objects:
-            oid = _total_ob_id(s, x)
-            objects.append(oid)
-            obj_parts[oid] = (s, x)
-            identity[oid] = _total_mor_id(S.identity[s], Cs.identity[x], x)
-    mor_parts, src, dst = {}, {}, {}
+    ob = {(s, x): pair_id(s, x)
+          for s, Cs in fibers.items() for x in Cs.objects}
+    mor_parts, src, dst, mid_of = {}, {}, {}, {}
     for mid, parts, a, b in arrows:
         if mid in mor_parts:
             raise InvalidParameter("duplicate morphism ids")
-        mor_parts[mid], src[mid], dst[mid] = parts, a, b
+        mor_parts[mid], src[mid], dst[mid] = parts, ob[a], ob[b]
+        mid_of[parts] = mid
+    objects = list(ob.values())
     leaving = _index(objects, mor_parts, src)
     comp = {}
     for m1, first in mor_parts.items():
         for m2 in leaving[dst[m1]]:
-            comp[(m2, m1)] = compose(mor_parts[m2], first)
+            comp[(m2, m1)] = mid_of[compose(mor_parts[m2], first)]
+    identity = {oid: mid_of[(S.identity[s], x, fibers[s].identity[x])]
+                for (s, x), oid in ob.items()}
     total = build_category(objects, mor_parts, src, dst, identity, comp)
     # each fiber's inclusion, along the identity of its shape object
     injections = {s: CatFunctor(Cs, total,
-                                {x: _total_ob_id(s, x) for x in Cs.objects},
-                                {f: _total_mor_id(S.identity[s], f, Cs.src[f])
+                                {x: ob[(s, x)] for x in Cs.objects},
+                                {f: mid_of[(S.identity[s], Cs.src[f], f)]
                                  for f in Cs.morphisms})
                   for s, Cs in fibers.items()}
-    return Collage(total, S, dict(fibers), injections, obj_parts, mor_parts,
+    return Collage(total, S, dict(fibers), injections,
+                   {oid: parts for parts, oid in ob.items()}, mor_parts,
                    **origin)
 
 
@@ -150,8 +144,9 @@ def grothendieck(X: Diagram) -> Collage:
 
     Objects are '(s,x)'; a morphism (s,x) -> (t,y) is a pair of a shape
     morphism gamma: s -> t and a fiber morphism f: gamma(x) -> y, with id
-    '(gamma,f@x)'.  Composition pushes the first fiber leg forward:
-    (delta,g@y') . (gamma,f@x) = (delta.gamma, (g . delta(f))@x).
+    '(gamma,f@x)', by pair_id and join_id.  Composition pushes the first
+    fiber leg forward: (delta,g@y') . (gamma,f@x) = (delta.gamma,
+    (g . delta(f))@x).
     """
     S = X.shape
     arrows = []
@@ -161,8 +156,8 @@ def grothendieck(X: Diagram) -> Collage:
         for x in X.fiber[s].objects:
             for y in T.objects:
                 for f in T.hom(F.obmap[x], y):
-                    arrows.append((_total_mor_id(gamma, f, x), (gamma, x, f),
-                                   _total_ob_id(s, x), _total_ob_id(t, y)))
+                    arrows.append((pair_id(gamma, join_id(f, x)),
+                                   (gamma, x, f), (s, x), (t, y)))
     # along delta: the target fiber's composition and delta's morphism map
     after = {delta: (X.fiber[S.dst[delta]].comp, X.transition[delta].mormap)
              for delta in S.morphisms}
@@ -170,7 +165,7 @@ def grothendieck(X: Diagram) -> Collage:
     def compose(second, first):
         (delta, _, g), (gamma, x, f) = second, first
         comp, push = after[delta]
-        return _total_mor_id(S.comp[(delta, gamma)], comp[(g, push[f])], x)
+        return S.comp[(delta, gamma)], x, comp[(g, push[f])]
     return _total(S, {s: X.fiber[s] for s in S.objects}, arrows, compose,
                   diagram=X)
 
@@ -180,17 +175,16 @@ def collage_of_profunctor(P: Profunctor) -> Collage:
 
     The total category has the source A at tag 0, the target B at tag 1,
     a morphism '(u,p)' from (0,a) to (1,b) for each element p of P(b, a),
-    and no morphisms from the B side back to the A side.  Composition with
-    cross morphisms is given by the profunctor actions.
+    by pair_id, and no morphisms from the B side back to the A side.
+    Composition with cross morphisms is given by the profunctor actions.
     """
     S = standard_category("interval")
     fibers = {"0": P.source, "1": P.target}
-    arrows = [(_total_mor_id(S.identity[tag], f, Cs.src[f]),
+    arrows = [(pair_id(S.identity[tag], join_id(f, Cs.src[f])),
                (S.identity[tag], Cs.src[f], f),
-               _total_ob_id(tag, Cs.src[f]), _total_ob_id(tag, Cs.dst[f]))
+               (tag, Cs.src[f]), (tag, Cs.dst[f]))
               for tag, Cs in fibers.items() for f in Cs.morphisms]
-    arrows += [(_cross_id(p), ("u", a, p), _total_ob_id("0", a),
-                _total_ob_id("1", b))
+    arrows += [(pair_id("u", p), ("u", a, p), ("0", a), ("1", b))
                for (b, a), es in P.elements.items() for p in es]
     comp_along = {S.identity[tag]: Cs.comp for tag, Cs in fibers.items()}
 
@@ -199,11 +193,17 @@ def collage_of_profunctor(P: Profunctor) -> Collage:
         # morphism or before a B morphism
         (g2, _, p2), (g1, x1, p1) = second, first
         if g1 == g2:
-            return _total_mor_id(g1, comp_along[g1][(p2, p1)], x1)
+            return g1, x1, comp_along[g1][(p2, p1)]
         if g2 == "u":
-            return _cross_id(P.ract[p1][p2])
-        return _cross_id(P.lact[p2][p1])
+            return "u", x1, P.ract[p1][p2]
+        return "u", x1, P.lact[p2][p1]
     return _total(S, fibers, arrows, compose, profunctor=P)
+
+
+def _cross_ids(G: Collage) -> dict[str, str]:
+    """The cross morphism of a profunctor collage for each element."""
+    return {p: mid for mid, (gamma, _, p) in G.mor_parts.items()
+            if gamma == "u"}
 
 
 def check_semiorthogonal(G: Collage) -> Report:
@@ -232,10 +232,10 @@ def check_semiorthogonal(G: Collage) -> Report:
                 if back:
                     rep.fail(f"backwards morphisms from (1,{b!r}) to (0,{a!r}): {back}")
         if G.profunctor is not None:
-            P = G.profunctor
+            P, cross_of = G.profunctor, _cross_ids(G)
             for (b, a), es in P.elements.items():
                 cross = total.hom(at_a[a], at_b[b])
-                if sorted(cross) != sorted(map(_cross_id, es)):
+                if sorted(cross) != sorted(cross_of[p] for p in es):
                     rep.fail(f"cross hom at ({b!r}, {a!r}) does not match elements")
     else:
         rep.fail("semiorthogonality only applies to two-fiber collages")
@@ -268,10 +268,10 @@ def identity_block_decomposition(G: Collage):
             if sorted(blk.elements[(y, x)]) != sorted(inj.mormap[f] for f in es):
                 rep.fail(f"diagonal block {tag} differs from fiber hom at ({y!r}, {x!r})")
     if G.profunctor is not None:
-        P = G.profunctor
+        P, cross_of = G.profunctor, _cross_ids(G)
         blk = blocks[("1", "0")]
         for (b, a), es in P.elements.items():
-            if sorted(blk.elements[(b, a)]) != sorted(map(_cross_id, es)):
+            if sorted(blk.elements[(b, a)]) != sorted(cross_of[p] for p in es):
                 rep.fail(f"lower-left block differs from the profunctor at ({b!r}, {a!r})")
         # the unwrapping bijection intertwines the actions; the right
         # actions are the left actions of the opposites
@@ -283,7 +283,7 @@ def identity_block_decomposition(G: Collage):
                     if Q.target.src[g] != y:
                         continue
                     for p in es:
-                        if Qblk.lact[g][_cross_id(p)] != _cross_id(Q.lact[g][p]):
+                        if Qblk.lact[g][cross_of[p]] != cross_of[Q.lact[g][p]]:
                             rep.fail(f"lower-left {side} action differs at {p!r}")
     return rep, blocks
 
@@ -333,6 +333,7 @@ def restrict_matrix(M: Profunctor, G: Collage, side: str) -> LaxMatrix:
     else:
         raise InvalidParameter(f"side must be source or target, got {side!r}")
     S = G.shape
+    mid_of = {parts: mid for mid, parts in G.mor_parts.items()}
     transition = {}
     for gamma in S.morphisms:
         if S.is_identity(gamma):
@@ -340,7 +341,7 @@ def restrict_matrix(M: Profunctor, G: Collage, side: str) -> LaxMatrix:
         F = G.diagram.transition[gamma]
         Ct = G.fiber[S.dst[gamma]]
         transition[gamma] = {
-            x: dict(acts[_total_mor_id(gamma, Ct.identity[F.obmap[x]], x)])
+            x: dict(acts[mid_of[(gamma, x, Ct.identity[F.obmap[x]])]])
             for x in G.fiber[S.src[gamma]].objects}
     return LaxMatrix(G, side, other_id.source, entries, transition)
 
@@ -496,14 +497,15 @@ def block_multiply(N: LaxMatrix, M: LaxMatrix) -> CoendComposite:
     # the fiber generators, within one entry, then the transitions along the
     # shape generators
     arrows = []
+    at = {s: inj.obmap for s, inj in G.injections.items()}
     for s in S.objects:
         Cs, Ne, Me = G.fiber[s], N.entries[s], M.entries[s]
-        arrows += [(_total_ob_id(s, Cs.src[f]), _total_ob_id(s, Cs.dst[f]),
-                    Ne.ract[f], Me.lact[f]) for f in Cs.generators()]
+        arrows += [(at[s][Cs.src[f]], at[s][Cs.dst[f]], Ne.ract[f], Me.lact[f])
+                   for f in Cs.generators()]
     for gamma in S.generators():
         s, t = S.src[gamma], S.dst[gamma]
         F = G.diagram.transition[gamma]
-        arrows += [(_total_ob_id(s, x), _total_ob_id(t, F.obmap[x]),
+        arrows += [(at[s][x], at[t][F.obmap[x]],
                     N.transition[gamma][x], M.transition[gamma][x])
                    for x in G.fiber[s].objects]
 
@@ -545,9 +547,9 @@ def check_absoluteness(X: Diagram, E: FinCategory) -> Report:
     transitions = {}
     for gamma, F in X.transition.items():
         src_fib, dst_fib = fibers[S.src[gamma]], fibers[S.dst[gamma]]
-        obmap = {_pair_id(x, e): _pair_id(F.obmap[x], e)
+        obmap = {pair_id(x, e): pair_id(F.obmap[x], e)
                  for x in X.fiber[S.src[gamma]].objects for e in E.objects}
-        mormap = {_pair_id(f, eps): _pair_id(F.mormap[f], eps)
+        mormap = {pair_id(f, eps): pair_id(F.mormap[f], eps)
                   for f in X.fiber[S.src[gamma]].morphisms
                   for eps in E.morphisms}
         transitions[gamma] = CatFunctor(src_fib, dst_fib, obmap, mormap)
@@ -556,10 +558,12 @@ def check_absoluteness(X: Diagram, E: FinCategory) -> Report:
     G2 = grothendieck(XE)
     padded = product(G1.total, E)
 
-    obmap = {_total_ob_id(s, _pair_id(x, e)): _pair_id(_total_ob_id(s, x), e)
+    obmap = {G2.injections[s].obmap[pair_id(x, e)]:
+             pair_id(G1.injections[s].obmap[x], e)
              for s in S.objects for x in X.fiber[s].objects for e in E.objects}
-    mormap = {_total_mor_id(gamma, _pair_id(f, eps), _pair_id(x, E.src[eps])):
-              _pair_id(mid, eps)
+    mid2_of = {parts: mid for mid, parts in G2.mor_parts.items()}
+    mormap = {mid2_of[(gamma, pair_id(x, E.src[eps]), pair_id(f, eps))]:
+              pair_id(mid, eps)
               for mid, (gamma, x, f) in G1.mor_parts.items()
               for eps in E.morphisms}
     Phi = CatFunctor(G2.total, padded, obmap, mormap)

@@ -26,6 +26,7 @@ from .errors import (
     SearchBoundExceeded,
     UnitLawViolation,
 )
+from .ids import join_id, pair_ids
 from .report import Record, Report
 
 ISO_SEARCH_BOUND = 8
@@ -217,7 +218,7 @@ def from_poset(elements, relation) -> FinCategory:
 
     relation is an iterable of (x, y) pairs meaning x <= y; its
     reflexive-transitive closure must be antisymmetric.  Morphism ids are
-    'x<=y'.
+    'x<=y', by join_id.
     """
     elements = tuple(elements)
     if len(set(elements)) != len(elements):
@@ -243,20 +244,13 @@ def from_poset(elements, relation) -> FinCategory:
             if x != y and x in below[y]:
                 raise InvalidParameter(f"relation is not antisymmetric at ({x!r}, {y!r})")
 
-    morphisms = []
-    src, dst = {}, {}
-    for x in elements:
-        for y in sorted(below[x]):
-            m = f"{x}<={y}"
-            morphisms.append(m)
-            src[m], dst[m] = x, y
-    identity = {x: f"{x}<={x}" for x in elements}
-    comp = {}
-    for f in morphisms:
-        for g in morphisms:
-            if dst[f] == src[g]:
-                comp[(g, f)] = f"{src[f]}<={dst[g]}"
-    return build_category(elements, sorted(morphisms), src, dst, identity, comp)
+    mor = {(x, y): join_id(x, y, "<=") for x in elements for y in below[x]}
+    src = {m: x for (x, _), m in mor.items()}
+    dst = {m: y for (_, y), m in mor.items()}
+    identity = {x: mor[(x, x)] for x in elements}
+    comp = {(mor[(y, z)], mor[(x, y)]): mor[(x, z)]
+            for x in elements for y in below[x] for z in below[y]}
+    return build_category(elements, mor.values(), src, dst, identity, comp)
 
 
 def standard_category(kind: str, *args) -> FinCategory:
@@ -300,32 +294,10 @@ def standard_category(kind: str, *args) -> FinCategory:
     raise InvalidParameter(f"unknown standard category kind {kind!r}")
 
 
-_ESCAPE = str.maketrans({ch: "\\" + ch for ch in "\\,()"})
-
-
-def _pair_id(x: str, y: str) -> str:
-    """'(x,y)', injective: a part is written as it is, as in '((a,b),c)', if
-    its parentheses balance and it has no comma outside them and no
-    backslash; otherwise each backslash, comma and parenthesis in it is
-    escaped.  The first comma outside parentheses and escapes splits the
-    name back into its parts.
-    """
-    parts = []
-    for part in (x, y):
-        depth = 0
-        for ch in part:
-            depth += (ch == "(") - (ch == ")")
-            if depth < 0 or ch == "\\" or ch == "," and not depth:
-                depth = -1
-                break
-        parts.append(part if depth == 0 else part.translate(_ESCAPE))
-    return f"({parts[0]},{parts[1]})"
-
-
 def product(C: FinCategory, D: FinCategory) -> FinCategory:
-    """Product category; objects '(x,y)', morphisms '(f,g)', by _pair_id."""
-    ob = {(x, y): _pair_id(x, y) for x in C.objects for y in D.objects}
-    mor = {(f, g): _pair_id(f, g) for f in C.morphisms for g in D.morphisms}
+    """Product category; objects '(x,y)', morphisms '(f,g)', by pair_id."""
+    ob = pair_ids(C.objects, D.objects)
+    mor = pair_ids(C.morphisms, D.morphisms)
     src = {m: ob[(C.src[f], D.src[g])] for (f, g), m in mor.items()}
     dst = {m: ob[(C.dst[f], D.dst[g])] for (f, g), m in mor.items()}
     identity = {o: mor[(C.identity[x], D.identity[y])]

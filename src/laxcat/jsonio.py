@@ -14,6 +14,12 @@ output instead of holding it whole: the 3.4 MB document of a 56x56 `snf`
 peaks at about 0.45 MiB of allocations.  `dumps_canonical` joins the
 same pieces into one string.
 
+A profunctor's elements are keyed by cell: the cell (d, c) of a target
+object d and a source object c has the key `ids.pair_id(d, c)`, '(d,c)'
+with a part escaped only where it needs to be, so keys never collide.  A
+reader looks each key up among the keys of the endpoint objects' cells, so
+only a key written that way is accepted.
+
 Cross references: wherever a sub-object is expected, the JSON may hold
 either the inline object or a string naming a workspace entry; the
 `resolve(ref, kind)` callback supplied by the caller decides what names
@@ -28,7 +34,7 @@ from __future__ import annotations
 import json
 from itertools import chain
 
-from .errors import InvalidParameter, SchemaError, UnboundedComplex
+from .errors import SchemaError, UnboundedComplex
 
 # the length of the pieces write_canonical hands on
 FLUSH = 1 << 16
@@ -172,28 +178,6 @@ def functor_from_json(data, resolve=default_resolver) -> CatFunctor:
 
 # -- profunctors ----------------------------------------------------------------
 
-def _cell_key(d: str, c: str) -> str:
-    return f"({d},{c})"
-
-
-def _parse_cell_key(key: str, targets, sources) -> tuple[str, str]:
-    """Invert '(d,c)'; object names may contain commas, so the split is
-    validated against both object lists and must be unique."""
-    if not (key.startswith("(") and key.endswith(")")):
-        raise SchemaError(f"cell key {key!r} is not of the form (target,source)")
-    inner = key[1:-1]
-    sset = set(sources)
-    found = []
-    for d in targets:
-        if inner.startswith(d + ",") and inner[len(d) + 1:] in sset:
-            found.append((d, inner[len(d) + 1:]))
-    if len(found) != 1:
-        raise SchemaError(
-            f"cell key {key!r} is {'ambiguous' if found else 'unparseable'} "
-            "against the object lists")
-    return found[0]
-
-
 def _action_tables(value, where: str):
     if not isinstance(value, dict):
         raise SchemaError(f"{where}: expected an object of action tables")
@@ -204,21 +188,13 @@ def _action_tables(value, where: str):
 
 
 def profunctor_to_json(P: Profunctor) -> dict:
-    elements, cells = {}, {}
-    for cell, es in P.elements.items():
-        if not es:
-            continue
-        key = _cell_key(*cell)
-        if key in cells:
-            raise InvalidParameter(
-                f"cells {cells[key]} and {cell} both have the element key "
-                f"{key!r}")
-        cells[key] = cell
-        elements[key] = list(es)
+    from .ids import pair_ids
+    keys = pair_ids(P.target.objects, P.source.objects)
     return {
         "source": category_to_json(P.source),
         "target": category_to_json(P.target),
-        "elements": elements,
+        "elements": {keys[cell]: list(es)
+                     for cell, es in P.elements.items() if es},
         "left_action": {m: dict(t) for m, t in P.lact.items()
                         if t and not P.target.is_identity(m)},
         "right_action": {m: dict(t) for m, t in P.ract.items()
@@ -227,6 +203,7 @@ def profunctor_to_json(P: Profunctor) -> dict:
 
 
 def profunctor_from_json(data, resolve=default_resolver) -> Profunctor:
+    from .ids import pair_ids
     from .profunctor import build_profunctor
     _expect(data, "profunctor",
             ("source", "target", "elements", "left_action", "right_action"))
@@ -234,10 +211,14 @@ def profunctor_from_json(data, resolve=default_resolver) -> Profunctor:
     D = _resolve(data["target"], "category", resolve, "profunctor.target")
     if not isinstance(data["elements"], dict):
         raise SchemaError("profunctor.elements: expected an object")
+    cells = {key: cell
+             for cell, key in pair_ids(D.objects, C.objects).items()}
     elements = {}
     for key, es in data["elements"].items():
-        cell = _parse_cell_key(key, D.objects, C.objects)
-        elements[cell] = _str_list(es, f"profunctor.elements[{key!r}]")
+        if key not in cells:
+            raise SchemaError(
+                f"cell key {key!r} names no (target,source) pair of objects")
+        elements[cells[key]] = _str_list(es, f"profunctor.elements[{key!r}]")
     lact = _action_tables(data["left_action"], "profunctor.left_action")
     ract = _action_tables(data["right_action"], "profunctor.right_action")
     return build_profunctor(C, D, elements, lact, ract)

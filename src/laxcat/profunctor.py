@@ -47,6 +47,7 @@ from itertools import product
 
 from .errors import CompositionMismatch, InvalidParameter, ShapeMismatch
 from .fincat import CatFunctor, FinCategory, along_generators, opposite
+from .ids import composite_id, join_id
 from .report import Record, Report
 from .unionfind import UnionFind
 
@@ -215,17 +216,19 @@ def hom_profunctor(C: FinCategory) -> Profunctor:
 def from_functor(F: CatFunctor) -> Profunctor:
     """The representable profunctor of a functor F: C -> D.
 
-    elements(d, c) = Hom_D(F c, d); ids are tagged 'h@c' because the same
-    D-morphism can represent against several C-objects.
+    elements(d, c) = Hom_D(F c, d); ids are tagged 'h@c', by join_id,
+    because the same D-morphism can represent against several C-objects.
     """
     C, D = F.source, F.target
-    elements = {(d, c): tuple(f"{h}@{c}" for h in D.hom(F.obmap[c], d))
+    tagged = {c: {h: join_id(h, c) for h in D.leaving(F.obmap[c])}
+              for c in C.objects}
+    elements = {(d, c): tuple(tagged[c][h] for h in D.hom(F.obmap[c], d))
                 for d in D.objects for c in C.objects}
-    lact = {g: {f"{h}@{c}": f"{D.comp[(g, h)]}@{c}"
+    lact = {g: {tagged[c][h]: tagged[c][D.comp[(g, h)]]
                 for c in C.objects for h in D.hom(F.obmap[c], D.src[g])}
             for g in D.morphisms}
-    ract = {s: {f"{h}@{C.dst[s]}": f"{D.comp[(h, F.mormap[s])]}@{C.src[s]}"
-                for d in D.objects for h in D.hom(F.obmap[C.dst[s]], d)}
+    ract = {s: {h_at: tagged[C.src[s]][D.comp[(h, F.mormap[s])]]
+                for h, h_at in tagged[C.dst[s]].items()}
             for s in C.morphisms}
     return build_profunctor(C, D, elements, lact, ract)
 
@@ -356,20 +359,6 @@ def compose_transformations(b: ProTransformation, a: ProTransformation) -> ProTr
 
 # -- coend composition --------------------------------------------------------
 
-def _composite_id(gen: tuple[str, str, str]) -> str:
-    """'(n*m@d)' for the generator (d, n, m).
-
-    Backslash and '*' are escaped in all three parts and '@' in the middle
-    object d, so the first unescaped '*' and the last unescaped '@' split a
-    name back into its parts.  Element ids may keep their '@', as the cross
-    morphisms '(u,f@x)' of collage totals do, and render unchanged.
-    """
-    d, n, m = (part.replace("\\", "\\\\").replace("*", "\\*")
-               for part in gen)
-    d = d.replace("@", "\\@")
-    return f"({n}*{m}@{d})"
-
-
 class CoendComposite(Record):
     """A glued profunctor together with its gluing data.
 
@@ -424,7 +413,7 @@ def _coend(source: FinCategory, target: FinCategory, middle, left, right,
                     for m in ms:
                         uf.union((d, pull[n2], m), (d2, n2, push[m]))
             classes[(e, c)] = uf.classes()
-    return _glue(source, target, classes, _composite_id, act_left, act_right)
+    return _glue(source, target, classes, composite_id, act_left, act_right)
 
 
 def _glue(source: FinCategory, target: FinCategory, classes, name,
@@ -646,16 +635,15 @@ def check_cocontinuity_coproduct(N: Profunctor, M1: Profunctor,
                  "inr": compose_with_pairing(*factors(M2))}
         right = compose_with_pairing(*factors(coproduct(M1, M2)))
         L = coproduct(parts["inl"].profunctor, parts["inr"].profunctor)
-
-        def lift(cid):
-            tagname, inner = cid.split(":", 1)
-            gen = list(parts[tagname].rep_of[inner])
-            gen[slot] = f"{tagname}:{gen[slot]}"
-            return right.class_of[tuple(gen)]
-        t = build_protransformation(
-            L, right.profunctor,
-            {pair: {cid: lift(cid) for cid in ids}
-             for pair, ids in L.elements.items()})
+        lift = {pair: {} for pair in L.elements}
+        for tagname, part in parts.items():
+            for pair, inners in part.profunctor.elements.items():
+                for inner in inners:
+                    gen = list(part.rep_of[inner])
+                    gen[slot] = f"{tagname}:{gen[slot]}"
+                    cid = f"{tagname}:{inner}"
+                    lift[pair][cid] = right.class_of[tuple(gen)]
+        t = build_protransformation(L, right.profunctor, lift)
         _compare(rep, f"coproduct/{variable}", t)
     except (CompositionMismatch, ShapeMismatch, InvalidParameter) as exc:
         rep.fail(f"coproduct/{variable}: {exc}")

@@ -21,7 +21,7 @@ from .fincat import (CatFunctor, FinCategory, build_category,
 from .profunctor import (ProTransformation, Profunctor,
                          build_profunctor, build_protransformation,
                          compose_transformations, coproduct,
-                         quotient_by_relation)
+                         coproduct_injections, quotient_by_relation)
 
 
 def rng_from_seed(seed) -> random.Random:
@@ -165,17 +165,13 @@ def rand_parallel_pair(rng: random.Random, C: FinCategory, D: FinCategory,
     """A parallel pair of transformations built from a tag swap and a
     quotient projection, so both are natural by construction."""
     R = rand_profunctor(rng, C, D, max(1, max_cell // 2))
-    P = coproduct(R, R)
-    swap_components = {}
-    for pair, es in P.elements.items():
-        table = {}
-        for e in es:
-            if e.startswith("inl:"):
-                table[e] = "inr:" + e[4:]
-            else:
-                table[e] = "inl:" + e[4:]
-        swap_components[pair] = table
-    swap = build_protransformation(P, P, swap_components)
+    P, inl, inr = coproduct_injections(R, R)
+    swap = {}
+    for pair, es in R.elements.items():
+        left, right = inl.components[pair], inr.components[pair]
+        swap[pair] = {**{left[e]: right[e] for e in es},
+                      **{right[e]: left[e] for e in es}}
+    swap = build_protransformation(P, P, swap)
     pairs = []
     for _ in range(rng.randint(0, 2)):
         fat = [pair for pair, es in P.elements.items() if len(es) >= 2]
@@ -197,29 +193,28 @@ DIAGRAM_SHAPES = ("interval", "cospan", "simplex2")
 def rand_diagram(rng: random.Random, shape_kind: str | None = None,
                  max_fiber_objects: int = 3) -> Diagram:
     """A strict diagram over a poset shape with enumerated transition
-    functors; composites are filled in so strictness is exact."""
+    functors along the shape's generators; composites are filled in so
+    strictness is exact (no shape has a composite of three generators)."""
     if shape_kind is None:
         shape_kind = rng.choice(DIAGRAM_SHAPES)
     if shape_kind == "interval":
         shape = standard_category("interval")
-        edges = [("u", "0", "1")]
-        composites = []
     elif shape_kind == "cospan":
         shape = _cospan()
-        edges = [("a<=c", "a", "c"), ("b<=c", "b", "c")]
-        composites = []
     elif shape_kind == "simplex2":
         shape = standard_category("simplex", 2)
-        edges = [("0<=1", "0", "1"), ("1<=2", "1", "2")]
-        composites = [("0<=2", "0<=1", "1<=2")]
     else:
         raise ValueError(f"unknown shape kind {shape_kind!r}")
     fibers = {s: rand_category(rng, max_fiber_objects) for s in shape.objects}
+    edges = shape.generators()
     transition = {}
-    for mor, s, t in edges:
-        transition[mor] = rand_functor(rng, fibers[s], fibers[t])
-    for mor, first, second in composites:
-        transition[mor] = compose_functors(transition[second], transition[first])
+    for mor in edges:
+        transition[mor] = rand_functor(rng, fibers[shape.src[mor]],
+                                       fibers[shape.dst[mor]])
+    for (second, first), mor in shape.comp.items():
+        if second in edges and first in edges:
+            transition[mor] = compose_functors(transition[second],
+                                               transition[first])
     return build_diagram(shape, fibers, transition)
 
 

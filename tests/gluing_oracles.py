@@ -12,8 +12,8 @@ generators() chooses.
 
 from laxcat.errors import CompositionMismatch
 from laxcat.fincat import build_category
-from laxcat.profunctor import (CoendComposite, _composite_id, _glue,
-                               build_profunctor)
+from laxcat.ids import composite_id
+from laxcat.profunctor import CoendComposite, _glue, build_profunctor
 from laxcat.unionfind import UnionFind
 
 
@@ -46,7 +46,7 @@ def compose_along_every_morphism(N, M):
                         uf.union((d, N.ract[gamma][n2], m),
                                  (d2, n2, M.lact[gamma][m]))
             classes[(e, c)] = uf.classes()
-    return _glue(C, E, classes, _composite_id,
+    return _glue(C, E, classes, composite_id,
                  lambda eps, gs: [(d, N.lact[eps][n], m) for d, n, m in gs],
                  lambda sigma, gs: [(d, n, M.ract[sigma][m]) for d, n, m in gs])
 
@@ -89,7 +89,7 @@ def block_multiply_along_every_morphism(N, M):
     def ract(sigma, gens):
         return [(mid, n, M.entries[G.obj_parts[mid][0]].ract[sigma][m])
                 for mid, n, m in gens]
-    return _glue(C, E, classes, _composite_id, lact, ract)
+    return _glue(C, E, classes, composite_id, lact, ract)
 
 
 def glue_checking_every_outer_morphism(source, target, classes, name,

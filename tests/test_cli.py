@@ -100,8 +100,8 @@ def test_stray_transition_key_is_named(ws, tmp_path, capsys):
                    "object map key 'zz' is not a source object\n")
 
 
-def test_colliding_total_ids_are_rejected(tmp_path, capsys):
-    # '(id_0,a@b@c)' names both a@b: c -> z and a: b@c -> z
+def test_total_ids_with_separators_stay_distinct(tmp_path, capsys):
+    # unescaped, '(id_0,a@b@c)' named both a@b: c -> z and a: b@c -> z
     objects = ("c", "b@c", "z")
     ids = {x: f"id_{x}" for x in objects}
     src = {**{i: x for x, i in ids.items()}, "a@b": "c", "a": "b@c"}
@@ -112,14 +112,18 @@ def test_colliding_total_ids_are_rejected(tmp_path, capsys):
     C = build_category(objects, [*ids.values(), "a@b", "a"], src, dst, ids,
                        comp)
     X = build_diagram(standard_category("discrete", 1), {"0": C}, {})
-    for command, doc in (("grothendieck", diagram_to_json(X)),
-                         ("collage", profunctor_to_json(
-                             empty_profunctor(C, C)))):
+    for command, doc, fibers in (
+            ("grothendieck", diagram_to_json(X), ("id_0",)),
+            ("collage", profunctor_to_json(empty_profunctor(C, C)),
+             ("id_0", "id_1"))):
         path = tmp_path / f"{command}.json"
         path.write_text(json.dumps(doc))
-        assert main([command, str(path)]) == 2
-        assert capsys.readouterr().err == (
-            "validation failed: duplicate morphism ids\n")
+        assert main([command, str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        morphisms = [m["id"] for m in json.loads(out)["morphisms"]]
+        assert len(set(morphisms)) == len(morphisms) == 5 * len(fibers)
+        assert {"(id_0,a@b@c)", r"(id_0,a@b\\@c)"} <= set(morphisms)
 
 
 def test_cone_homology_quasi_iso(ws, tmp_path):
@@ -227,9 +231,10 @@ def test_unserializable_result_exits_4_and_leaves_no_out_file(
     assert err.count("\n") == 1 and err.startswith("internal error: ")
 
 
-def test_compose_with_colliding_cell_keys_exits_2(tmp_path, capsys):
+def test_compose_with_comma_cell_keys_exits_0(tmp_path, capsys):
     """The composite has elements in cells ('a,b', 'c') and ('a', 'b,c'),
-    whose keys would both read '(a,b,c)'."""
+    whose keys read '(a\\,b,c)' and '(a,b\\,c)'; unescaped, both would
+    read '(a,b,c)', and a key written so names no cell."""
     def discrete(*names):
         ids = {x: f"id_{x}" for x in names}
         src = {i: x for x, i in ids.items()}
@@ -246,11 +251,20 @@ def test_compose_with_colliding_cell_keys_exits_2(tmp_path, capsys):
         (tmp_path / f"{name}.json").write_text(
             dumps_canonical(profunctor_to_json(P)))
     out = tmp_path / "out.json"
+    assert main(["--out", str(out), "compose", *paths]) == 0
+    assert capsys.readouterr().err == ""
+    elements = json.loads(out.read_text())["elements"]
+    assert sorted(elements) == ["(a,b\\,c)", "(a,c)", "(a\\,b,b\\,c)",
+                                "(a\\,b,c)"]
+    assert len({e for es in elements.values() for e in es}) == 4
+    doc = profunctor_to_json(N)
+    doc["elements"]["(a,b,0)"] = doc["elements"].pop("(a\\,b,0)")
+    (tmp_path / "n.json").write_text(dumps_canonical(doc))
+    out.unlink()
     assert main(["--out", str(out), "compose", *paths]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert err.startswith("validation failed: cells (")
-    assert err.endswith("both have the element key '(a,b,c)'\n")
+    assert capsys.readouterr().err == (
+        "invalid input: cell key '(a,b,0)' names no (target,source) pair "
+        "of objects\n")
     assert not out.exists()
 
 

@@ -8,7 +8,7 @@ from laxcat.collage import (assemble_matrix, block_multiply, build_diagram,
                             collage_of_profunctor, grothendieck,
                             identity_block_decomposition, restrict_matrix)
 from laxcat.errors import InvalidParameter
-from laxcat.fincat import CatFunctor, standard_category
+from laxcat.fincat import CatFunctor, build_category, standard_category
 from laxcat.profunctor import (compose_profunctors, compose_with_pairing,
                                from_functor)
 from laxcat.rand import (rand_category, rand_diagram, rand_profunctor,
@@ -32,11 +32,47 @@ def test_grothendieck_objects_and_homs():
     assert G.total.hom("(1,0)", "(0,0)") == ()
 
 
+def separator_functor():
+    """The inclusion of the discrete category on c, b@c, x,y and \\ into
+    the category that adds one object z and one morphism from each of
+    them into z, named a@b, a, p,q\\ and @."""
+    into_z = {"a@b": "c", "a": "b@c", "p,q\\": "x,y", "@": "\\"}
+    names = tuple(into_z.values())
+    ids = {x: f"id_{x}" for x in (*names, "z")}
+    src = {**{i: x for x, i in ids.items()}, **into_z}
+    dst = {**{i: x for x, i in ids.items()}, **dict.fromkeys(into_z, "z")}
+    comp = {(i, i): i for i in ids.values()}
+    for f, x in into_z.items():
+        comp[(f, ids[x])] = comp[(ids["z"], f)] = f
+    D = build_category(tuple(ids), tuple(src), src, dst, ids, comp)
+    C = build_category(names, [ids[x] for x in names],
+                       {ids[x]: x for x in names}, {ids[x]: x for x in names},
+                       {x: ids[x] for x in names},
+                       {(ids[x], ids[x]): ids[x] for x in names})
+    return CatFunctor(C, D, {x: x for x in names},
+                      {ids[x]: ids[x] for x in names})
+
+
+def test_from_functor_ids_with_separators_stay_distinct():
+    # unescaped, a@b at c and a at b@c were both the element 'a@b@c'
+    P = from_functor(separator_functor())
+    assert P.elems("z", "c") == ("a@b@c",)
+    assert P.elems("z", "b@c") == (r"a@b\@c",)
+    assert P.elems("z", "\\") == (r"@@\\",)
+    assert P.elems("b@c", "b@c") == (r"id_b@c@b\@c",)
+
+
 def test_grothendieck_matches_profunctor_collage():
     """Gluing along a functor and gluing along its representable give the
-    same composition table, not merely isomorphic ones."""
-    X, F = interval_diagram()
-    assert grothendieck(X).total == collage_of_profunctor(from_functor(F)).total
+    same composition table, not merely isomorphic ones, also on ids that
+    hold the separators of derived names."""
+    I = standard_category("interval")
+    for F in (interval_diagram()[1], separator_functor()):
+        X = build_diagram(I, {"0": F.source, "1": F.target}, {"u": F})
+        G = grothendieck(X)
+        assert G.total == collage_of_profunctor(from_functor(F)).total
+    assert len(G.total.morphisms) == 4 + 9 + 8
+    assert r"(u,a@b\\@c)" in G.total.morphisms
 
 
 def test_diagram_requires_strict_composites():

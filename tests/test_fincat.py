@@ -5,11 +5,12 @@ import pytest
 
 from laxcat.errors import (InvalidParameter, MissingComposite, NonAssociative,
                            SearchBoundExceeded, UnitLawViolation)
-from laxcat.fincat import (CatFunctor, FinCategory, _pair_id, build_category,
+from laxcat.fincat import (CatFunctor, FinCategory, build_category,
                            compose_functors, enumerate_functors,
                            find_isomorphism, from_poset, identity_functor,
                            opposite, product, standard_category,
                            validate_functor)
+from laxcat.ids import pair_id
 from laxcat.rand import (_idempotent_monoid, _z2_monoid, rand_category,
                          rng_from_seed)
 import functor_oracles
@@ -43,6 +44,15 @@ def test_simplex_counts():
 def test_from_poset_rejects_cycles():
     with pytest.raises(InvalidParameter):
         from_poset(("a", "b"), [("a", "b"), ("b", "a")])
+
+
+def test_from_poset_ids_with_separators_stay_distinct():
+    # unescaped, both a<=b <= c and a <= b<=c were named 'a<=b<=c'
+    P = from_poset(["a<=b", "c", "a", "b<=c"], [("a<=b", "c"), ("a", "b<=c")])
+    assert len(P.morphisms) == 6
+    assert P.hom("a<=b", "c") == ("a<=b<=c",)
+    assert P.hom("a", "b<=c") == (r"a<=b\<=c",)
+    assert P.identity["b<=c"] == r"b<=c<=b\<=c"
 
 
 def test_build_category_missing_composite():
@@ -128,13 +138,13 @@ def test_product_of_ids_with_commas():
 
 
 def test_pair_id_is_injective_and_keeps_balanced_ids():
-    assert _pair_id("((0,1),2)", "f@x") == "(((0,1),2),f@x)"
-    assert _pair_id("a)", "(b") == "(a\\),\\(b)"
+    assert pair_id("((0,1),2)", "f@x") == "(((0,1),2),f@x)"
+    assert pair_id("a)", "(b") == "(a\\),\\(b)"
     parts = ["".join(w) for k in range(5)
              for w in itertools.product("a,()\\", repeat=k)]
     pairs = list(itertools.product(parts, repeat=2))
     assert len(pairs) == 609_961
-    assert len({_pair_id(x, y) for x, y in pairs}) == len(pairs)
+    assert len({pair_id(x, y) for x, y in pairs}) == len(pairs)
 
 
 def test_validate_functor_names_stray_keys():

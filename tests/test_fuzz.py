@@ -2,7 +2,8 @@
 
 Small valid inputs of every kind are damaged byte by byte (a flipped bit,
 a changed digit, a truncation, an inserted 0xff byte, deep nesting, a
-degree key spelled other than in canonical decimal) and run in process
+degree key spelled other than in canonical decimal, one id renamed to a
+string of the separators of derived ids) and run in process
 through `cli.main`, under an object cap of 1 to 6.
 Whatever the damage, the run must end as the README's exit codes say: 0
 or 1 with nothing on stderr, or 2 or 3 with one line, and never with a
@@ -90,9 +91,26 @@ def spell_degrees(text, rng):
     return DEGREE_KEY.sub(respell, text)
 
 
+# a JSON string, and the colon after it if it is a key
+STRING = re.compile(rb'"((?:[^"\\]|\\.)*)"(\s*:)?')
+# ',', '@', '*', '(', ')' and an escaped backslash
+RENAMED = rb'"a,@*()\\b"'
+
+
+def rename(text, rng):
+    """Every whole-string occurrence of one id, a string that the text
+    holds as a value, replaced by RENAMED."""
+    values = sorted({m[1] for m in STRING.finditer(text) if not m[2]})
+    if not values:
+        return text
+    old = rng.choice(values)
+    return STRING.sub(lambda m: RENAMED + (m[2] or b"") if m[1] == old
+                      else m[0], text)
+
+
 def mutate(text, rng):
     kind = rng.choice(["flip", "digit", "truncate", "xff", "nest",
-                       "degrees"])
+                       "degrees", "rename"])
     at = rng.randrange(len(text))
     if kind == "flip":
         return text[:at] + bytes([text[at] ^ 1 << rng.randrange(8)]) \
@@ -109,6 +127,8 @@ def mutate(text, rng):
         depth = rng.choice([2, 500, 100_000])
         opening, closing = rng.choice([(b"[", b"]"), (b'{"a": ', b"}")])
         return opening * depth + text + closing * depth
+    if kind == "rename":
+        return rename(text, rng)
     return spell_degrees(text, rng)
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laxcat.collage import collage_of_profunctor
-from laxcat.errors import InvalidParameter, SchemaError, UnboundedComplex
+from laxcat.errors import SchemaError, UnboundedComplex
 from laxcat.fincat import build_category, standard_category
 from laxcat.jsonio import (category_from_json, category_to_json,
                            chainmap_from_json, chainmap_to_json,
@@ -169,32 +169,33 @@ def test_cell_keys_with_commas_roundtrip():
     assert Q.elements == P.elements
 
 
-def test_colliding_cell_keys_are_rejected_on_dump():
-    # ("a,b", "c") and ("a", "b,c") both render as "(a,b,c)"
+def test_comma_cell_keys_stay_distinct_on_dump():
+    # unescaped, ("a,b", "c") and ("a", "b,c") both rendered as "(a,b,c)"
     from laxcat.profunctor import build_profunctor
     P = build_profunctor(comma_category(["c", "b,c"]),
                          comma_category(["a,b", "a"]),
                          {("a,b", "c"): ["p"], ("a", "b,c"): ["q"]}, {}, {})
-    assert P.total_size() == 2
-    with pytest.raises(InvalidParameter,
-                       match=r"cells \('a', 'b,c'\) and \('a,b', 'c'\) "
-                             r"both have the element key '\(a,b,c\)'"):
-        profunctor_to_json(P)
-    # an empty cell loses nothing, so its key may repeat another's
-    Q = build_profunctor(comma_category(["c", "b,c"]),
-                         comma_category(["a,b", "a"]),
-                         {("a,b", "c"): ["p"]}, {}, {})
-    assert profunctor_to_json(Q)["elements"] == {"(a,b,c)": ["p"]}
+    data = profunctor_to_json(P)
+    assert data["elements"] == {r"(a\,b,c)": ["p"], r"(a,b\,c)": ["q"]}
+    assert profunctor_from_json(data) == P
+    # the unescaped key names no cell
+    data["elements"] = {"(a,b,c)": ["p"]}
+    with pytest.raises(SchemaError, match=r"cell key '\(a,b,c\)' names no"):
+        profunctor_from_json(data)
 
 
 def test_ambiguous_cell_key_rejected():
     from laxcat.profunctor import build_profunctor
     C = comma_category(["a", "a,a"])
     D = comma_category(["a", "a,a"])
-    P = build_profunctor(C, D, {("a", "a,a"): ["e0"]}, {}, {})
+    P = build_profunctor(C, D, {("a", "a,a"): ["e0"], ("a,a", "a"): ["e1"]},
+                         {}, {})
     data = profunctor_to_json(P)
-    # "(a,a,a)" splits as both (a)(a,a) and (a,a)(a)
-    with pytest.raises(SchemaError):
+    assert data["elements"] == {r"(a,a\,a)": ["e0"], r"(a\,a,a)": ["e1"]}
+    assert profunctor_from_json(data) == P
+    # "(a,a,a)" would split as both (a)(a,a) and (a,a)(a)
+    data["elements"] = {"(a,a,a)": ["e0"]}
+    with pytest.raises(SchemaError, match=r"cell key '\(a,a,a\)' names no"):
         profunctor_from_json(data)
 
 

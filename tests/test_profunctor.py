@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from laxcat.errors import CompositionMismatch, InvalidParameter, ShapeMismatch
 from laxcat.fincat import (CatFunctor, identity_functor, opposite, product,
                            standard_category)
-from laxcat.profunctor import (ProTransformation, _composite_id, associator,
+from laxcat.ids import composite_id
+from laxcat.profunctor import (ProTransformation, associator,
                                build_profunctor, build_protransformation,
                                naturality_report, restrict_along,
                                check_cocontinuity, compose_profunctors,
@@ -442,7 +443,7 @@ def test_composite_ids_with_separators_do_not_collide():
 
 
 def test_composite_id_is_injective_and_keeps_plain_ids():
-    assert _composite_id(("(0,x)", "(u,f@x)", "0<=1")) == "((u,f@x)*0<=1@(0,x))"
+    assert composite_id(("(0,x)", "(u,f@x)", "0<=1")) == "((u,f@x)*0<=1@(0,x))"
     parts = ["".join(w) for k in range(3) for w in itertools.product("a\\*@", repeat=k)]
-    names = {_composite_id(gen) for gen in itertools.product(parts, repeat=3)}
+    names = {composite_id(gen) for gen in itertools.product(parts, repeat=3)}
     assert len(names) == len(parts) ** 3

@@ -1,47 +1,49 @@
 #!/usr/bin/env python3
 """In-process size ladder of the kernels that dominate the `tables` and
-`chains` workloads: validation of a collage total, of a finite group loaded
-from JSON and of a hom profunctor, the coend composite of a finite group's
-hom profunctor with itself, the Grothendieck total and the blockwise coend
-of a diagram, the monoid-laws check, Smith normal form
-(elimination, and the self-check `SmithDecomposition.verify`), and the
-chain-map constructions.
+`chains` workloads: the collage of a hom profunctor and the validation of
+its total, the loading of the hom profunctor from JSON, the validation of
+a finite group loaded from JSON and of a hom profunctor, the coend
+composite of a finite group's hom profunctor with itself, the Grothendieck
+total and the blockwise coend of a diagram, the monoid-laws check, Smith
+normal form (elimination, and the self-check `SmithDecomposition.verify`),
+and the chain-map constructions.
 
     python3 tools/ladder.py [SRC] [--repeats 5]
 
-SRC is the laxcat source tree to import (default: ./src), so the same script
-times any checkout.  Inputs are those of `bench/run.py --seed 1`: for
-`tables`, hom(Δa×Δb) (its collage total and the profunctor itself) and the
-seed-1 groups of orders 12, 24 and 36 (their hom profunctors validated and
-composed with themselves, and the check of `laxcat check monoid-laws` on
-the groups); for `chains`, the seed-1 matrices of sizes 16, 32, 48 and 56
-(entries in [-5, 5]).  The collage rungs time `grothendieck` and
-`block_multiply` on the interval-shaped diagram with fibers Δ2×Δk and
-Δ3×Δk, k = 1, 2, 3, and transition F×id for the face map F: Δ2 -> Δ3 that
-skips 1 (product fibers, as in the workload's `prod_diagram`); the block
-product squares the hom profunctor of the total, cut into blocks on both
-sides.  To show the scaling past the workload, the ladder also loads,
-through `category_from_json`, the groups that the workload's
-`abelian_group` draws from one seed-1 generator for orders 60, 120 and 240,
-and eliminates one 64×64 matrix drawn at seed 64.  Each timed
-`build_profunctor` call gets a fresh, unvalidated copy of the category, so
-no per-category cache outlives a repeat.  The chain-map rungs run over the
-ten `rand_universal_case` draws (f, g, H) of seeds 0-9: `build_chain_map`
-of f and of g, `cone(f)`, and the round trip
-`cone_to_data(f, cone_from_data(f, g, H))`.  The canonical-dump rungs
-encode the seed-1 `snf` documents of sizes 32, 48, 56 and 64 (the last
-from the seed-64 matrix), the collage documents of the hom ladder and the
-output documents of a whole seed-1 `tables` pass, each read back from its
-`--out` file, by two routes into a counting sink: the reference
-`json.dumps(doc, sort_keys=True, indent=2) + "\n"`, one string built
-whole, and `jsonio.write_canonical` where SRC has it, the same encoder's
-`iterencode` tokens handed on in 64 KiB pieces; `canonical_dump_ms` is
-the median time and `canonical_dump_peak_kib` the tracemalloc peak of
-the largest document's encoding.  The start-up rungs time a
-fresh `python -m laxcat` process end to end for `--help`, `compose` of two
-small profunctors, `snf` of a 3×3 matrix and `check monoid-laws
---randomized --count 1`, each from a copy of SRC without bytecode (every
-imported module is compiled on each call, as in a checkout run with
+SRC is the laxcat source tree to import (default: ./src), so the same
+script times any checkout.  Inputs are those of `bench/run.py --seed 1`:
+for `tables`, hom(Δa×Δb) (`collage_of_profunctor` of it, the validation of
+that collage total, `profunctor_from_json` of its document and the
+profunctor's own validation) and the seed-1 groups of orders 12, 24 and 36
+(their hom profunctors validated and composed with themselves, and the
+check of `laxcat check monoid-laws` on the groups); for `chains`, the
+seed-1 matrices of sizes 16, 32, 48 and 56 (entries in [-5, 5]).  The
+diagram rungs time `grothendieck` and `block_multiply` on the
+interval-shaped diagram with fibers Δ2×Δk and Δ3×Δk, k = 1, 2, 3, and
+transition F×id for the face map F: Δ2 -> Δ3 that skips 1 (product fibers,
+as in the workload's `prod_diagram`); the block product squares the hom
+profunctor of the total, cut into blocks on both sides.  To show the
+scaling past the workload, the ladder also loads, through
+`category_from_json`, the groups that the workload's `abelian_group` draws
+from one seed-1 generator for orders 60, 120 and 240, and eliminates one
+64×64 matrix drawn at seed 64.  Each timed `build_profunctor` call gets a
+fresh, unvalidated copy of the category, so no per-category cache outlives
+a repeat.  The chain-map rungs run over the ten `rand_universal_case` draws
+(f, g, H) of seeds 0-9: `build_chain_map` of f and of g, `cone(f)`, and the
+round trip `cone_to_data(f, cone_from_data(f, g, H))`.  The canonical-dump
+rungs encode the seed-1 `snf` documents of sizes 32, 48, 56 and 64 (the
+last from the seed-64 matrix), the collage documents of the hom ladder and
+the output documents of a whole seed-1 `tables` pass, each read back from
+its `--out` file, by two routes into a counting sink: the reference
+`json.dumps(doc, sort_keys=True, indent=2) + "\n"`, one string built whole,
+and `jsonio.write_canonical` where SRC has it, the same encoder's
+`iterencode` tokens handed on in 64 KiB pieces; `canonical_dump_ms` is the
+median time and `canonical_dump_peak_kib` the tracemalloc peak of the
+largest document's encoding.  The start-up rungs time a fresh `python -m
+laxcat` process end to end for `--help`, `compose` of two small
+profunctors, `snf` of a 3×3 matrix and `check monoid-laws --randomized
+--count 1`, each from a copy of SRC without bytecode (every imported module
+is compiled on each call, as in a checkout run with
 PYTHONDONTWRITEBYTECODE=1) and from a `compileall`ed copy.  Prints one JSON
 object of per-rung medians in milliseconds.
 """
@@ -186,7 +188,9 @@ def main(argv=None):
     from laxcat.fincat import (CatFunctor, FinCategory, build_category,
                                product, standard_category)
     import laxcat.jsonio
-    from laxcat.jsonio import category_from_json, collage_to_json, snf_to_json
+    from laxcat.jsonio import (category_from_json, collage_to_json,
+                               profunctor_from_json, profunctor_to_json,
+                               snf_to_json)
     from laxcat.k0chain import (build_chain_map, cone, cone_from_data,
                                 cone_to_data, smith_normal_form)
     from laxcat.profunctor import (build_profunctor, compose_with_pairing,
@@ -202,6 +206,7 @@ def main(argv=None):
         return build_profunctor(fresh, fresh, H.elements, H.lact, H.ract)
 
     out = {"build_category_ms": {}, "category_load_ms": {},
+           "collage_ms": {}, "profunctor_load_ms": {},
            "build_profunctor_ms": {}, "compose_group_hom_ms": {},
            "monoid_laws_ms": {}, "snf_elimination_ms": {},
            "snf_verify_ms": {}, "chain_maps_ms": {},
@@ -216,7 +221,16 @@ def main(argv=None):
     for a, b in HOM_LADDER:
         square = product(standard_category("simplex", a),
                          standard_category("simplex", b))
-        G = collage_of_profunctor(hom_profunctor(square))
+        H = hom_profunctor(square)
+        G = collage_of_profunctor(H)
+        out["collage_ms"][f"hom_{a}x{b}"] = {
+            "morphisms": len(G.total.morphisms),
+            "median": median_ms(lambda: collage_of_profunctor(H),
+                                args.repeats)}
+        doc = profunctor_to_json(H)
+        out["profunctor_load_ms"][f"hom_{a}x{b}"] = {
+            "median": median_ms(lambda: profunctor_from_json(doc),
+                                args.repeats)}
         dump_rungs(out, f"collage_hom_{a}x{b}", [collage_to_json(G)], routes,
                    args.repeats)
         T = G.total
@@ -225,7 +239,6 @@ def main(argv=None):
             "median": median_ms(lambda: build_category(
                 T.objects, T.morphisms, T.src, T.dst, T.identity, T.comp),
                 args.repeats)}
-        H = hom_profunctor(square)
         out["build_profunctor_ms"][f"hom_{a}x{b}"] = {
             "elements": H.total_size(),
             "median": median_ms(lambda: rebuild_hom(H), args.repeats)}
