@@ -27,7 +27,7 @@ from importlib import import_module
 # (bench/spans.py) expect laxcat.decat loaded once laxcat.cli is
 from . import decat  # noqa: F401
 from .errors import CapExceeded, LaxcatError, SchemaError
-from .jsonio import (LOADERS, chainmap_to_json, collage_to_json,
+from .jsonio import (DIGIT_CAP, LOADERS, chainmap_to_json, collage_to_json,
                      complex_to_json, homology_to_json, parse_degree,
                      profunctor_to_json, sniff_kind, snf_to_json,
                      write_canonical)
@@ -36,9 +36,20 @@ from .report import Report
 RANK_CAP = 32
 DEGREE_CAP = 16
 MATRIX_CAP = 64
+# jsonio.DIGIT_CAP bounds the digits of each input integer and degree key
 
 
 # -- caps -----------------------------------------------------------------------
+
+def _int_literal(text: str, label: str) -> int:
+    """The json.loads parse_int hook of an input file: a literal of more
+    than DIGIT_CAP digits is refused before int() converts it."""
+    if len(text) > DIGIT_CAP and len(text.lstrip("-")) > DIGIT_CAP:
+        raise CapExceeded(f"{label}: an integer literal of "
+                          f"{len(text.lstrip('-'))} digits exceeds the cap "
+                          f"of {DIGIT_CAP}")
+    return int(text)
+
 
 def _check_caps(data, kind: str, caps, label: str):
     """Refuse an oversized raw JSON input before any loader validates or
@@ -111,7 +122,8 @@ class Workspace:
             raise SchemaError(f"no such input: {path}")
         try:
             with open(path, encoding="utf-8") as f:
-                data = json.loads(f.read())
+                data = json.loads(
+                    f.read(), parse_int=lambda text: _int_literal(text, ref))
         except UnicodeDecodeError as e:
             raise SchemaError(f"{path} is not UTF-8: {e}")
         except RecursionError:

@@ -34,10 +34,15 @@ from __future__ import annotations
 import json
 from itertools import chain
 
-from .errors import SchemaError, UnboundedComplex
+from .errors import CapExceeded, SchemaError, UnboundedComplex
 
 # the length of the pieces write_canonical hands on
 FLUSH = 1 << 16
+
+# the most digits of an input integer literal or degree key, since int()
+# takes time quadratic in the digits.  Outputs are not capped: the
+# transforms of a 64x64 snf reach 4 334 digits.
+DIGIT_CAP = 10_000
 
 # json.dumps(obj, sort_keys=True, indent=2) is the join of its iterencode
 _ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
@@ -266,12 +271,18 @@ def diagram_from_json(data, resolve=default_resolver) -> Diagram:
 def parse_degree(key):
     """The degree a key names in canonical decimal, as the converters
     write it ("-1", "0", "12"); None for any other key ("01", "+1", "1_0",
-    " 1")."""
-    try:
-        n = int(key)
-    except (TypeError, ValueError):
+    " 1").  A key of more than DIGIT_CAP digits is refused before the one
+    conversion."""
+    if not isinstance(key, str):
         return None
-    return n if str(n) == key else None
+    digits = key[1:] if key.startswith("-") else key
+    if len(digits) > DIGIT_CAP:
+        raise CapExceeded(f"degree key {key[:12]!r}... of {len(key)} "
+                          f"characters exceeds the cap of {DIGIT_CAP} digits")
+    if (digits.isascii() and digits.isdigit()
+            and (digits[0] != "0" or digits == key == "0")):
+        return int(key)
+    return None
 
 
 def _int_keyed(value, where: str) -> dict[int, object]:

@@ -126,12 +126,10 @@ def build_complex(ranks: dict[int, int], diffs: dict[int, object]) -> ChainCompl
     for n in clean_ranks:
         if clean_ranks.get(n - 1, 0) and n not in clean_diffs:
             clean_diffs[n] = zeros(clean_ranks[n - 1], clean_ranks[n])
-    C = ChainComplex(clean_ranks, clean_diffs)
-    for n in list(clean_diffs):
-        square = C.diff(n - 1) @ C.diff(n)
-        if not is_zero_matrix(square):
+    for n, d in clean_diffs.items():
+        if n - 1 in clean_diffs and not is_zero_matrix(clean_diffs[n - 1] @ d):
             raise DifferentialSquareNonzero(f"d.d != 0 from degree {n}")
-    return C
+    return ChainComplex(clean_ranks, clean_diffs)
 
 
 def shift(C: ChainComplex, k: int) -> ChainComplex:
@@ -172,10 +170,16 @@ class GradedMap:
         return zeros(self.target.rank(n + self.degree), self.source.rank(n))
 
     def boundary(self, n: int) -> Matrix:
-        """(D g)_n = d_B g_n - (-1)^degree g_{n-1} d_A: A_n -> B_{n+degree-1}."""
-        left = self.target.diff(n + self.degree) @ self.mat(n)
-        right = self.mat(n - 1) @ self.source.diff(n)
-        return left + right if self.degree % 2 else left - right
+        """(D g)_n = d_B g_n - (-1)^degree g_{n-1} d_A: A_n -> B_{n+degree-1},
+        summed over the terms whose two factors are present."""
+        g, k = self.matrices, n + self.degree
+        dB, dA = self.target.diffs, self.source.diffs
+        terms = [dB[k] @ g[n]] if n in g and k in dB else []
+        if n - 1 in g and n in dA:
+            right = g[n - 1] @ dA[n]
+            terms.append(right if self.degree % 2 else -right)
+        return (sum(terms[1:], terms[0]) if terms
+                else zeros(self.target.rank(k - 1), self.source.rank(n)))
 
     def __eq__(self, other):
         if not isinstance(other, GradedMap):
@@ -235,14 +239,17 @@ def compose_chain_maps(g: ChainMap, f: ChainMap) -> ChainMap:
     if f.target != g.source:
         raise DimensionMismatch("chain map composition endpoints do not match")
     return ChainMap(f.source, g.target, {
-        n: g.mat(n) @ f.mat(n) for n in set(f.source.ranks) & set(g.target.ranks)})
+        n: g.matrices[n] @ f.matrices[n]
+        if n in g.matrices and n in f.matrices
+        else zeros(g.target.rank(n), f.source.rank(n))
+        for n in set(f.source.ranks) & set(g.target.ranks)})
 
 
 def add_chain_maps(f: ChainMap, g: ChainMap) -> ChainMap:
     if f.source != g.source or f.target != g.target:
         raise DimensionMismatch("chain map sum endpoints do not match")
-    degrees = set(f.matrices) | set(g.matrices)
-    return ChainMap(f.source, f.target, {n: f.mat(n) + g.mat(n) for n in degrees})
+    both = {n: f.matrices[n] + m for n, m in g.matrices.items() if n in f.matrices}
+    return ChainMap(f.source, f.target, {**f.matrices, **g.matrices, **both})
 
 
 def graded_map_image(A: ChainComplex, B: ChainComplex,
@@ -609,59 +616,82 @@ class SmithDecomposition(Record):
         return rep
 
 
+def _subtract_rows(T, k: int, quotients) -> None:
+    """Row k of T, from column k on, less quotients[t] times row k + 1 + t."""
+    top = T[k][k:]
+    for i, q in enumerate(quotients, k + 1):
+        if q:
+            top = [a - q * b for a, b in zip(top, T[i][k:])]
+    T[k][k:] = top
+
+
 def smith_normal_form(matrix) -> SmithDecomposition:
     """U d V = S with unimodular U, V; pivots chosen by smallest nonzero
-    absolute value, which keeps intermediate entries tame."""
+    absolute value, which keeps intermediate entries tame.
+
+    Elimination runs first, on the trailing block D[k:, k:] alone (the
+    rows and columns before k are final), and logs each pass: k, the
+    pivot's place, its sign, the row and column quotients, the folded row.
+    U = E_T ... E_1 and V = F_1 ... F_T are then built last operation
+    first, as Q <- Q E on the rows of Q^T and R <- F R, so each step-k
+    operation meets a transform that is still the identity outside its
+    trailing block and touches only the entries from column k on.  In
+    elimination order it would update whole rows, whose entries grow to
+    thousands of bits (Kannan and Bachem, SIAM J. Comput. 8, 1979).
+    """
     A = as_matrix(matrix)
     m, n = A.shape
-    D = A.copy()
-    U, V = eye(m), eye(n)
-    k = 0
-    while k < min(m, n):
-        # each pass moves the smallest nonzero |entry| of D[k:, k:] (first in
-        # row-major order) to (k, k) and reduces its row and column by it
-        pivot, least = None, 0
-        for i in range(k, m):
-            row = D.rows[i]
-            for j in range(k, n):
-                size = abs(row[j])
-                if size and (pivot is None or size < least):
-                    pivot, least = (i, j), size
-        if pivot is None:
+    B, diag, log = A.tolist(), [], []
+    while B and B[0]:
+        # the smallest nonzero |entry| of the block, first in row-major order
+        sizes = [min(map(abs, filter(None, row)), default=0) for row in B]
+        least = min(filter(None, sizes), default=0)
+        if not least:
             break
-        i, j = pivot
-        if i != k:
-            D.swap_rows(k, i)
-            U.swap_rows(k, i)
-        if j != k:
-            D.swap_cols(k, j)
-            V.swap_cols(k, j)
-        if D[k, k] < 0:
-            D.negate_row(k)
-            U.negate_row(k)
-        p = D[k, k]
-        for i in range(k + 1, m):
-            q = D[i, k] // p
+        pi = sizes.index(least)
+        pj = list(map(abs, B[pi])).index(least)
+        B[0], B[pi] = B[pi], B[0]
+        for row in B:
+            row[0], row[pj] = row[pj], row[0]
+        neg = B[0][0] < 0
+        top = B[0] = [-v for v in B[0]] if neg else B[0]
+        p = top[0]
+        rq = [row[0] // p for row in B[1:]]
+        for i, q in enumerate(rq, 1):
             if q:
-                D.add_row(i, k, -q)
-                U.add_row(i, k, -q)
-        for j in range(k + 1, n):
-            q = D[k, j] // p
-            if q:
-                D.add_col(j, k, -q)
-                V.add_col(j, k, -q)
-        if (any(D[i, k] != 0 for i in range(k + 1, m))
-                or any(D[k, j] != 0 for j in range(k + 1, n))):
-            continue
-        # p must divide the rest; otherwise fold in the first offending row
-        bad = next((i for i in range(k + 1, m)
-                    if any(v % p for v in D.rows[i][k + 1:])), None)
-        if bad is None:
-            k += 1
-        else:
-            D.add_row(k, bad, 1)
-            U.add_row(k, bad, 1)
-    return SmithDecomposition(A, U, D, V)
+                B[i] = [a - q * b for a, b in zip(B[i], top)]
+        # column k does not change in the column pass, so every quotient
+        # can be read off row k first and applied one row at a time
+        cq = [v // p for v in top[1:]]
+        for row in B:
+            if row[0]:
+                row[1:] = [a - q * row[0] for a, q in zip(row[1:], cq)]
+        # fold stays None while row or column k is not clear; then it is
+        # the first row that p does not divide, or 0 if p divides the rest
+        fold = None
+        if not any(row[0] for row in B[1:]) and not any(top[1:]):
+            fold = next((i for i, row in enumerate(B[1:], 1)
+                         if any(v % p for v in row[1:])), 0)
+            if fold:
+                B[0] = [a + b for a, b in zip(top, B[fold])]
+        log.append((len(diag), pi, pj, neg, rq, cq, fold))
+        if fold == 0:
+            diag.append(p)
+            B = [row[1:] for row in B[1:]]
+    Ut, V = eye(m).rows, eye(n).rows
+    for k, pi, pj, neg, rq, cq, fold in reversed(log):
+        if fold:
+            Ut[k + fold][k:] = [a + b for a, b in zip(Ut[k + fold][k:], Ut[k][k:])]
+        _subtract_rows(Ut, k, rq)
+        if neg:
+            Ut[k][k:] = [-v for v in Ut[k][k:]]
+        Ut[k], Ut[k + pi] = Ut[k + pi], Ut[k]
+        _subtract_rows(V, k, cq)
+        V[k], V[k + pj] = V[k + pj], V[k]
+    S = zeros(m, n)
+    for k, p in enumerate(diag):
+        S.rows[k][k] = p
+    return SmithDecomposition(A, Matrix([list(r) for r in zip(*Ut)], m), S, Matrix(V, n))
 
 
 # -- homology ------------------------------------------------------------------------

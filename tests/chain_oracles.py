@@ -1,6 +1,8 @@
 """Test-only helpers for the chain-complex layer: an independent Smith
-normal form oracle, the self-check of a Smith decomposition by two Bareiss
-determinants, the coordinate vector of a graded map, the plain block
+normal form oracle, the Smith normal form that applies each operation to
+U and V as it eliminates (the reference for the transforms), the
+self-check of a Smith decomposition by two Bareiss determinants, the
+coordinate vector of a graded map, the plain block
 product that the star product is compared against, and the direct sum of
 two complexes assembled block by block.
 """
@@ -10,7 +12,7 @@ import math
 from laxcat.errors import BlockMismatch
 from laxcat.intmat import Matrix
 from laxcat.k0chain import (BlockGradedMatrix, ChainComplex,
-                            SmithDecomposition, as_matrix, det_exact,
+                            SmithDecomposition, as_matrix, det_exact, eye,
                             hom_basis, is_zero_matrix, zeros)
 from laxcat.report import Report
 
@@ -119,6 +121,64 @@ def snf_diagonal_naive(matrix) -> list[int]:
             diag[i], diag[j] = g, l
     nonzero = sorted(v for v in diag if v)
     return nonzero + [0] * (len(diag) - len(nonzero))
+
+
+def smith_normal_form_in_order(matrix) -> SmithDecomposition:
+    """U d V = S with unimodular U, V; pivots chosen by smallest nonzero
+    absolute value, which keeps intermediate entries tame.
+
+    The reference for k0chain.smith_normal_form: the same pivot rule, with
+    each row and column operation applied to D, U and V as it is made."""
+    A = as_matrix(matrix)
+    m, n = A.shape
+    D = A.copy()
+    U, V = eye(m), eye(n)
+    k = 0
+    while k < min(m, n):
+        # each pass moves the smallest nonzero |entry| of D[k:, k:] (first in
+        # row-major order) to (k, k) and reduces its row and column by it
+        pivot, least = None, 0
+        for i in range(k, m):
+            row = D.rows[i]
+            for j in range(k, n):
+                size = abs(row[j])
+                if size and (pivot is None or size < least):
+                    pivot, least = (i, j), size
+        if pivot is None:
+            break
+        i, j = pivot
+        if i != k:
+            D.swap_rows(k, i)
+            U.swap_rows(k, i)
+        if j != k:
+            D.swap_cols(k, j)
+            V.swap_cols(k, j)
+        if D[k, k] < 0:
+            D.negate_row(k)
+            U.negate_row(k)
+        p = D[k, k]
+        for i in range(k + 1, m):
+            q = D[i, k] // p
+            if q:
+                D.add_row(i, k, -q)
+                U.add_row(i, k, -q)
+        for j in range(k + 1, n):
+            q = D[k, j] // p
+            if q:
+                D.add_col(j, k, -q)
+                V.add_col(j, k, -q)
+        if (any(D[i, k] != 0 for i in range(k + 1, m))
+                or any(D[k, j] != 0 for j in range(k + 1, n))):
+            continue
+        # p must divide the rest; otherwise fold in the first offending row
+        bad = next((i for i in range(k + 1, m)
+                    if any(v % p for v in D.rows[i][k + 1:])), None)
+        if bad is None:
+            k += 1
+        else:
+            D.add_row(k, bad, 1)
+            U.add_row(k, bad, 1)
+    return SmithDecomposition(A, U, D, V)
 
 
 def verify_two_bareiss(dec: SmithDecomposition) -> Report:

@@ -9,10 +9,11 @@ import laxcat.cli as cli
 import laxcat.k0chain as k0chain
 from laxcat.cli import CHECKS, _draw, main
 from laxcat.collage import Diagram, build_diagram, grothendieck
+from laxcat.errors import CapExceeded
 from laxcat.fincat import FinCategory, build_category, standard_category
-from laxcat.jsonio import (category_to_json, chainmap_to_json,
+from laxcat.jsonio import (DIGIT_CAP, category_to_json, chainmap_to_json,
                            complex_to_json, diagram_to_json, dumps_canonical,
-                           profunctor_to_json)
+                           parse_degree, profunctor_to_json)
 from laxcat.k0chain import build_chain_map, build_complex
 from laxcat.profunctor import Profunctor, build_profunctor, empty_profunctor
 from laxcat.rand import rand_diagram, rand_profunctor, rng_from_seed
@@ -357,6 +358,42 @@ def test_snf_of_an_entry_over_4300_digits(tmp_path):
     r = run("snf", str(big))
     assert r.returncode == 0, r.stderr
     assert r.stdout.count(digits) == 2  # in S and on the diagonal
+
+
+def test_integers_up_to_the_digit_cap_are_read():
+    # main lifts Python's int/str digit limit (3.11+); so does this test
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        for sign in ("", "-"):
+            at_cap = sign + "7" * DIGIT_CAP
+            assert cli._int_literal(at_cap, "m") == int(at_cap)
+            assert parse_degree(at_cap) == int(at_cap)
+            with pytest.raises(CapExceeded):
+                cli._int_literal(at_cap + "7", "m")
+            with pytest.raises(CapExceeded):
+                parse_degree(at_cap + "7")
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("command, text", [
+    ("snf", "[[" + "7" * 10**6 + "]]"),
+    ("homology", '{"window": [0, 1], "ranks": {"' + "1" * 400_000
+     + '": 1}, "differentials": {}}'),
+], ids=["literal_of_a_million_digits", "degree_key_of_400000_digits"])
+def test_integers_over_the_digit_cap_exit_3_before_conversion(
+        tmp_path, command, text):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    t0 = time.perf_counter()
+    r = run(command, str(path))
+    assert time.perf_counter() - t0 < 0.5
+    assert r.returncode == 3, r.stderr
+    assert r.stderr.count("\n") == 1 and len(r.stderr) < 200
+    assert "exceeds the cap of 10000" in r.stderr
 
 
 def test_failed_self_verification_survives_optimize(ws):

@@ -14,8 +14,9 @@ from laxcat.jsonio import (category_from_json, category_to_json,
                            diagram_to_json, dumps_canonical,
                            functor_from_json, functor_to_json,
                            homology_to_json, matrix_from_json,
-                           profunctor_from_json, profunctor_to_json,
-                           sniff_kind, snf_to_json, tower_from_json)
+                           parse_degree, profunctor_from_json,
+                           profunctor_to_json, sniff_kind, snf_to_json,
+                           tower_from_json)
 from laxcat.k0chain import (as_matrix, build_complex, homology_all,
                             smith_normal_form)
 from laxcat.rand import (rand_category, rand_chain_map, rand_complex,
@@ -214,6 +215,12 @@ def test_tower_from_json():
     complexes, maps = tower_from_json(data)
     assert len(complexes) == 2 and len(maps) == 1
     assert maps[0].mat(0)[0, 0] == 2
+
+
+def test_parse_degree_reads_canonical_decimal_only():
+    assert [parse_degree(k) for k in ("0", "-1", "12", "-0", "01", "+1",
+                                      "1_0", " 1", "", "-", "\u0663")] \
+        == [0, -1, 12, None, None, None, None, None, None, None, None]
 
 
 def test_homology_and_snf_serialization():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,9 +24,11 @@ from laxcat.rand import (rand_chain_map, rand_complex, rand_graded,
                          rand_quasi_iso_case, rand_universal_case,
                          rng_from_seed)
 
+import chain_oracles
 from chain_oracles import (block_plain_multiply, direct_sum_blocks,
                            graded_to_vector, sign_scale_rows,
-                           snf_diagonal_naive, verify_two_bareiss)
+                           smith_normal_form_in_order, snf_diagonal_naive,
+                           verify_two_bareiss)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -463,6 +467,44 @@ def test_verify_of_nonsingular_input_takes_one_determinant(monkeypatch):
     monkeypatch.setattr(k0chain, "det_exact", counting)
     assert dec.verify().ok
     assert len(calls) == 1 and calls[0] is dec.matrix
+
+
+def _snf_reference_cases():
+    """Seeded matrices of every shape from 0x0 to 9x9: dense, sparse,
+    rank-deficient, with entries up to 10**20, and the zero matrices, then
+    the seed-1 `chains` ladder matrices n = 16-56 (entries in [-5, 5])."""
+    rng = random.Random(18)
+    mats = [[[0] * n for _ in range(m)] for m in range(10) for n in range(10)]
+    for t in range(300):
+        m, n = rng.randint(0, 9), rng.randint(0, 9)
+        hi = (9, 10**20, 3, 100)[t % 4]
+        density = (1, 1, 0.25, 0.6)[t % 4]
+        mat = [[rng.randint(-hi, hi) if rng.random() < density else 0
+                for _ in range(n)] for _ in range(m)]
+        if t % 4 == 3 and m > 2:
+            mat[-1] = [a - 3 * b for a, b in zip(mat[0], mat[1])]
+        mats.append(mat)
+    mats.append([[2, 0], [0, 3]])
+    rng = random.Random(1)
+    for n in (16, 32, 48, 56):
+        mats.append([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
+    return mats
+
+
+def test_snf_transforms_equal_the_in_order_reference(monkeypatch):
+    folds = []
+    add_row = chain_oracles.Matrix.add_row
+
+    def spy(self, i, k, c):
+        # the fold adds a later row into the pivot row; reductions go down
+        if i < k:
+            folds.append((i, k))
+        add_row(self, i, k, c)
+    monkeypatch.setattr(chain_oracles.Matrix, "add_row", spy)
+    for mat in _snf_reference_cases():
+        dec, ref = smith_normal_form(mat), smith_normal_form_in_order(mat)
+        assert (dec.U, dec.S, dec.V) == (ref.U, ref.S, ref.V), mat
+    assert folds
 
 
 @settings(max_examples=150, deadline=None)

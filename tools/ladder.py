@@ -44,8 +44,13 @@ laxcat` process end to end for `--help`, `compose` of two small
 profunctors, `snf` of a 3×3 matrix and `check monoid-laws --randomized
 --count 1`, each from a copy of SRC without bytecode (every imported module
 is compiled on each call, as in a checkout run with
-PYTHONDONTWRITEBYTECODE=1) and from a `compileall`ed copy.  Prints one JSON
-object of per-rung medians in milliseconds.
+PYTHONDONTWRITEBYTECODE=1) and from a `compileall`ed copy.  The
+`snf_peak_rss_mb` rung is the peak resident set, in MB, of one fresh
+`python -m laxcat snf` of the matrices of sizes 48, 56 and 64 (those of
+the elimination rungs), each started by `bench/launcher.py`, the small
+parent the benchmark measures through, from the copy without bytecode.
+Prints one JSON object of per-rung medians in milliseconds (in MB for
+`snf_peak_rss_mb`).
 """
 
 import argparse
@@ -74,6 +79,20 @@ def median_ms(fn, repeats):
     return statistics.median(times)
 
 
+def src_copy(src, dest, compiled):
+    """A copy of src's laxcat package under dest, without bytecode or
+    byte-compiled; returns dest, the directory to put on PYTHONPATH."""
+    shutil.copytree(Path(src) / "laxcat", dest / "laxcat",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    if compiled:
+        compileall.compile_dir(dest, quiet=1)
+    return dest
+
+
+def env_for(copy):
+    return dict(os.environ, PYTHONPATH=str(copy), PYTHONDONTWRITEBYTECODE="1")
+
+
 def startup_ms(src, repeats):
     """Median wall time of fresh `python -m laxcat` commands, from a copy
     of src without bytecode and from a byte-compiled one."""
@@ -97,13 +116,7 @@ def startup_ms(src, repeats):
                 dumps_canonical(profunctor_to_json(P)))
         (tmp / "mat.json").write_text("[[2, 4, 1], [6, 8, 3], [1, 1, 1]]")
         for mode in ("pycache_free", "compiled"):
-            copy = tmp / mode
-            shutil.copytree(Path(src) / "laxcat", copy / "laxcat",
-                            ignore=shutil.ignore_patterns("__pycache__"))
-            if mode == "compiled":
-                compileall.compile_dir(copy, quiet=1)
-            env = dict(os.environ, PYTHONPATH=str(copy),
-                       PYTHONDONTWRITEBYTECODE="1")
+            env = env_for(src_copy(src, tmp / mode, mode == "compiled"))
             for name, argv in commands.items():
                 run = [sys.executable, "-m", "laxcat", "--workspace", str(tmp),
                        "--out", str(tmp / "out.json"), *argv]
@@ -116,6 +129,32 @@ def startup_ms(src, repeats):
                                    stdout=subprocess.DEVNULL,
                                    stderr=subprocess.PIPE)
                 out[name][mode] = median_ms(call, repeats)
+    return out
+
+
+def snf_peak_rss_mb(src, mats, repeats):
+    """Median peak RSS, in MB, of one fresh `python -m laxcat snf` of each
+    named matrix, started by bench/launcher.py from a copy of src without
+    bytecode."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        env = env_for(src_copy(src, tmp / "pycache_free", False))
+        for name, mat in mats.items():
+            path = tmp / f"{name}.json"
+            path.write_text(json.dumps({"matrix": mat}))
+            argv = ["--out", str(tmp / "out.json"), "snf", str(path)]
+            peaks = []
+            for _ in range(repeats):
+                p = subprocess.run(
+                    [sys.executable, str(ROOT / "bench" / "launcher.py")],
+                    input=json.dumps(argv) + "\n", env=env, check=True,
+                    capture_output=True, text=True, timeout=300)
+                reply, rss = map(json.loads, p.stdout.splitlines())
+                if reply["code"] != 0:
+                    raise SystemExit(f"snf {name}: {reply['err']}")
+                peaks.append(rss["maxrss_kb"] / 1024)
+            out[name] = {"median": statistics.median(peaks)}
     return out
 
 
@@ -278,8 +317,11 @@ def main(argv=None):
         out["monoid_laws_ms"][f"group_{order}"] = {
             "median": median_ms(lambda: _check_monoid_laws(C), args.repeats)}
     rng = random.Random(1)
+    snf_mats = {}
     for n in SNF_LADDER + (64,):
         mat = random_matrix(random.Random(64) if n == 64 else rng, n)
+        if n >= 48:
+            snf_mats[f"n_{n}"] = mat
         dec = smith_normal_form(mat)
         if not dec.verify().ok:
             raise SystemExit(f"snf_{n}: the decomposition fails verification")
@@ -292,6 +334,7 @@ def main(argv=None):
         if n >= 32:
             dump_rungs(out, f"snf_{n}", [snf_to_json(dec)], routes,
                        args.repeats)
+    out["snf_peak_rss_mb"] = snf_peak_rss_mb(args.src, snf_mats, args.repeats)
     dump_rungs(out, "tables_outputs", tables_outputs(), routes,
                args.repeats)
     cases = [rand_universal_case(rng_from_seed(seed)) for seed in range(10)]
