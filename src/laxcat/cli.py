@@ -36,6 +36,9 @@ from .report import Report
 RANK_CAP = 32
 DEGREE_CAP = 16
 MATRIX_CAP = 64
+# the most bytes of an input file, checked before it is opened: reading
+# and parsing take about 6 bytes of memory per input byte
+INPUT_CAP = 1 << 21
 # jsonio.DIGIT_CAP bounds the digits of each input integer and degree key
 
 
@@ -78,7 +81,7 @@ def _check_caps(data, kind: str, caps, label: str):
     elif kind == "complex" and isinstance(data.get("ranks"), dict):
         ranks = {}
         for key, r in data["ranks"].items():
-            n = parse_degree(key)
+            n = parse_degree(key, label)
             if n is None:
                 continue
             if isinstance(r, int) and not isinstance(r, bool) and r > 0:
@@ -120,6 +123,10 @@ class Workspace:
             raise SchemaError(f"name {ref!r} needs --workspace to resolve")
         if not os.path.isfile(path):
             raise SchemaError(f"no such input: {path}")
+        size = os.path.getsize(path)
+        if size > INPUT_CAP:
+            raise CapExceeded(f"{ref}: an input of {size} bytes exceeds the "
+                              f"cap of {INPUT_CAP} bytes")
         try:
             with open(path, encoding="utf-8") as f:
                 data = json.loads(

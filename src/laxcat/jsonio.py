@@ -23,7 +23,9 @@ only a key written that way is accepted.
 Cross references: wherever a sub-object is expected, the JSON may hold
 either the inline object or a string naming a workspace entry; the
 `resolve(ref, kind)` callback supplied by the caller decides what names
-mean.
+mean.  A profunctor whose target is the same JSON value as its source
+(the hom profunctor C -> C, written with C inline twice) loads that
+category once and uses it on both sides; see `profunctor_from_json`.
 
 Each loader imports the layer it builds when it runs, so reading a
 matrix never loads the category layer, nor a category the chain layer.
@@ -43,6 +45,9 @@ FLUSH = 1 << 16
 # takes time quadratic in the digits.  Outputs are not capped: the
 # transforms of a 64x64 snf reach 4 334 digits.
 DIGIT_CAP = 10_000
+# the most digits one int() call of parse_degree reads: Python's int/str
+# limit may be set to any value from 640 up, or off
+_PIECE = 640
 
 # json.dumps(obj, sort_keys=True, indent=2) is the join of its iterencode
 _ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
@@ -208,12 +213,22 @@ def profunctor_to_json(P: Profunctor) -> dict:
 
 
 def profunctor_from_json(data, resolve=default_resolver) -> Profunctor:
+    """The profunctor of data.  Its target is loaded only when its raw
+    JSON differs from the source's: a category document that loads holds
+    only objects, lists and strings, on which == is equality of the text
+    up to the order of object keys, and no category keeps that order (its
+    identities are a map, its lists are sorted).  So equal JSON would
+    build an equal category, and a profunctor C -> C, such as the hom
+    profunctor that profunctor_to_json writes with C inline twice, builds,
+    validates and caches C once, as hom_profunctor does in memory.  A bad
+    category fails at the source, before the target is read."""
     from .ids import pair_ids
     from .profunctor import build_profunctor
     _expect(data, "profunctor",
             ("source", "target", "elements", "left_action", "right_action"))
     C = _resolve(data["source"], "category", resolve, "profunctor.source")
-    D = _resolve(data["target"], "category", resolve, "profunctor.target")
+    D = C if data["target"] == data["source"] else _resolve(
+        data["target"], "category", resolve, "profunctor.target")
     if not isinstance(data["elements"], dict):
         raise SchemaError("profunctor.elements: expected an object")
     cells = {key: cell
@@ -268,21 +283,26 @@ def diagram_from_json(data, resolve=default_resolver) -> Diagram:
 
 # -- complexes and chain maps -----------------------------------------------------
 
-def parse_degree(key):
+def parse_degree(key, label: str):
     """The degree a key names in canonical decimal, as the converters
     write it ("-1", "0", "12"); None for any other key ("01", "+1", "1_0",
-    " 1").  A key of more than DIGIT_CAP digits is refused before the one
-    conversion."""
+    " 1").  A key of more than DIGIT_CAP digits is refused, naming label,
+    before it is converted; the conversion reads the digits in pieces that
+    Python's int/str digit limit admits whatever it is set to."""
     if not isinstance(key, str):
         return None
     digits = key[1:] if key.startswith("-") else key
     if len(digits) > DIGIT_CAP:
-        raise CapExceeded(f"degree key {key[:12]!r}... of {len(key)} "
+        raise CapExceeded(f"{label}: degree key {key[:12]!r}... of {len(key)} "
                           f"characters exceeds the cap of {DIGIT_CAP} digits")
-    if (digits.isascii() and digits.isdigit()
+    if not (digits.isascii() and digits.isdigit()
             and (digits[0] != "0" or digits == key == "0")):
-        return int(key)
-    return None
+        return None
+    n = 0
+    for i in range(0, len(digits), _PIECE):
+        piece = digits[i:i + _PIECE]
+        n = n * 10 ** len(piece) + int(piece)
+    return -n if key[0] == "-" else n
 
 
 def _int_keyed(value, where: str) -> dict[int, object]:
@@ -290,7 +310,7 @@ def _int_keyed(value, where: str) -> dict[int, object]:
         raise SchemaError(f"{where}: expected an object keyed by degree")
     out = {}
     for k, v in value.items():
-        n = parse_degree(k)
+        n = parse_degree(k, where)
         if n is None:
             raise SchemaError(f"{where}: key {k!r} is not a degree")
         out[n] = v

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -15,7 +16,8 @@ from laxcat.jsonio import (DIGIT_CAP, category_to_json, chainmap_to_json,
                            complex_to_json, diagram_to_json, dumps_canonical,
                            parse_degree, profunctor_to_json)
 from laxcat.k0chain import build_chain_map, build_complex
-from laxcat.profunctor import Profunctor, build_profunctor, empty_profunctor
+from laxcat.profunctor import (Profunctor, build_profunctor, empty_profunctor,
+                               hom_profunctor)
 from laxcat.rand import rand_diagram, rand_profunctor, rng_from_seed
 from laxcat.report import Report
 
@@ -80,10 +82,22 @@ def test_blockmul_matches_compose(ws):
     assert block.stdout == plain.stdout
 
 
-def test_collage_and_grothendieck(ws):
+def test_collage_and_grothendieck(ws, tmp_path):
     c = run("--workspace", str(ws), "collage", "m")
     assert c.returncode == 0
     assert json.loads(c.stdout)["origin"]["kind"] == "profunctor"
+    # a hom document with the interval inline twice, and with its source
+    # named and its target inline, collage to the same bytes
+    inline = profunctor_to_json(hom_profunctor(standard_category("interval")))
+    outs = []
+    for name, doc in (("inline", inline),
+                      ("named", dict(inline, source="interval"))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        r = run("--workspace", str(ws), "collage", str(path))
+        assert r.returncode == 0, r.stderr
+        outs.append(r.stdout)
+    assert outs[0] == outs[1]
     g = run("--workspace", str(ws), "grothendieck", "x")
     assert g.returncode == 0
     assert json.loads(g.stdout)["origin"]["kind"] == "diagram"
@@ -308,6 +322,20 @@ def test_invalid_inputs_exit_2(ws, tmp_path):
     r = run("snf", str(ragged))
     assert r.returncode == 2
     assert r.stderr == "validation failed: row 1 has 1 entries, expected 2\n"
+    # one malformed category inline as both ends of a profunctor
+    for bad, err in (
+            ({"objects": ["a"], "morphisms": [], "identities": {},
+              "composition": []},
+             "validation failed: object 'a' has no identity\n"),
+            ({"objects": "a", "morphisms": [], "identities": {},
+              "composition": []},
+             "invalid input: category.objects: expected a list of strings\n")):
+        path = tmp_path / "bad_ends.json"
+        path.write_text(json.dumps({"source": bad, "target": bad,
+                                    "elements": {}, "left_action": {},
+                                    "right_action": {}}))
+        r = run("collage", str(path))
+        assert (r.returncode, r.stdout, r.stderr) == (2, "", err)
 
 
 @pytest.mark.parametrize("text, message", [
@@ -369,11 +397,11 @@ def test_integers_up_to_the_digit_cap_are_read():
         for sign in ("", "-"):
             at_cap = sign + "7" * DIGIT_CAP
             assert cli._int_literal(at_cap, "m") == int(at_cap)
-            assert parse_degree(at_cap) == int(at_cap)
+            assert parse_degree(at_cap, "m") == int(at_cap)
             with pytest.raises(CapExceeded):
                 cli._int_literal(at_cap + "7", "m")
             with pytest.raises(CapExceeded):
-                parse_degree(at_cap + "7")
+                parse_degree(at_cap + "7", "m")
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
@@ -386,14 +414,31 @@ def test_integers_up_to_the_digit_cap_are_read():
 ], ids=["literal_of_a_million_digits", "degree_key_of_400000_digits"])
 def test_integers_over_the_digit_cap_exit_3_before_conversion(
         tmp_path, command, text):
-    path = tmp_path / "in.json"
-    path.write_text(text)
+    (tmp_path / "in.json").write_text(text)
     t0 = time.perf_counter()
-    r = run(command, str(path))
+    r = run("--workspace", str(tmp_path), command, "in")
     assert time.perf_counter() - t0 < 0.5
     assert r.returncode == 3, r.stderr
     assert r.stderr.count("\n") == 1 and len(r.stderr) < 200
+    assert r.stderr.startswith("cap exceeded: in: ")
     assert "exceeds the cap of 10000" in r.stderr
+
+
+def test_input_over_the_byte_cap_exits_3_before_it_is_read(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.touch()
+    os.truncate(path, cli.INPUT_CAP + 1)  # sparse: no byte is written
+    start = time.perf_counter()
+    code = main(["snf", str(path)])
+    assert time.perf_counter() - start < 0.1
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"cap exceeded: {path}: an input of {cli.INPUT_CAP + 1} bytes "
+        f"exceeds the cap of {cli.INPUT_CAP} bytes\n")
+    # a file of exactly the cap is read, and its NUL bytes are no JSON
+    os.truncate(path, cli.INPUT_CAP)
+    assert main(["snf", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("invalid input: ")
 
 
 def test_failed_self_verification_survives_optimize(ws):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -51,11 +54,15 @@ def test_functor_roundtrip(seed):
 @given(seeds)
 def test_profunctor_roundtrip(seed):
     rng = rng_from_seed(seed)
-    P = rand_profunctor(rng, rand_category(rng, 3), rand_category(rng, 3))
-    Q = profunctor_from_json(profunctor_to_json(P))
-    assert Q.source == P.source and Q.target == P.target
-    assert Q.elements == P.elements
-    assert Q.lact == P.lact and Q.ract == P.ract
+    C, D = rand_category(rng, 3), rand_category(rng, 3)
+    # the second has one category on both sides, so its document holds two
+    # equal copies of it, which load to one object
+    for P in (rand_profunctor(rng, C, D), rand_profunctor(rng, C, C)):
+        Q = profunctor_from_json(profunctor_to_json(P))
+        assert Q.source == P.source and Q.target == P.target
+        assert (Q.source is Q.target) == (P.source == P.target)
+        assert Q.elements == P.elements
+        assert Q.lact == P.lact and Q.ract == P.ract
 
 
 @settings(max_examples=30, deadline=None)
@@ -168,6 +175,7 @@ def test_cell_keys_with_commas_roundtrip():
     P = build_profunctor(C, D, {("x", "a,b"): ["e0"]}, {}, {})
     Q = profunctor_from_json(profunctor_to_json(P))
     assert Q.elements == P.elements
+    assert Q.source is not Q.target
 
 
 def test_comma_cell_keys_stay_distinct_on_dump():
@@ -193,7 +201,8 @@ def test_ambiguous_cell_key_rejected():
                          {}, {})
     data = profunctor_to_json(P)
     assert data["elements"] == {r"(a,a\,a)": ["e0"], r"(a\,a,a)": ["e1"]}
-    assert profunctor_from_json(data) == P
+    Q = profunctor_from_json(data)
+    assert Q == P and Q.source is Q.target
     # "(a,a,a)" would split as both (a)(a,a) and (a,a)(a)
     data["elements"] = {"(a,a,a)": ["e0"]}
     with pytest.raises(SchemaError, match=r"cell key '\(a,a,a\)' names no"):
@@ -218,9 +227,38 @@ def test_tower_from_json():
 
 
 def test_parse_degree_reads_canonical_decimal_only():
-    assert [parse_degree(k) for k in ("0", "-1", "12", "-0", "01", "+1",
-                                      "1_0", " 1", "", "-", "\u0663")] \
+    assert [parse_degree(k, "ranks") for k in (
+        "0", "-1", "12", "-0", "01", "+1", "1_0", " 1", "", "-", "\u0663")] \
         == [0, -1, 12, None, None, None, None, None, None, None, None]
+
+
+def test_parse_degree_under_the_default_int_str_limit():
+    """A fresh interpreter keeps Python's default int/str limit of 4 300
+    digits, where it has one (3.11 and late 3.10 releases): a key within
+    DIGIT_CAP still reads as its degree, a longer one is refused by the
+    cap, and no ValueError escapes."""
+    script = """
+from laxcat.errors import CapExceeded
+from laxcat.jsonio import DIGIT_CAP, parse_degree
+for digits, n in (("1" + "0" * 4300, 10 ** 4300),
+                  ("9" * DIGIT_CAP, 10 ** DIGIT_CAP - 1),
+                  ("1" + "0" * 639 + "7", 10 ** 640 + 7)):
+    assert parse_degree(digits, "ranks") == n
+    assert parse_degree("-" + digits, "ranks") == -n
+for key in ("1" * (DIGIT_CAP + 1), "-" + "1" * (DIGIT_CAP + 1)):
+    try:
+        parse_degree(key, "ranks")
+    except CapExceeded as e:
+        assert str(e).startswith("ranks: degree key "), e
+    else:
+        raise AssertionError("no cap")
+print("ok")
+"""
+    env = {k: v for k, v in os.environ.items()
+           if k != "PYTHONINTMAXSTRDIGITS"}
+    r = subprocess.run([sys.executable, "-c", script], env=env,
+                       capture_output=True, text=True)
+    assert (r.returncode, r.stdout, r.stderr) == (0, "ok\n", "")
 
 
 def test_homology_and_snf_serialization():

@@ -48,9 +48,11 @@ PYTHONDONTWRITEBYTECODE=1) and from a `compileall`ed copy.  The
 `snf_peak_rss_mb` rung is the peak resident set, in MB, of one fresh
 `python -m laxcat snf` of the matrices of sizes 48, 56 and 64 (those of
 the elimination rungs), each started by `bench/launcher.py`, the small
-parent the benchmark measures through, from the copy without bytecode.
-Prints one JSON object of per-rung medians in milliseconds (in MB for
-`snf_peak_rss_mb`).
+parent the benchmark measures through, from the copy without bytecode;
+the `collage_peak_rss_mb` rung is the same for `collage` of the hom
+documents of the ladder, under the caps the workload gives them.  Prints
+one JSON object of per-rung medians in milliseconds (in MB for the two
+`_peak_rss_mb` rungs).
 """
 
 import argparse
@@ -132,18 +134,18 @@ def startup_ms(src, repeats):
     return out
 
 
-def snf_peak_rss_mb(src, mats, repeats):
-    """Median peak RSS, in MB, of one fresh `python -m laxcat snf` of each
-    named matrix, started by bench/launcher.py from a copy of src without
-    bytecode."""
+def peak_rss_mb(src, runs, repeats):
+    """Median peak RSS, in MB, of one fresh `python -m laxcat ARGS PATH`
+    for each named run (ARGS, doc), PATH holding doc, started by
+    bench/launcher.py from a copy of src without bytecode."""
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         env = env_for(src_copy(src, tmp / "pycache_free", False))
-        for name, mat in mats.items():
+        for name, (args, doc) in runs.items():
             path = tmp / f"{name}.json"
-            path.write_text(json.dumps({"matrix": mat}))
-            argv = ["--out", str(tmp / "out.json"), "snf", str(path)]
+            path.write_text(json.dumps(doc, sort_keys=True))
+            argv = ["--out", str(tmp / "out.json"), *args, str(path)]
             peaks = []
             for _ in range(repeats):
                 p = subprocess.run(
@@ -152,7 +154,7 @@ def snf_peak_rss_mb(src, mats, repeats):
                     capture_output=True, text=True, timeout=300)
                 reply, rss = map(json.loads, p.stdout.splitlines())
                 if reply["code"] != 0:
-                    raise SystemExit(f"snf {name}: {reply['err']}")
+                    raise SystemExit(f"{name}: {reply['err']}")
                 peaks.append(rss["maxrss_kb"] / 1024)
             out[name] = {"median": statistics.median(peaks)}
     return out
@@ -236,7 +238,7 @@ def main(argv=None):
                                    hom_profunctor)
     from laxcat.rand import rand_universal_case, rng_from_seed
     from workloads import (HOM_LADDER, MONOID_LADDER, SNF_LADDER,
-                           abelian_group, random_matrix)
+                           abelian_group, caps_of, random_matrix)
 
     def rebuild_hom(H):
         C = H.source
@@ -257,6 +259,7 @@ def main(argv=None):
     # the command line allows them to
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
+    collage_runs = {}
     for a, b in HOM_LADDER:
         square = product(standard_category("simplex", a),
                          standard_category("simplex", b))
@@ -267,6 +270,10 @@ def main(argv=None):
             "median": median_ms(lambda: collage_of_profunctor(H),
                                 args.repeats)}
         doc = profunctor_to_json(H)
+        objects, elements = caps_of(doc)
+        collage_runs[f"hom_{a}x{b}"] = (
+            ["--max-objects", str(objects), "--max-elements", str(elements),
+             "collage"], doc)
         out["profunctor_load_ms"][f"hom_{a}x{b}"] = {
             "median": median_ms(lambda: profunctor_from_json(doc),
                                 args.repeats)}
@@ -317,11 +324,11 @@ def main(argv=None):
         out["monoid_laws_ms"][f"group_{order}"] = {
             "median": median_ms(lambda: _check_monoid_laws(C), args.repeats)}
     rng = random.Random(1)
-    snf_mats = {}
+    snf_runs = {}
     for n in SNF_LADDER + (64,):
         mat = random_matrix(random.Random(64) if n == 64 else rng, n)
         if n >= 48:
-            snf_mats[f"n_{n}"] = mat
+            snf_runs[f"n_{n}"] = (["snf"], {"matrix": mat})
         dec = smith_normal_form(mat)
         if not dec.verify().ok:
             raise SystemExit(f"snf_{n}: the decomposition fails verification")
@@ -334,7 +341,9 @@ def main(argv=None):
         if n >= 32:
             dump_rungs(out, f"snf_{n}", [snf_to_json(dec)], routes,
                        args.repeats)
-    out["snf_peak_rss_mb"] = snf_peak_rss_mb(args.src, snf_mats, args.repeats)
+    out["snf_peak_rss_mb"] = peak_rss_mb(args.src, snf_runs, args.repeats)
+    out["collage_peak_rss_mb"] = peak_rss_mb(args.src, collage_runs,
+                                             args.repeats)
     dump_rungs(out, "tables_outputs", tables_outputs(), routes,
                args.repeats)
     cases = [rand_universal_case(rng_from_seed(seed)) for seed in range(10)]
