@@ -12,6 +12,11 @@ breached the size caps, 4 an internal error (a failed result guard or a
 bug, the output encoder's included), reported in one line, with the
 traceback only under --debug.  After an exit 4 while writing, stdout may
 hold a partial document; a partly written --out file is removed.
+
+Caps: here only the byte size of a file (INPUT_CAP), before it is opened,
+and the digits of each integer literal (jsonio.DIGIT_CAP), as it is
+parsed.  Every other cap is checked by the jsonio loader that reads the
+field it measures, under the caps and label that Workspace hands it.
 """
 
 from __future__ import annotations
@@ -27,19 +32,20 @@ from importlib import import_module
 # (bench/spans.py) expect laxcat.decat loaded once laxcat.cli is
 from . import decat  # noqa: F401
 from .errors import CapExceeded, LaxcatError, SchemaError
-from .jsonio import (DIGIT_CAP, LOADERS, chainmap_to_json, collage_to_json,
-                     complex_to_json, homology_to_json, parse_degree,
+from .jsonio import (DIGIT_CAP, LOADERS, _Caps, chainmap_to_json,
+                     collage_to_json, complex_to_json, homology_to_json,
                      profunctor_to_json, sniff_kind, snf_to_json,
                      write_canonical)
 from .report import Report
 
+# the fixed caps the loaders check, next to --max-objects and
+# --max-elements: see Workspace._load
 RANK_CAP = 32
 DEGREE_CAP = 16
 MATRIX_CAP = 64
 # the most bytes of an input file, checked before it is opened: reading
 # and parsing take about 6 bytes of memory per input byte
 INPUT_CAP = 1 << 21
-# jsonio.DIGIT_CAP bounds the digits of each input integer and degree key
 
 
 # -- caps -----------------------------------------------------------------------
@@ -54,62 +60,25 @@ def _int_literal(text: str, label: str) -> int:
     return int(text)
 
 
-def _check_caps(data, kind: str, caps, label: str):
-    """Refuse an oversized raw JSON input before any loader validates or
-    allocates it.  Nested inputs pass through Workspace.resolve on their
-    own, so only this level is looked at; malformed fields are left to
-    the loader to reject."""
-    if kind == "matrix":
-        rows = data.get("matrix") if isinstance(data, dict) else data
-        if isinstance(rows, list):
-            cols = max((len(r) for r in rows if isinstance(r, list)), default=0)
-            if len(rows) > MATRIX_CAP or cols > MATRIX_CAP:
-                raise CapExceeded(f"{label}: a {len(rows)}x{cols} matrix "
-                                  f"exceeds the cap of {MATRIX_CAP} rows "
-                                  f"and columns")
-    if not isinstance(data, dict):
-        return
-    if kind == "category" and isinstance(data.get("objects"), list):
-        if len(data["objects"]) > caps["objects"]:
-            raise CapExceeded(f"{label}: {len(data['objects'])} objects exceed "
-                              f"the cap of {caps['objects']}")
-    elif kind == "profunctor" and isinstance(data.get("elements"), dict):
-        for key, es in data["elements"].items():
-            if isinstance(es, list) and len(es) > caps["elements"]:
-                raise CapExceeded(f"{label}: cell {key} holds {len(es)} "
-                                  f"elements, cap is {caps['elements']}")
-    elif kind == "complex" and isinstance(data.get("ranks"), dict):
-        ranks = {}
-        for key, r in data["ranks"].items():
-            n = parse_degree(key, label)
-            if n is None:
-                continue
-            if isinstance(r, int) and not isinstance(r, bool) and r > 0:
-                ranks[n] = r
-        span = max(ranks) - min(ranks) + 1 if ranks else 0
-        if span > DEGREE_CAP:
-            raise CapExceeded(f"{label}: window spans {span} degrees, "
-                              f"cap is {DEGREE_CAP}")
-        for n, r in ranks.items():
-            if r > RANK_CAP:
-                raise CapExceeded(f"{label}: rank {r} in degree {n} "
-                                  f"exceeds the cap of {RANK_CAP}")
-
-
 # -- workspace -------------------------------------------------------------------
 
 class Workspace:
-    """Resolves names and paths against a directory of JSON files."""
+    """Resolves names and paths against a directory of JSON files, and
+    loads each input under the caps, labelled by its ref or as inline."""
 
     def __init__(self, root, caps):
         self.root = root or None
         self.caps = caps
         self._cache = {}
 
+    def _load(self, data, kind, label):
+        caps = _Caps(label, self.caps["objects"], self.caps["elements"],
+                     DEGREE_CAP, RANK_CAP, MATRIX_CAP)
+        return LOADERS[kind](data, self.resolve, caps)
+
     def resolve(self, ref, kind):
         if isinstance(ref, (dict, list)):
-            _check_caps(ref, kind, self.caps, f"inline {kind}")
-            return LOADERS[kind](ref, self.resolve)
+            return self._load(ref, kind, f"inline {kind}")
         if not isinstance(ref, str):
             raise SchemaError(f"expected a name or inline {kind}, got {ref!r}")
         key = (ref, kind)
@@ -138,8 +107,7 @@ class Workspace:
         actual = sniff_kind(data)
         if actual != kind:
             raise SchemaError(f"{ref!r} holds a {actual}, expected a {kind}")
-        _check_caps(data, kind, self.caps, ref)
-        obj = LOADERS[kind](data, self.resolve)
+        obj = self._load(data, kind, ref)
         self._cache[key] = obj
         return obj
 

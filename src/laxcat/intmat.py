@@ -72,16 +72,6 @@ class Matrix:
 
     # -- elementary operations, in place ------------------------------------------
 
-    def swap_rows(self, i: int, k: int) -> None:
-        self.rows[i], self.rows[k] = self.rows[k], self.rows[i]
-
-    def swap_cols(self, j: int, k: int) -> None:
-        for r in self.rows:
-            r[j], r[k] = r[k], r[j]
-
-    def negate_row(self, i: int) -> None:
-        self.rows[i] = [-v for v in self.rows[i]]
-
     def add_row(self, i: int, k: int, c: int) -> None:
         """row i += c * row k."""
         self.rows[i] = [a + c * b for a, b in zip(self.rows[i], self.rows[k])]

@@ -27,6 +27,12 @@ mean.  A profunctor whose target is the same JSON value as its source
 (the hom profunctor C -> C, written with C inline twice) loads that
 category once and uses it on both sides; see `profunctor_from_json`.
 
+Caps: every loader takes (data, resolve, caps) and checks each cap of the
+_Caps value as soon as it has read the field that cap measures, before it
+builds anything; a breach raises CapExceeded naming caps.label.  Each
+degree key is read once, by parse_degree, under the same label.  Library
+calls get _NO_CAPS, which refuses nothing.
+
 Each loader imports the layer it builds when it runs, so reading a
 matrix never loads the category layer, nor a category the chain layer.
 """
@@ -34,6 +40,7 @@ matrix never loads the category layer, nor a category the chain layer.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from itertools import chain
 
 from .errors import CapExceeded, SchemaError, UnboundedComplex
@@ -48,6 +55,11 @@ DIGIT_CAP = 10_000
 # the most digits one int() call of parse_degree reads: Python's int/str
 # limit may be set to any value from 640 up, or off
 _PIECE = 640
+
+# the caps a loader checks, each compared with >, and the label its cap
+# lines name the input by: a file's ref, or "inline <kind>"
+_Caps = namedtuple("_Caps", "label objects elements degrees rank matrix")
+_NO_CAPS = _Caps(None, *[float("inf")] * 5)
 
 # json.dumps(obj, sort_keys=True, indent=2) is the join of its iterencode
 _ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
@@ -127,11 +139,14 @@ def category_to_json(C: FinCategory) -> dict:
     }
 
 
-def category_from_json(data, resolve=None) -> FinCategory:
+def category_from_json(data, resolve=None, caps=_NO_CAPS) -> FinCategory:
     from .fincat import build_category
     _expect(data, "category",
             ("objects", "morphisms", "identities", "composition"))
     objects = _str_list(data["objects"], "category.objects")
+    if len(objects) > caps.objects:
+        raise CapExceeded(f"{caps.label}: {len(objects)} objects exceed "
+                          f"the cap of {caps.objects}")
     if not isinstance(data["morphisms"], list):
         raise SchemaError("category.morphisms: expected a list")
     src, dst = {}, {}
@@ -172,7 +187,8 @@ def functor_to_json(F: CatFunctor) -> dict:
     }
 
 
-def functor_from_json(data, resolve=default_resolver) -> CatFunctor:
+def functor_from_json(data, resolve=default_resolver,
+                      caps=_NO_CAPS) -> CatFunctor:
     from .fincat import CatFunctor, validate_functor
     _expect(data, "functor", ("source", "target", "obmap", "mormap"))
     C = _resolve(data["source"], "category", resolve, "functor.source")
@@ -212,7 +228,8 @@ def profunctor_to_json(P: Profunctor) -> dict:
     }
 
 
-def profunctor_from_json(data, resolve=default_resolver) -> Profunctor:
+def profunctor_from_json(data, resolve=default_resolver,
+                         caps=_NO_CAPS) -> Profunctor:
     """The profunctor of data.  Its target is loaded only when its raw
     JSON differs from the source's: a category document that loads holds
     only objects, lists and strings, on which == is equality of the text
@@ -221,16 +238,21 @@ def profunctor_from_json(data, resolve=default_resolver) -> Profunctor:
     build an equal category, and a profunctor C -> C, such as the hom
     profunctor that profunctor_to_json writes with C inline twice, builds,
     validates and caches C once, as hom_profunctor does in memory.  A bad
-    category fails at the source, before the target is read."""
+    category fails at the source, before the target is read; an oversized
+    cell fails before either is."""
     from .ids import pair_ids
     from .profunctor import build_profunctor
     _expect(data, "profunctor",
             ("source", "target", "elements", "left_action", "right_action"))
+    if not isinstance(data["elements"], dict):
+        raise SchemaError("profunctor.elements: expected an object")
+    for key, es in data["elements"].items():
+        if isinstance(es, list) and len(es) > caps.elements:
+            raise CapExceeded(f"{caps.label}: cell {key} holds {len(es)} "
+                              f"elements, cap is {caps.elements}")
     C = _resolve(data["source"], "category", resolve, "profunctor.source")
     D = C if data["target"] == data["source"] else _resolve(
         data["target"], "category", resolve, "profunctor.target")
-    if not isinstance(data["elements"], dict):
-        raise SchemaError("profunctor.elements: expected an object")
     cells = {key: cell
              for cell, key in pair_ids(D.objects, C.objects).items()}
     elements = {}
@@ -256,7 +278,8 @@ def diagram_to_json(X: Diagram) -> dict:
     }
 
 
-def diagram_from_json(data, resolve=default_resolver) -> Diagram:
+def diagram_from_json(data, resolve=default_resolver,
+                      caps=_NO_CAPS) -> Diagram:
     from .collage import build_diagram
     from .fincat import CatFunctor
     _expect(data, "diagram", ("shape", "fibers", "transitions"))
@@ -305,12 +328,12 @@ def parse_degree(key, label: str):
     return -n if key[0] == "-" else n
 
 
-def _int_keyed(value, where: str) -> dict[int, object]:
+def _int_keyed(value, where: str, caps) -> dict[int, object]:
     if not isinstance(value, dict):
         raise SchemaError(f"{where}: expected an object keyed by degree")
     out = {}
     for k, v in value.items():
-        n = parse_degree(k, where)
+        n = parse_degree(k, caps.label or where)
         if n is None:
             raise SchemaError(f"{where}: key {k!r} is not a degree")
         out[n] = v
@@ -326,6 +349,12 @@ def _int_matrix(value, where: str):
     return value
 
 
+def _matrices(value, where: str, caps) -> dict:
+    """{degree: rows} of a degree-keyed object of integer matrices."""
+    return {n: _int_matrix(m, f"{where}[{n}]")
+            for n, m in _int_keyed(value, where, caps).items()}
+
+
 def complex_to_json(C: ChainComplex) -> dict:
     lo, hi = C.window if C.ranks else (0, -1)
     return {
@@ -336,7 +365,7 @@ def complex_to_json(C: ChainComplex) -> dict:
     }
 
 
-def complex_from_json(data, resolve=None) -> ChainComplex:
+def complex_from_json(data, resolve=None, caps=_NO_CAPS) -> ChainComplex:
     from .k0chain import build_complex
     _expect(data, "complex", ("window", "ranks", "differentials"))
     window = data["window"]
@@ -348,15 +377,22 @@ def complex_from_json(data, resolve=None) -> ChainComplex:
         raise SchemaError("complex.window: expected [lo, hi]")
     lo, hi = window
     ranks = {}
-    for n, r in _int_keyed(data["ranks"], "complex.ranks").items():
+    for n, r in _int_keyed(data["ranks"], "complex.ranks", caps).items():
         if not isinstance(r, int) or isinstance(r, bool) or r < 0:
             raise SchemaError(f"complex.ranks[{n}]: expected a nonnegative int")
         if r and not lo <= n <= hi:
             raise SchemaError(f"complex.ranks[{n}]: degree outside the window")
         ranks[n] = r
-    diffs = {n: _int_matrix(m, f"complex.differentials[{n}]")
-             for n, m in _int_keyed(data["differentials"],
-                                    "complex.differentials").items()}
+    support = [n for n, r in ranks.items() if r]
+    span = max(support) - min(support) + 1 if support else 0
+    if span > caps.degrees:
+        raise CapExceeded(f"{caps.label}: window spans {span} degrees, "
+                          f"cap is {caps.degrees}")
+    for n, r in ranks.items():
+        if r > caps.rank:
+            raise CapExceeded(f"{caps.label}: rank {r} in degree {n} "
+                              f"exceeds the cap of {caps.rank}")
+    diffs = _matrices(data["differentials"], "complex.differentials", caps)
     return build_complex(ranks, diffs)
 
 
@@ -369,17 +405,17 @@ def chainmap_to_json(f: ChainMap) -> dict:
     }
 
 
-def chainmap_from_json(data, resolve=default_resolver) -> ChainMap:
+def chainmap_from_json(data, resolve=default_resolver,
+                       caps=_NO_CAPS) -> ChainMap:
     from .k0chain import build_chain_map
     _expect(data, "chainmap", ("source", "target", "matrices"))
     A = _resolve(data["source"], "complex", resolve, "chainmap.source")
     B = _resolve(data["target"], "complex", resolve, "chainmap.target")
-    mats = {n: _int_matrix(m, f"chainmap.matrices[{n}]")
-            for n, m in _int_keyed(data["matrices"], "chainmap.matrices").items()}
-    return build_chain_map(A, B, mats)
+    return build_chain_map(
+        A, B, _matrices(data["matrices"], "chainmap.matrices", caps))
 
 
-def tower_from_json(data, resolve=default_resolver):
+def tower_from_json(data, resolve=default_resolver, caps=_NO_CAPS):
     """[(complexes), (maps)] for the total-complex builder; each map entry
     carries only its matrices, endpoints are implied by position."""
     from .k0chain import build_chain_map
@@ -393,18 +429,22 @@ def tower_from_json(data, resolve=default_resolver):
         _expect(entry, f"tower.maps[{i}]", ("matrices",))
         if i + 1 >= len(complexes):
             raise SchemaError("tower: more maps than consecutive pairs")
-        mats = {n: _int_matrix(m, f"tower.maps[{i}].matrices[{n}]")
-                for n, m in _int_keyed(entry["matrices"],
-                                       f"tower.maps[{i}].matrices").items()}
+        mats = _matrices(entry["matrices"], f"tower.maps[{i}].matrices", caps)
         maps.append(build_chain_map(complexes[i], complexes[i + 1], mats))
     return complexes, maps
 
 
-def matrix_from_json(data, resolve=None):
+def matrix_from_json(data, resolve=None, caps=_NO_CAPS):
     from .intmat import as_matrix
     if isinstance(data, dict):
         _expect(data, "matrix", ("matrix",))
         data = data["matrix"]
+    if isinstance(data, list):
+        cols = max((len(r) for r in data if isinstance(r, list)), default=0)
+        if len(data) > caps.matrix or cols > caps.matrix:
+            raise CapExceeded(f"{caps.label}: a {len(data)}x{cols} matrix "
+                              f"exceeds the cap of {caps.matrix} rows and "
+                              f"columns")
     return as_matrix(_int_matrix(data, "matrix"))
 
 

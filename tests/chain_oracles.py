@@ -148,14 +148,15 @@ def smith_normal_form_in_order(matrix) -> SmithDecomposition:
             break
         i, j = pivot
         if i != k:
-            D.swap_rows(k, i)
-            U.swap_rows(k, i)
+            for M in (D, U):
+                M.rows[k], M.rows[i] = M.rows[i], M.rows[k]
         if j != k:
-            D.swap_cols(k, j)
-            V.swap_cols(k, j)
+            for M in (D, V):
+                for row in M.rows:
+                    row[k], row[j] = row[j], row[k]
         if D[k, k] < 0:
-            D.negate_row(k)
-            U.negate_row(k)
+            for M in (D, U):
+                M.rows[k] = [-v for v in M.rows[k]]
         p = D[k, k]
         for i in range(k + 1, m):
             q = D[i, k] // p

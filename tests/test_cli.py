@@ -548,3 +548,117 @@ def test_matrix_over_the_cap_exits_3_before_loading(tmp_path, capsys, shape):
     # the cap admits 64 rows and columns
     path.write_text(json.dumps({"matrix": [[1] * 64] + [[0] * 64] * 63}))
     assert main(["--out", str(tmp_path / "out.json"), "snf", str(path)]) == 0
+
+
+def _json_of(make):
+    return lambda path, n: path.write_text(json.dumps(make(n)))
+
+
+def _sparse(path, n):
+    path.touch()
+    os.truncate(path, n)
+
+
+_PARSER = cli._build_parser()
+# per cap: the command that reads the input, the cap's value, and a writer
+# of an input that measures n on the capped field and stays within every
+# other cap
+CAP_CASES = {
+    "objects": (["check", "monoid-laws"], _PARSER.get_default("max_objects"),
+                _json_of(lambda n: category_to_json(
+                    standard_category("discrete", n)))),
+    "elements": (["collage"], _PARSER.get_default("max_elements"),
+                 _json_of(lambda n: profunctor_to_json(build_profunctor(
+                     standard_category("discrete", 1),
+                     standard_category("discrete", 1),
+                     {("0", "0"): [f"e{i}" for i in range(n)]}, {}, {})))),
+    "window_span": (["homology"], cli.DEGREE_CAP,
+                    _json_of(lambda n: complex_to_json(
+                        build_complex(dict.fromkeys(range(n), 1), {})))),
+    "rank": (["homology"], cli.RANK_CAP,
+             _json_of(lambda n: complex_to_json(build_complex({0: n}, {})))),
+    "matrix_rows": (["snf"], cli.MATRIX_CAP, _json_of(lambda n: [[1]] * n)),
+    "matrix_columns": (["snf"], cli.MATRIX_CAP, _json_of(lambda n: [[1] * n])),
+    "literal_digits": (["snf"], DIGIT_CAP,
+                       lambda path, n: path.write_text(f"[[{'7' * n}]]")),
+    "degree_key_digits": (["homology"], DIGIT_CAP, _json_of(lambda n: {
+        "window": [0, 0], "ranks": {"0": 1},
+        "differentials": {"1" * n: []}})),
+    "input_bytes": (["snf"], cli.INPUT_CAP, _sparse),
+}
+
+
+@pytest.mark.parametrize("cap", sorted(CAP_CASES))
+def test_each_cap_admits_its_value_and_refuses_one_more(tmp_path, capsys,
+                                                        cap):
+    command, value, write = CAP_CASES[cap]
+    path = tmp_path / "in.json"
+    write(path, value)
+    out = tmp_path / "out.json"
+    assert main(["--out", str(out), *command, str(path)]) != 3
+    capsys.readouterr()
+    write(path, value + 1)
+    start = time.perf_counter()
+    code = main(["--out", str(out), *command, str(path)])
+    assert time.perf_counter() - start < 0.1
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"cap exceeded: {path}: ")
+
+
+@pytest.mark.parametrize("command, where", [
+    ("homology", "differentials"),
+    ("quasi-iso", "matrices"),
+    ("tot", "maps"),
+], ids=["complex_differentials", "chainmap_matrices", "tower_map_matrices"])
+def test_degree_key_over_the_digit_cap_names_its_input(tmp_path, capsys,
+                                                       command, where):
+    key = "1" * (DIGIT_CAP + 1)
+    z = complex_to_json(build_complex({0: 1}, {}))
+    doc = {"differentials": dict(z, differentials={key: []}),
+           "matrices": {"source": z, "target": z, "matrices": {key: []}},
+           "maps": {"complexes": [z, z],
+                    "maps": [{"matrices": {key: []}}]}}[where]
+    path = tmp_path / "dk.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"cap exceeded: {path}: degree key ")
+
+
+def test_oversized_cell_exits_3_before_any_category_is_built(
+        tmp_path, capsys, monkeypatch):
+    import laxcat.fincat
+    doc = profunctor_to_json(hom_profunctor(standard_category("interval")))
+    doc["elements"]["(0,0)"] = [f"e{i}" for i in range(9)]
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    built = []
+    monkeypatch.setattr(laxcat.fincat, "build_category",
+                        lambda *args: built.append(args))
+    assert main(["collage", str(path)]) == 3
+    assert built == []
+    assert capsys.readouterr().err == (
+        f"cap exceeded: {path}: cell (0,0) holds 9 elements, cap is 8\n")
+
+
+def test_each_degree_key_of_a_named_complex_is_parsed_once(
+        tmp_path, capsys, monkeypatch):
+    doc = complex_to_json(build_complex(
+        {-1: 1, 0: 2, 1: 1}, {0: [[1, 0]], 1: [[0], [1]]}))
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    real, seen = parse_degree, []
+
+    def counting(key, label):
+        seen.append(key)
+        return real(key, label)
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("laxcat.")
+                and getattr(module, "parse_degree", None) is real):
+            monkeypatch.setattr(module, "parse_degree", counting)
+    assert main(["homology", str(path)]) == 0
+    capsys.readouterr()
+    assert sorted(seen) == sorted([*doc["ranks"], *doc["differentials"]])

@@ -416,7 +416,7 @@ def _corrupted(dec):
         c.U.rows[0] = [2 * v for v in c.U.rows[0]]
         out.append(c)
         c = copy()
-        c.U.negate_row(0)
+        c.U.rows[0] = [-v for v in c.U.rows[0]]
         out.append(c)
     if n:
         c = copy()
