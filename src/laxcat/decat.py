@@ -136,22 +136,3 @@ def check_lax_multiplicativity(N: Profunctor, M: Profunctor) -> Report:
                 rep.fail(f"cell ({d}, {c}): composite {got.data[i][j]} "
                          f"exceeds product {want.data[i][j]}")
     return rep
-
-
-def collage_rank_count(G) -> dict[tuple[str, str], int]:
-    """Hom counts of a collage total category, folded into shape blocks.
-
-    Key (t, s) counts all morphisms from a fiber-over-s object to a
-    fiber-over-t object; for the collage of a profunctor the off-diagonal
-    block is exactly the total element count.
-    """
-    counts: dict[tuple[str, str], int] = {}
-    for t in G.shape.objects:
-        for s in G.shape.objects:
-            total = 0
-            for x in G.fiber[s].objects:
-                for y in G.fiber[t].objects:
-                    total += len(G.total.hom(G.injections[s].obmap[x],
-                                             G.injections[t].obmap[y]))
-            counts[(t, s)] = total
-    return counts

@@ -178,15 +178,6 @@ def category_from_json(data, resolve=None, caps=_NO_CAPS) -> FinCategory:
 
 # -- functors -----------------------------------------------------------------
 
-def functor_to_json(F: CatFunctor) -> dict:
-    return {
-        "source": category_to_json(F.source),
-        "target": category_to_json(F.target),
-        "obmap": dict(F.obmap),
-        "mormap": dict(F.mormap),
-    }
-
-
 def functor_from_json(data, resolve=default_resolver,
                       caps=_NO_CAPS) -> CatFunctor:
     from .fincat import CatFunctor, validate_functor

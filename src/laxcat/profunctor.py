@@ -342,21 +342,6 @@ def is_natural_iso(t: ProTransformation) -> Report:
     return rep
 
 
-def identity_transformation(M: Profunctor) -> ProTransformation:
-    return build_protransformation(
-        M, M, {pair: {e: e for e in es} for pair, es in M.elements.items()})
-
-
-def compose_transformations(b: ProTransformation, a: ProTransformation) -> ProTransformation:
-    if a.target != b.source:
-        raise ShapeMismatch("transformation composition endpoints do not match")
-    return build_protransformation(
-        a.source, b.target,
-        {pair: {e: b.components[pair][a.components[pair][e]]
-                for e in a.components[pair]}
-         for pair in a.components})
-
-
 # -- coend composition --------------------------------------------------------
 
 class CoendComposite(Record):
@@ -590,18 +575,6 @@ def _whisker(source: CoendComposite, target: CoendComposite,
              a: ProTransformation, slot: int) -> ProTransformation:
     """The map between composites that applies a at slot."""
     return _on_reps(source, target.profunctor, _apply_at(target, a, slot))
-
-
-def whisker_left(N: Profunctor, a: ProTransformation) -> ProTransformation:
-    """N . a : N . M -> N . M' for a: M -> M'."""
-    return _whisker(compose_with_pairing(N, a.source),
-                    compose_with_pairing(N, a.target), a, 2)
-
-
-def whisker_right(a: ProTransformation, M: Profunctor) -> ProTransformation:
-    """a . M : N . M -> N' . M for a: N -> N'."""
-    return _whisker(compose_with_pairing(a.source, M),
-                    compose_with_pairing(a.target, M), a, 1)
 
 
 # -- cocontinuity of composition ----------------------------------------------

@@ -18,10 +18,8 @@ from .collage import Diagram, build_diagram
 from .fincat import (CatFunctor, FinCategory, build_category,
                      compose_functors, enumerate_functors, from_poset,
                      product, standard_category)
-from .profunctor import (ProTransformation, Profunctor,
-                         build_profunctor, build_protransformation,
-                         compose_transformations, coproduct,
-                         coproduct_injections, quotient_by_relation)
+from .profunctor import (Profunctor, build_profunctor, coproduct,
+                         quotient_by_relation)
 
 
 def rng_from_seed(seed) -> random.Random:
@@ -160,31 +158,6 @@ def rand_profunctor(rng: random.Random, C: FinCategory, D: FinCategory,
     return P
 
 
-def rand_parallel_pair(rng: random.Random, C: FinCategory, D: FinCategory,
-                       max_cell: int = 8):
-    """A parallel pair of transformations built from a tag swap and a
-    quotient projection, so both are natural by construction."""
-    R = rand_profunctor(rng, C, D, max(1, max_cell // 2))
-    P, inl, inr = coproduct_injections(R, R)
-    swap = {}
-    for pair, es in R.elements.items():
-        left, right = inl.components[pair], inr.components[pair]
-        swap[pair] = {**{left[e]: right[e] for e in es},
-                      **{right[e]: left[e] for e in es}}
-    swap = build_protransformation(P, P, swap)
-    pairs = []
-    for _ in range(rng.randint(0, 2)):
-        fat = [pair for pair, es in P.elements.items() if len(es) >= 2]
-        if not fat:
-            break
-        pair = rng.choice(sorted(fat))
-        pairs.append(tuple(rng.sample(sorted(P.elements[pair]), 2)))
-    Q, proj = quotient_by_relation(P, pairs)
-    alpha = proj
-    beta = compose_transformations(proj, swap)
-    return alpha, beta
-
-
 # -- diagrams --------------------------------------------------------------------
 
 DIAGRAM_SHAPES = ("interval", "cospan", "simplex2")
@@ -230,7 +203,7 @@ def _invariant_factors(values) -> tuple[int, ...]:
 
 
 def rand_complex(rng: random.Random, lo: int = -1, hi: int = 3,
-                 max_rank: int = 4, shears: int = 6):
+                 shears: int = 6):
     """(complex, known homology); sums of spheres and m-twisted disks,
     then an integer change of basis that provably preserves homology."""
     from .k0chain import HomologyGroup, build_complex, direct_sum

@@ -2,7 +2,9 @@
 normal form oracle, the Smith normal form that applies each operation to
 U and V as it eliminates (the reference for the transforms), the
 self-check of a Smith decomposition by two Bareiss determinants, the
-coordinate vector of a graded map, the plain block
+surjectivity of H_n(f) decided through a left inverse of a kernel basis
+(the reference for is_quasi_iso), the coordinate vector of a graded map
+and its degree-wise sign change, the plain block
 product that the star product is compared against, and the direct sum of
 two complexes assembled block by block.
 """
@@ -10,10 +12,11 @@ two complexes assembled block by block.
 import math
 
 from laxcat.errors import BlockMismatch
-from laxcat.intmat import Matrix
-from laxcat.k0chain import (BlockGradedMatrix, ChainComplex,
+from laxcat.intmat import Matrix, hstack
+from laxcat.k0chain import (BlockGradedMatrix, ChainComplex, ChainMap,
                             SmithDecomposition, as_matrix, det_exact, eye,
-                            hom_basis, is_zero_matrix, zeros)
+                            hom_basis, is_zero_matrix, smith_normal_form,
+                            zeros)
 from laxcat.report import Report
 
 
@@ -25,6 +28,43 @@ def graded_to_vector(A: ChainComplex, B: ChainComplex, n: int,
         if k in gmap:
             vec[pos, 0] = gmap[k][i, j]
     return vec
+
+
+def graded_sign_reindex(gmap: dict[int, Matrix]) -> dict[int, Matrix]:
+    """g_k |-> (-1)^k g_k; matches chain maps with degree-0 cycles."""
+    return {k: (m if k % 2 == 0 else -m) for k, m in gmap.items()}
+
+
+def _left_inverse(K: Matrix) -> Matrix:
+    """Left inverse of a primitive full-column-rank matrix."""
+    snf = smith_normal_form(K)
+    k = K.shape[1]
+    if snf.rank() != k or any(v != 1 for v in snf.diagonal()):
+        raise AssertionError("kernel basis must be primitive")
+    return snf.V @ hstack([eye(k), zeros(k, K.shape[0] - k)]) @ snf.U
+
+
+def homology_map_surjective_by_left_inverse(f: ChainMap, n: int) -> bool:
+    """Whether H_n(f) is onto, in the coordinates of a kernel basis K of
+    the target's d_n: a left inverse of K carries the images of the
+    source's cycles and the target's boundaries into Z^(columns of K),
+    and they span it exactly when their Smith form has full rank and
+    every nonzero diagonal entry is 1."""
+    B = f.target
+    KB = smith_normal_form(B.diff(n)).kernel()
+    if KB.shape[1] == 0:
+        return True
+    KA = smith_normal_form(f.source.diff(n)).kernel()
+    LB = _left_inverse(KB)
+    Y = LB @ (f.mat(n) @ KA)
+    if KB @ Y != f.mat(n) @ KA:
+        raise AssertionError("chain map must preserve kernels")
+    X = LB @ B.diff(n + 1)
+    if KB @ X != B.diff(n + 1):
+        raise AssertionError("boundaries must lie in the kernel")
+    snf = smith_normal_form(hstack([Y, X]))
+    return (snf.rank() == KB.shape[1]
+            and all(v == 1 for v in snf.diagonal() if v != 0))
 
 
 def direct_sum_blocks(A: ChainComplex, B: ChainComplex) -> ChainComplex:

@@ -480,7 +480,8 @@ def test_cap_breach_exits_3(ws, tmp_path):
         {"window": [0, 0], "ranks": {"0": 64}, "differentials": {}}))
     r = run("homology", str(big))
     assert r.returncode == 3
-    # caps are read off the raw JSON, before the loader allocates a rank
+    # the complex loader checks each rank against its cap as it reads the
+    # ranks field, before any matrix of that rank is built
     for rank in (10**30, 33):
         huge = tmp_path / "huge_rank.json"
         huge.write_text(dumps_canonical(

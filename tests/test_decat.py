@@ -2,12 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from laxcat.collage import collage_of_profunctor
 from laxcat.decat import (CardMatrix, cardinality_matrix,
                           check_discrete_multiplication,
                           check_lax_multiplicativity, check_multiplicativity,
-                          collage_rank_count, composite_vs_product,
-                          is_discrete, multiply_cards)
+                          composite_vs_product, is_discrete, multiply_cards)
 from laxcat.errors import ShapeMismatch
 from laxcat.fincat import standard_category
 from laxcat.k0chain import as_matrix
@@ -122,14 +120,3 @@ def test_lax_multiplicativity_always(seed):
     M = rand_profunctor(rng, A, B, max_cell=4)
     N = rand_profunctor(rng, B, C, max_cell=4)
     assert check_lax_multiplicativity(N, M).ok
-
-
-def test_collage_rank_count_off_diagonal():
-    rng = rng_from_seed(7)
-    C = rand_category(rng, max_objects=3)
-    D = rand_category(rng, max_objects=3)
-    P = rand_profunctor(rng, C, D, max_cell=4)
-    G = collage_of_profunctor(P)
-    counts = collage_rank_count(G)
-    assert counts[("1", "0")] == P.total_size()
-    assert counts[("0", "1")] == 0
