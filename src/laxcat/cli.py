@@ -36,7 +36,6 @@ from .jsonio import (DIGIT_CAP, LOADERS, _Caps, chainmap_to_json,
                      collage_to_json, complex_to_json, homology_to_json,
                      profunctor_to_json, sniff_kind, snf_to_json,
                      write_canonical)
-from .report import Report
 
 # the fixed caps the loaders check, next to --max-objects and
 # --max-elements: see Workspace._load
@@ -195,26 +194,6 @@ def cmd_snf(args, ws):
 
 # -- property checks ---------------------------------------------------------------
 
-def _check_monoid_laws(C: FinCategory) -> Report:
-    from .profunctor import (associator, hom_profunctor, is_natural_iso,
-                             left_unitor, right_unitor)
-    H = hom_profunctor(C)
-    rep = Report()
-    rep.merge(is_natural_iso(left_unitor(H)), "left unitor")
-    rep.merge(is_natural_iso(right_unitor(H)), "right unitor")
-    rep.merge(is_natural_iso(associator(H, H, H)), "associator")
-    return rep
-
-
-def _check_semiorthogonal(P: Profunctor) -> Report:
-    from .collage import (check_semiorthogonal, collage_of_profunctor,
-                          identity_block_decomposition)
-    G = collage_of_profunctor(P)
-    rep = check_semiorthogonal(G)
-    rep.merge(identity_block_decomposition(G)[0], "blocks")
-    return rep
-
-
 # each property: the kinds of its inputs, and the module and function of
 # its check, imported when the property runs
 CHECKS = {
@@ -223,14 +202,14 @@ CHECKS = {
     "absoluteness": (("diagram", "category"), "collage", "check_absoluteness"),
     "cocontinuity": (("profunctor", "profunctor", "profunctor"),
                      "profunctor", "check_cocontinuity"),
-    "semiorthogonal": (("profunctor",), "cli", "_check_semiorthogonal"),
+    "semiorthogonal": (("profunctor",), "collage", "check_semiorthogonal"),
     "discrete-multiplication": (("profunctor", "profunctor"),
                                 "decat", "check_discrete_multiplication"),
     "multiplicativity": (("profunctor", "profunctor"),
                          "decat", "check_multiplicativity"),
     "lax-multiplicativity": (("profunctor", "profunctor"),
                              "decat", "check_lax_multiplicativity"),
-    "monoid-laws": (("category",), "cli", "_check_monoid_laws"),
+    "monoid-laws": (("category",), "profunctor", "check_monoid_laws"),
 }
 
 

@@ -27,12 +27,12 @@ transitions along the generators of the shape.
 from .errors import (CompositionMismatch, IncompatibleActionData,
                      InvalidParameter, LaxcatError, NotACollage)
 from .fincat import (CatFunctor, FinCategory, _index, build_category,
-                     compose_functors, identity_functor, product,
+                     compose_functors, identity_functor, opposite, product,
                      standard_category, validate_functor)
 from .ids import join_id, pair_id
 from .profunctor import (CoendComposite, Profunctor, build_profunctor,
-                         compose_with_pairing, hom_profunctor,
-                         opposite_profunctor, restrict_along, _coend)
+                         compose_with_pairing, opposite_profunctor,
+                         restrict_along, _coend)
 from .report import Record, Report
 
 
@@ -92,14 +92,13 @@ class Collage(Record):
     obj_parts: dict[str, tuple[str, str]]
     mor_parts: dict[str, tuple[str, str, str]]
     diagram: Diagram | None = None
-    profunctor: Profunctor | None = None
 
     def __repr__(self):
         return (f"Collage(total={self.total!r}, shape={self.shape!r}, "
                 f"fiber={self.fiber!r}, injections={self.injections!r})")
 
 
-def _total(S: FinCategory, fibers, arrows, compose, **origin) -> Collage:
+def _total(S: FinCategory, fibers, arrows, compose, diagram=None) -> Collage:
     """The collage of the fibers over S with the given total morphisms.
 
     fibers maps each shape object s to its category; the total objects are
@@ -108,8 +107,8 @@ def _total(S: FinCategory, fibers, arrows, compose, **origin) -> Collage:
     (shape object, fiber object) parts of its endpoints, the identities
     among them.  compose(second, first) gives the parts of the composite
     of two composable morphisms given by their parts.  Each id is rendered
-    once, here or in arrows, and found again through its parts.  origin
-    names the diagram or the profunctor the collage remembers.
+    once, here or in arrows, and found again through its parts.  diagram
+    is the diagram a Grothendieck collage remembers.
     """
     ob = {(s, x): pair_id(s, x)
           for s, Cs in fibers.items() for x in Cs.objects}
@@ -136,7 +135,7 @@ def _total(S: FinCategory, fibers, arrows, compose, **origin) -> Collage:
                   for s, Cs in fibers.items()}
     return Collage(total, S, dict(fibers), injections,
                    {oid: parts for parts, oid in ob.items()}, mor_parts,
-                   **origin)
+                   diagram)
 
 
 def grothendieck(X: Diagram) -> Collage:
@@ -197,95 +196,56 @@ def collage_of_profunctor(P: Profunctor) -> Collage:
         if g2 == "u":
             return "u", x1, P.ract[p1][p2]
         return "u", x1, P.lact[p2][p1]
-    return _total(S, fibers, arrows, compose, profunctor=P)
+    return _total(S, fibers, arrows, compose)
 
 
-def _cross_ids(G: Collage) -> dict[str, str]:
-    """The cross morphism of a profunctor collage for each element."""
-    return {p: mid for mid, (gamma, _, p) in G.mor_parts.items()
-            if gamma == "u"}
+def check_semiorthogonal(P: Profunctor) -> Report:
+    """The hom of the collage of P is the lower-triangular block matrix
+    [[hom_A, 0], [P, hom_B]].
 
-
-def check_semiorthogonal(G: Collage) -> Report:
-    """Fully faithful injections; no morphisms from tag 1 back to tag 0;
-    cross hom-sets in bijection with the profunctor elements."""
+    The injections are functors, and each diagonal block is its fiber's
+    hom (the injection is fully faithful); the upper-right block, from tag
+    1 back to tag 0, is empty; the lower-left block holds one cross
+    morphism '(u,p)' per element p of P, and composing with the fibers'
+    morphisms acts on those as P's left and right actions do.
+    """
     rep = Report()
+    G = collage_of_profunctor(P)
     total = G.total
-    for s, inj in G.injections.items():
-        sub = validate_functor(inj)
-        rep.merge(sub, prefix=f"injection {s}: ")
-        Cs = G.fiber[s]
+    for tag, inj in G.injections.items():
+        rep.merge(validate_functor(inj), prefix=f"injection {tag}: ")
+        Cs, at = G.fiber[tag], inj.obmap
         for x in Cs.objects:
             for y in Cs.objects:
-                image = {inj.mormap[f] for f in Cs.hom(x, y)}
-                ambient = set(total.hom(inj.obmap[x], inj.obmap[y]))
-                ambient = {m for m in ambient if G.mor_parts[m][0]
-                           == G.shape.identity[s]}
-                if image != ambient or len(image) != len(Cs.hom(x, y)):
-                    rep.fail(f"injection {s} not fully faithful at ({x!r}, {y!r})")
-    if set(G.fiber) == {"0", "1"}:
-        A, B = G.fiber["0"], G.fiber["1"]
-        at_a, at_b = G.injections["0"].obmap, G.injections["1"].obmap
-        for b in B.objects:
-            for a in A.objects:
-                back = total.hom(at_b[b], at_a[a])
-                if back:
-                    rep.fail(f"backwards morphisms from (1,{b!r}) to (0,{a!r}): {back}")
-        if G.profunctor is not None:
-            P, cross_of = G.profunctor, _cross_ids(G)
-            for (b, a), es in P.elements.items():
-                cross = total.hom(at_a[a], at_b[b])
-                if sorted(cross) != sorted(cross_of[p] for p in es):
-                    rep.fail(f"cross hom at ({b!r}, {a!r}) does not match elements")
-    else:
-        rep.fail("semiorthogonality only applies to two-fiber collages")
+                if total.hom(at[x], at[y]) != tuple(
+                        sorted(inj.mormap[f] for f in Cs.hom(x, y))):
+                    rep.fail(f"injection {tag} not fully faithful at ({x!r}, {y!r})")
+    at_a, at_b = G.injections["0"].obmap, G.injections["1"].obmap
+    for b in P.target.objects:
+        for a in P.source.objects:
+            back = total.hom(at_b[b], at_a[a])
+            if back:
+                rep.fail(f"backwards morphisms from (1,{b!r}) to (0,{a!r}): {back}")
+    cross = {}
+    for (b, a), es in P.elements.items():
+        block = total.hom(at_a[a], at_b[b])
+        if sorted(G.mor_parts[m] for m in block) != sorted(("u", a, p) for p in es):
+            rep.fail(f"cross hom at ({b!r}, {a!r}) does not match elements")
+        cross.update((G.mor_parts[m][2], m) for m in block)
+    # the actions are read through the cross morphisms, so only once the
+    # blocks are right.  The left action is composition after B's
+    # morphisms; the right one, through the opposites, composition before A's
+    if not rep.ok:
+        return rep
+    for side, Q, T, inj in (("left", P, total, G.injections["1"]),
+                            ("right", opposite_profunctor(P), opposite(total),
+                             G.injections["0"])):
+        for (y, _), es in Q.elements.items():
+            for g in Q.target.leaving(y):
+                for p in es:
+                    if T.comp[(inj.mormap[g], cross[p])] != cross[Q.lact[g][p]]:
+                        rep.fail(f"cross {side} action differs at {p!r} along {g!r}")
     return rep
-
-
-def identity_block_decomposition(G: Collage):
-    """The hom profunctor of a two-fiber collage total, as 2x2 blocks.
-
-    Returns (Report, blocks) where blocks maps (t, s) tags to the
-    restricted profunctor between the fibers.  The diagonal blocks are the
-    fiber hom profunctors up to injection renaming, the lower-left block is
-    canonically bijective to the gluing profunctor, and the upper-right
-    block is empty.
-    """
-    if set(G.fiber) != {"0", "1"}:
-        raise NotACollage("block decomposition needs a two-fiber collage")
-    rep = Report()
-    H = hom_profunctor(G.total)
-    blocks = {(t, s): restrict_along(H, G.injections[s], G.injections[t])
-              for t in ("0", "1") for s in ("0", "1")}
-
-    if blocks[("0", "1")].total_size() != 0:
-        rep.fail("upper-right block is not empty")
-    for tag in ("0", "1"):
-        hc = hom_profunctor(G.fiber[tag])
-        blk = blocks[(tag, tag)]
-        inj = G.injections[tag]
-        for (y, x), es in hc.elements.items():
-            if sorted(blk.elements[(y, x)]) != sorted(inj.mormap[f] for f in es):
-                rep.fail(f"diagonal block {tag} differs from fiber hom at ({y!r}, {x!r})")
-    if G.profunctor is not None:
-        P, cross_of = G.profunctor, _cross_ids(G)
-        blk = blocks[("1", "0")]
-        for (b, a), es in P.elements.items():
-            if sorted(blk.elements[(b, a)]) != sorted(cross_of[p] for p in es):
-                rep.fail(f"lower-left block differs from the profunctor at ({b!r}, {a!r})")
-        # the unwrapping bijection intertwines the actions; the right
-        # actions are the left actions of the opposites
-        for side, Q, Qblk in (("left", P, blk),
-                              ("right", opposite_profunctor(P),
-                               opposite_profunctor(blk))):
-            for g in Q.target.morphisms:
-                for (y, x), es in Q.elements.items():
-                    if Q.target.src[g] != y:
-                        continue
-                    for p in es:
-                        if Qblk.lact[g][cross_of[p]] != cross_of[Q.lact[g][p]]:
-                            rep.fail(f"lower-left {side} action differs at {p!r}")
-    return rep, blocks
 
 
 # -- lax matrices -------------------------------------------------------------

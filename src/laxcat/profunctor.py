@@ -195,10 +195,6 @@ def _left_action_laws(P: Profunctor):
         functoriality, set(D.generators()), set(D.morphisms))
 
 
-def empty_profunctor(source: FinCategory, target: FinCategory) -> Profunctor:
-    return build_profunctor(source, target, {}, {}, {})
-
-
 def hom_profunctor(C: FinCategory) -> Profunctor:
     """Hom as a profunctor from C to C: elements(d, c) = Hom_C(c, d).
 
@@ -480,6 +476,17 @@ def associator(P: Profunctor, N: Profunctor, M: Profunctor) -> ProTransformation
         e, p, n = pn.rep_of[pn_elem]
         return right.class_of[(e, p, nm.class_of[(d, n, m)])]
     return _on_reps(left, right.profunctor, value)
+
+
+def check_monoid_laws(C: FinCategory) -> Report:
+    """hom(C) is a monoid up to the unitors and the associator, each a
+    natural bijection."""
+    H = hom_profunctor(C)
+    rep = Report()
+    rep.merge(is_natural_iso(left_unitor(H)), "left unitor")
+    rep.merge(is_natural_iso(right_unitor(H)), "right unitor")
+    rep.merge(is_natural_iso(associator(H, H, H)), "associator")
+    return rep
 
 
 # -- colimits of profunctors --------------------------------------------------

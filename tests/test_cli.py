@@ -16,8 +16,7 @@ from laxcat.jsonio import (DIGIT_CAP, category_to_json, chainmap_to_json,
                            complex_to_json, diagram_to_json, dumps_canonical,
                            parse_degree, profunctor_to_json)
 from laxcat.k0chain import build_chain_map, build_complex
-from laxcat.profunctor import (Profunctor, build_profunctor, empty_profunctor,
-                               hom_profunctor)
+from laxcat.profunctor import Profunctor, build_profunctor, hom_profunctor
 from laxcat.rand import rand_diagram, rand_profunctor, rng_from_seed
 from laxcat.report import Report
 
@@ -129,7 +128,8 @@ def test_total_ids_with_separators_stay_distinct(tmp_path, capsys):
     X = build_diagram(standard_category("discrete", 1), {"0": C}, {})
     for command, doc, fibers in (
             ("grothendieck", diagram_to_json(X), ("id_0",)),
-            ("collage", profunctor_to_json(empty_profunctor(C, C)),
+            ("collage",
+             profunctor_to_json(build_profunctor(C, C, {}, {}, {})),
              ("id_0", "id_1"))):
         path = tmp_path / f"{command}.json"
         path.write_text(json.dumps(doc))

@@ -2,15 +2,16 @@
 
 import pytest
 
-from laxcat.collage import (assemble_matrix, block_multiply, build_diagram,
-                            check_absoluteness, check_bilimit_roundtrip,
-                            check_block_multiply, check_semiorthogonal,
-                            collage_of_profunctor, grothendieck,
-                            identity_block_decomposition, restrict_matrix)
+import laxcat.collage as collage
+from laxcat.collage import (Collage, assemble_matrix, block_multiply,
+                            build_diagram, check_absoluteness,
+                            check_bilimit_roundtrip, check_block_multiply,
+                            check_semiorthogonal, collage_of_profunctor,
+                            grothendieck, restrict_matrix)
 from laxcat.errors import InvalidParameter
 from laxcat.fincat import CatFunctor, build_category, standard_category
-from laxcat.profunctor import (compose_profunctors, compose_with_pairing,
-                               from_functor)
+from laxcat.profunctor import (build_profunctor, compose_profunctors,
+                               compose_with_pairing, from_functor)
 from laxcat.rand import (rand_category, rand_diagram, rand_profunctor,
                          rng_from_seed)
 from gluing_oracles import block_multiply_along_every_morphism
@@ -92,15 +93,68 @@ def test_semiorthogonality_batch():
     rng = rng_from_seed(21)
     for _ in range(25):
         C, D = rand_category(rng, 3), rand_category(rng, 3)
-        P = rand_profunctor(rng, C, D, 4)
-        G = collage_of_profunctor(P)
-        assert check_semiorthogonal(G).ok
-        rep, blocks = identity_block_decomposition(G)
-        assert rep.ok
-        # the cross block carries P, element by element, under (u, -)
-        B = blocks[("1", "0")]
-        for pair, es in P.elements.items():
-            assert B.elements[pair] == tuple(f"(u,{e})" for e in es)
+        assert check_semiorthogonal(rand_profunctor(rng, C, D, 4)).ok
+
+
+def _edited_collage(P, drop=(), add=(), comp=()):
+    """The collage of P, built again by hand with its total edited: the
+    morphisms in drop removed with their composites, each (id, parts,
+    source, target) in add added with its identity composites, and the
+    composites in comp set."""
+    G = collage_of_profunctor(P)
+    T = G.total
+    mor_parts = {m: parts for m, parts in G.mor_parts.items()
+                 if m not in drop}
+    src = {m: T.src[m] for m in mor_parts}
+    dst = {m: T.dst[m] for m in mor_parts}
+    for m, parts, a, b in add:
+        mor_parts[m], src[m], dst[m] = parts, a, b
+    table = {key: h for key, h in T.comp.items()
+             if not {*key, h} & set(drop)}
+    for m in mor_parts:
+        table[(T.identity[dst[m]], m)] = table[(m, T.identity[src[m]])] = m
+    table.update(comp)
+    total = build_category(T.objects, mor_parts, src, dst, T.identity, table)
+    injections = {tag: CatFunctor(F.source, total, F.obmap, F.mormap)
+                  for tag, F in G.injections.items()}
+    return Collage(total, G.shape, G.fiber, injections, G.obj_parts,
+                   mor_parts)
+
+
+PT = standard_category("discrete", 1)
+INTERVAL = standard_category("interval")
+TWO = build_profunctor(PT, PT, {("0", "0"): ["p", "q"]}, {}, {})
+EMPTY = build_profunctor(PT, PT, {}, {}, {})
+# p at one end of the interval's u, and its image under u one of two
+# elements at the other end: u in the target for ALONG_B, in the source
+# for ALONG_A
+ALONG_B = build_profunctor(PT, INTERVAL,
+                           {("0", "0"): ["p"], ("1", "0"): ["q1", "q2"]},
+                           {"u": {"p": "q1"}}, {})
+ALONG_A = build_profunctor(INTERVAL, PT,
+                           {("0", "1"): ["p"], ("0", "0"): ["q1", "q2"]},
+                           {}, {"u": {"p": "q1"}})
+
+
+@pytest.mark.parametrize("P, edit, failure", [
+    (EMPTY, {"add": [("e", ("e", "0", "e"), "(0,0)", "(0,0)")],
+             "comp": {("e", "e"): "e"}},
+     "injection 0 not fully faithful at ('0', '0')"),
+    (EMPTY, {"add": [("v", ("v", "0", "v"), "(1,0)", "(0,0)")]},
+     "backwards morphisms from (1,'0') to (0,'0'): ('v',)"),
+    (TWO, {"drop": ["(u,q)"]},
+     "cross hom at ('0', '0') does not match elements"),
+    (ALONG_B, {"comp": {("(id_1,u@0)", "(u,p)"): "(u,q2)"}},
+     "cross left action differs at 'p' along 'u'"),
+    (ALONG_A, {"comp": {("(u,p)", "(id_0,u@0)"): "(u,q2)"}},
+     "cross right action differs at 'p' along 'u'"),
+], ids=["diagonal", "backwards", "missing-cross", "left-action",
+        "right-action"])
+def test_semiorthogonality_reports_each_broken_block(monkeypatch, P, edit,
+                                                     failure):
+    G = _edited_collage(P, **edit)
+    monkeypatch.setattr(collage, "collage_of_profunctor", lambda _: G)
+    assert check_semiorthogonal(P).failures == [failure]
 
 
 def test_restrict_assemble_identity():

@@ -37,3 +37,16 @@ def test_readme_caps_table_holds_the_values_of_the_code():
     for cap, default, name, field in rows[2:]:
         table.setdefault(name, set()).add(int(default.replace(" ", "")))
     assert table == {name: {value} for name, value in code.items()}
+
+
+def test_readme_check_table_names_the_checks_of_the_code():
+    section = re.search(r"`check` properties:.*?\n\n(\|.*?)\n\n",
+                        README.read_text(), re.S).group(1)
+    rows = [[cell.strip() for cell in line.strip().strip("|").split("|")]
+            for line in section.splitlines()]
+    assert rows[0] == ["property", "inputs", "runs", "checks that"]
+    table = {}
+    for prop, kinds, name, _ in rows[2:]:
+        module, function = name.strip("`").split(".")
+        table[prop.strip("`")] = (tuple(kinds.split(", ")), module, function)
+    assert table == laxcat.cli.CHECKS

@@ -15,7 +15,7 @@ from laxcat.profunctor import (ProTransformation, associator,
                                naturality_report, restrict_along,
                                check_cocontinuity, compose_profunctors,
                                coproduct, coproduct_injections, coequalizer,
-                               empty_profunctor, from_functor, hom_profunctor,
+                               from_functor, hom_profunctor,
                                is_natural_iso, left_unitor,
                                opposite_profunctor, quotient_by_relation,
                                right_unitor)
@@ -238,7 +238,7 @@ def test_compose_with_empty_is_empty():
     C, D = rand_category(rng, 3), rand_category(rng, 3)
     P = rand_profunctor(rng, C, D, 3)
     E = standard_category("discrete", 1)
-    assert compose_profunctors(empty_profunctor(D, E), P).total_size() == 0
+    assert compose_profunctors(build_profunctor(D, E, {}, {}, {}), P).total_size() == 0
 
 
 def test_compose_mismatched_legs():

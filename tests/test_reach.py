@@ -17,7 +17,6 @@ SRC = Path(laxcat.__file__).resolve().parent
 # reached only from outside the package: each entry says from where
 ALLOWED = {
     "check_block_multiply": "criterion 4, the block calculus",
-    "empty_profunctor": "criterion 6, a semiorthogonality fixture",
     "star_multiply": "criterion 7, the signed block product",
     "cone_star_matrix": "criterion 7, the cone differential as a block matrix",
     "rand_quasi_iso_case": "criterion 8, seeded quasi-isomorphism cases",

@@ -67,6 +67,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from importlib import import_module
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -222,7 +223,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
     sys.path.insert(0, str(ROOT / "bench"))
-    from laxcat.cli import _check_monoid_laws
+    # looked up through the property table, which names the check in
+    # every tree this script times
+    from laxcat.cli import CHECKS
+    _, module, name = CHECKS["monoid-laws"]
+    check_monoid_laws = getattr(import_module(f"laxcat.{module}"), name)
     from laxcat.collage import (block_multiply, build_diagram,
                                 collage_of_profunctor, grothendieck,
                                 restrict_matrix)
@@ -322,7 +327,7 @@ def main(argv=None):
         out["compose_group_hom_ms"][f"group_{order}"] = {
             "median": median_ms(lambda: compose_with_pairing(H, H), args.repeats)}
         out["monoid_laws_ms"][f"group_{order}"] = {
-            "median": median_ms(lambda: _check_monoid_laws(C), args.repeats)}
+            "median": median_ms(lambda: check_monoid_laws(C), args.repeats)}
     rng = random.Random(1)
     snf_runs = {}
     for n in SNF_LADDER + (64,):
