@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from .errors import CompositionMismatch, ShapeMismatch
 from .report import Record, Report
-from .unionfind import UnionFind
 
 
 class CardMatrix(Record):
@@ -38,39 +37,12 @@ class CardMatrix(Record):
         return f"CardMatrix([{body}])"
 
 
-def _cell_components(P: Profunctor, d: str, c: str) -> int:
-    """Number of orbits of the cell under all non-identity endo actions:
-    the target's endomorphisms of d act on the left of P, the source's
-    endomorphisms of c on the left of its opposite."""
-    from .profunctor import opposite_profunctor
-    elems = P.elems(d, c)
-    if not elems:
-        return 0
-    uf = UnionFind(elems)
-    for Q, x in ((P, d), (opposite_profunctor(P), c)):
-        for gamma in Q.target.hom(x, x):
-            if not Q.target.is_identity(gamma):
-                for e in elems:
-                    uf.union(e, Q.lact[gamma][e])
-    return len(uf.classes())
-
-
-def cardinality_matrix(P: Profunctor, mode: str = "raw") -> CardMatrix:
-    """Count matrix of a profunctor.
-
-    mode="raw" counts elements per cell; mode="pi0" counts orbits under the
-    endomorphism actions, which is the honest count when endomorphisms act
-    nontrivially.
-    """
-    if mode not in ("raw", "pi0"):
-        raise ShapeMismatch(f"unknown cardinality mode {mode!r}")
+def cardinality_matrix(P: Profunctor) -> CardMatrix:
+    """Count matrix of a profunctor: the number of elements per cell."""
     rows = tuple(P.target.objects)
     cols = tuple(P.source.objects)
-    if mode == "raw":
-        data = [[len(P.elems(d, c)) for c in cols] for d in rows]
-    else:
-        data = [[_cell_components(P, d, c) for c in cols] for d in rows]
-    return CardMatrix(rows, cols, data)
+    return CardMatrix(rows, cols,
+                      [[len(P.elems(d, c)) for c in cols] for d in rows])
 
 
 def multiply_cards(N: CardMatrix, M: CardMatrix) -> CardMatrix:

@@ -9,7 +9,8 @@ separators as it is, so names nest and plain ids render unescaped:
   whole table of them;
 - join_id(left, right, sep) is 'left@right' by default: the payloads
   'f@x' of collage morphisms and the elements 'h@c' of representable
-  profunctors, and 'x<=y' for the morphisms of a poset;
+  profunctors, 'x<=y' for the morphisms of a poset and 'g;s' for the
+  elements of a free profunctor;
 - composite_id((d, n, m)) is '(n*m@d)', the class of a coend generator.
 
 Nothing parses a name back: whoever needs the parts keeps them alongside.

@@ -37,7 +37,9 @@ actions are checked and read off their least members.
 
 The right action of P is the left action of opposite_profunctor(P), a
 cached view that shares P's tables.  So the laws, naturality and the
-identity tables are written for the left action only and run on both.
+identity tables are written for the left action only and run on both, and
+the cocontinuity checks for the right variable only, since
+(X . M)^op = M^op . X^op.
 restrict_along(P, F, G) is the one restriction of a profunctor along
 functors, P(G-, F-); the blocks of a collage's hom and the entries of a lax
 matrix are such restrictions.
@@ -566,98 +568,57 @@ def coequalizer(alpha: ProTransformation, beta: ProTransformation):
     return quotient_by_relation(M2, pairs)
 
 
-# -- whiskering ---------------------------------------------------------------
-
-def _apply_at(target: CoendComposite, a: ProTransformation, slot: int):
-    """Sends a generator (d, n, m) to the class in target of the generator
-    with a applied to the factor at slot: 1 for the left, 2 for the right."""
-    def value(*gen):
-        gen = list(gen)
-        gen[slot] = a.apply(gen[slot])
-        return target.class_of[tuple(gen)]
-    return value
-
-
-def _whisker(source: CoendComposite, target: CoendComposite,
-             a: ProTransformation, slot: int) -> ProTransformation:
-    """The map between composites that applies a at slot."""
-    return _on_reps(source, target.profunctor, _apply_at(target, a, slot))
-
-
 # -- cocontinuity of composition ----------------------------------------------
 
-def _variable_slot(N: Profunctor, variable: str):
-    """(slot of the variable factor in a generator, the factor pair with N
-    fixed) for composites N . X ("right") or X . N ("left")."""
-    if variable == "right":
-        return 2, lambda X: (N, X)
-    if variable == "left":
-        return 1, lambda X: (X, N)
-    raise InvalidParameter(f"unknown variable {variable!r}")
-
-
-def _compare(rep: Report, label: str, t: ProTransformation) -> None:
-    sub = is_natural_iso(t)
-    rep.merge(sub, prefix=f"{label}: ")
+def _whiskered(target: CoendComposite, a: ProTransformation):
+    """Sends a generator (d, n, m) of a composite N . X to the class of
+    (d, n, a(m)) in target, the composite N . Y, for a: X => Y."""
+    return lambda d, n, m: target.class_of[(d, n, a.apply(m))]
 
 
 def check_cocontinuity_coproduct(N: Profunctor, M1: Profunctor,
-                                 M2: Profunctor, variable: str = "right") -> Report:
-    """Canonical map (N.M1) + (N.M2) -> N.(M1+M2) is a natural bijection.
-
-    variable="left" checks the mirror statement (N1+N2).M instead, reading
-    the arguments as (M, N1, N2).
-    """
+                                 M2: Profunctor) -> Report:
+    """Canonical map (N.M1) + (N.M2) -> N.(M1+M2) is a natural bijection."""
     rep = Report()
     try:
-        slot, factors = _variable_slot(N, variable)
-        parts = {"inl": compose_with_pairing(*factors(M1)),
-                 "inr": compose_with_pairing(*factors(M2))}
-        right = compose_with_pairing(*factors(coproduct(M1, M2)))
+        parts = {"inl": compose_with_pairing(N, M1),
+                 "inr": compose_with_pairing(N, M2)}
+        right = compose_with_pairing(N, coproduct(M1, M2))
         L = coproduct(parts["inl"].profunctor, parts["inr"].profunctor)
         lift = {pair: {} for pair in L.elements}
-        for tagname, part in parts.items():
-            for pair, inners in part.profunctor.elements.items():
-                for inner in inners:
-                    gen = list(part.rep_of[inner])
-                    gen[slot] = f"{tagname}:{gen[slot]}"
-                    cid = f"{tagname}:{inner}"
-                    lift[pair][cid] = right.class_of[tuple(gen)]
-        t = build_protransformation(L, right.profunctor, lift)
-        _compare(rep, f"coproduct/{variable}", t)
+        for tag, part in parts.items():
+            for inner, (d, n, m) in part.rep_of.items():
+                cell = lift[part.profunctor.cell_of(inner)]
+                cell[f"{tag}:{inner}"] = right.class_of[(d, n, f"{tag}:{m}")]
+        rep.merge(is_natural_iso(
+            build_protransformation(L, right.profunctor, lift)))
     except (CompositionMismatch, ShapeMismatch, InvalidParameter) as exc:
-        rep.fail(f"coproduct/{variable}: {exc}")
+        rep.fail(str(exc))
     return rep
 
 
 def check_cocontinuity_coequalizer(N: Profunctor, alpha: ProTransformation,
-                                   beta: ProTransformation,
-                                   variable: str = "right") -> Report:
-    """Canonical map coeq(N.a, N.b) -> N.coeq(a, b) is a natural bijection.
-
-    For variable="left" the pair lives on the other side and N is the right
-    factor.
-    """
+                                   beta: ProTransformation) -> Report:
+    """Canonical map coeq(N.a, N.b) -> N.coeq(a, b) is a natural bijection."""
     rep = Report()
     try:
         Q, q = coequalizer(alpha, beta)
-        slot, factors = _variable_slot(N, variable)
         # alpha and beta share source and target, so their whiskerings
         # share both composites
-        source = compose_with_pairing(*factors(alpha.source))
-        middle = compose_with_pairing(*factors(alpha.target))
-        target = compose_with_pairing(*factors(Q))
-        CQ, _ = coequalizer(_whisker(source, middle, alpha, slot),
-                            _whisker(source, middle, beta, slot))
+        source = compose_with_pairing(N, alpha.source)
+        middle = compose_with_pairing(N, alpha.target)
+        target = compose_with_pairing(N, Q)
+        CQ, _ = coequalizer(*(_on_reps(source, middle.profunctor,
+                                       _whiskered(middle, a))
+                              for a in (alpha, beta)))
         # each element of CQ is the least composite element of its class
-        lift = _apply_at(target, q, slot)
-        t = build_protransformation(
+        lift = _whiskered(target, q)
+        rep.merge(is_natural_iso(build_protransformation(
             CQ, target.profunctor,
             {pair: {cid: lift(*middle.rep_of[cid]) for cid in ids}
-             for pair, ids in CQ.elements.items()})
-        _compare(rep, f"coequalizer/{variable}", t)
+             for pair, ids in CQ.elements.items()})))
     except (CompositionMismatch, ShapeMismatch, InvalidParameter) as exc:
-        rep.fail(f"coequalizer/{variable}: {exc}")
+        rep.fail(str(exc))
     return rep
 
 
@@ -668,12 +629,19 @@ def check_cocontinuity(N: Profunctor, M1: Profunctor, M2: Profunctor) -> Report:
     the canonical fold pair inl, inr: M1 => M1 + M1 (and its mirror), which
     genuinely glues.  A failure here indicates an implementation bug, so
     this doubles as a self-test of the coend machinery.
+
+    Both checks are written for the right variable, N . X.  The left one is
+    the same checks on the opposites: (X . M)^op = M^op . X^op, opposites
+    share the factors' tables, and coproducts and quotients of opposites are
+    the opposites of coproducts and quotients.
     """
-    rep = Report()
-    rep.merge(check_cocontinuity_coproduct(N, M1, M2, "right"))
-    rep.merge(check_cocontinuity_coproduct(M1, N, N, "left"))
+    M1op, Nop = opposite_profunctor(M1), opposite_profunctor(N)
     _, inl, inr = coproduct_injections(M1, M1)
-    rep.merge(check_cocontinuity_coequalizer(N, inl, inr, "right"))
-    _, jnl, jnr = coproduct_injections(N, N)
-    rep.merge(check_cocontinuity_coequalizer(M1, jnl, jnr, "left"))
+    _, jnl, jnr = coproduct_injections(Nop, Nop)
+    rep = Report()
+    rep.merge(check_cocontinuity_coproduct(N, M1, M2), "coproduct/right: ")
+    rep.merge(check_cocontinuity_coproduct(M1op, Nop, Nop), "coproduct/left: ")
+    rep.merge(check_cocontinuity_coequalizer(N, inl, inr), "coequalizer/right: ")
+    rep.merge(check_cocontinuity_coequalizer(M1op, jnl, jnr),
+              "coequalizer/left: ")
     return rep

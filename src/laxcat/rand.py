@@ -18,6 +18,7 @@ from .collage import Diagram, build_diagram
 from .fincat import (CatFunctor, FinCategory, build_category,
                      compose_functors, enumerate_functors, from_poset,
                      product, standard_category)
+from .ids import join_id
 from .profunctor import (Profunctor, build_profunctor, coproduct,
                          quotient_by_relation)
 
@@ -96,11 +97,14 @@ def rand_functor(rng: random.Random, C: FinCategory, D: FinCategory) -> CatFunct
 def free_profunctor(C: FinCategory, D: FinCategory,
                     c0: str, d0: str, tag: str) -> Profunctor:
     """Free bimodule on one generator sitting over the cell (d0, c0):
-    cell (d, c) holds all pairs (path out of d0, path into c0)."""
+    cell (d, c) holds all pairs (path out of d0, path into c0), the pair
+    (g, s) named 'tag:g;s' by join_id."""
+    name = {(g, s): f"{tag}:" + join_id(g, s, ";")
+            for g in D.leaving(d0) for s in C.arriving(c0)}
     elements = {}
     for d in D.objects:
         for c in C.objects:
-            elements[(d, c)] = [f"{tag}:{g};{s}"
+            elements[(d, c)] = [name[g, s]
                                 for g in D.hom(d0, d) for s in C.hom(c, c0)]
     lact = {}
     for g2 in D.morphisms:
@@ -111,7 +115,7 @@ def free_profunctor(C: FinCategory, D: FinCategory,
         for c in C.objects:
             for g in D.hom(d0, x):
                 for s in C.hom(c, c0):
-                    table[f"{tag}:{g};{s}"] = f"{tag}:{D.compose(g2, g)};{s}"
+                    table[name[g, s]] = name[D.compose(g2, g), s]
         lact[g2] = table
     ract = {}
     for s2 in C.morphisms:
@@ -122,7 +126,7 @@ def free_profunctor(C: FinCategory, D: FinCategory,
         for d in D.objects:
             for g in D.hom(d0, d):
                 for s in C.hom(y, c0):
-                    table[f"{tag}:{g};{s}"] = f"{tag}:{g};{C.compose(s, s2)}"
+                    table[name[g, s]] = name[g, C.compose(s, s2)]
         ract[s2] = table
     return build_profunctor(C, D, elements, lact, ract)
 

@@ -1,17 +1,23 @@
 """Collages, the lax matrix calculus, and their round trips."""
 
+from types import SimpleNamespace
+
 import pytest
 
 import laxcat.collage as collage
-from laxcat.collage import (Collage, assemble_matrix, block_multiply,
-                            build_diagram, check_absoluteness,
+from laxcat.cli import main
+from laxcat.collage import (Collage, LaxMatrix, assemble_matrix,
+                            block_multiply, build_diagram, check_absoluteness,
                             check_bilimit_roundtrip, check_block_multiply,
                             check_semiorthogonal, collage_of_profunctor,
                             grothendieck, restrict_matrix)
-from laxcat.errors import InvalidParameter
-from laxcat.fincat import CatFunctor, build_category, standard_category
+from laxcat.errors import InvalidParameter, LaxcatError
+from laxcat.fincat import (CatFunctor, build_category, identity_functor,
+                           standard_category)
+from laxcat.jsonio import diagram_to_json, dumps_canonical, profunctor_to_json
 from laxcat.profunctor import (build_profunctor, compose_profunctors,
-                               compose_with_pairing, from_functor)
+                               compose_with_pairing, from_functor,
+                               hom_profunctor)
 from laxcat.rand import (rand_category, rand_diagram, rand_profunctor,
                          rng_from_seed)
 from gluing_oracles import block_multiply_along_every_morphism
@@ -235,3 +241,94 @@ def test_block_gluing_along_generators_matches_every_morphism():
             assert fast.profunctor == ref.profunctor
             assert fast.class_of == ref.class_of
             assert fast.rep_of == ref.rep_of
+
+
+def _lax_matrices():
+    """The interval diagram, its collage G, and the blocks N, M of hom(G)
+    on the source and target side; a profunctor collage Gp, and the blocks
+    M2 of a collage other than G."""
+    X, _ = interval_diagram()
+    G = grothendieck(X)
+    H = hom_profunctor(G.total)
+    I = standard_category("interval")
+    G2 = grothendieck(build_diagram(I, {"0": I, "1": I},
+                                    {"u": identity_functor(I)}))
+    return SimpleNamespace(
+        X=X, G=G, N=restrict_matrix(H, G, "source"),
+        M=restrict_matrix(H, G, "target"),
+        Gp=collage_of_profunctor(hom_profunctor(I)),
+        M2=restrict_matrix(hom_profunctor(G2.total), G2, "target"))
+
+
+def _edited(data, **fields):
+    return LaxMatrix(**{**{name: getattr(data, name)
+                           for name in LaxMatrix._fields}, **fields})
+
+
+def _raised(call):
+    """'<error class>: <message>' of the error that call() raises."""
+    try:
+        call()
+    except LaxcatError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return "nothing raised"
+
+
+def _blockmul_anchored_on_the_wrong_side(fx):
+    # the representable of the near fiber's injection maps into the total,
+    # so it cannot be the outer factor, which maps out of it
+    R = from_functor(fx.G.injections["0"])
+    for name, doc in (("x", diagram_to_json(fx.X)),
+                      ("r", profunctor_to_json(R))):
+        (fx.tmp_path / f"{name}.json").write_text(dumps_canonical(doc))
+    code = main(["--workspace", str(fx.tmp_path), "blockmul", "r", "r",
+                 "--middle", "x"])
+    return f"exit {code}: {fx.capsys.readouterr().err}"
+
+
+I_HOM = hom_profunctor(standard_category("interval"))
+
+
+@pytest.mark.parametrize("outcome, expected", [
+    (lambda fx: _raised(lambda: restrict_matrix(
+        hom_profunctor(fx.Gp.total), fx.Gp, "source")),
+     "NotACollage: matrix restriction needs a diagram collage"),
+    (lambda fx: _raised(lambda: restrict_matrix(I_HOM, fx.G, "source")),
+     "NotACollage: profunctor source is not the collage total"),
+    (lambda fx: _raised(lambda: restrict_matrix(I_HOM, fx.G, "target")),
+     "NotACollage: profunctor target is not the collage total"),
+    (lambda fx: _raised(lambda: assemble_matrix(_edited(fx.N, collage=fx.Gp))),
+     "NotACollage: matrix assembly needs a diagram collage"),
+    (lambda fx: _raised(lambda: restrict_matrix(
+        hom_profunctor(fx.G.total), fx.G, "middle")),
+     "InvalidParameter: side must be source or target, got 'middle'"),
+    (lambda fx: _raised(lambda: assemble_matrix(_edited(
+        fx.N, entries={"1": fx.N.entries["1"]}))),
+     "IncompatibleActionData: missing entry for fiber '0'"),
+    (lambda fx: _raised(lambda: assemble_matrix(_edited(
+        fx.N, entries={"0": fx.N.entries["1"], "1": fx.N.entries["1"]}))),
+     "IncompatibleActionData: entry '0' has wrong endpoints"),
+    (lambda fx: _raised(lambda: assemble_matrix(_edited(fx.N, transition={}))),
+     "IncompatibleActionData: missing transition data for 'u' at '0'"),
+    # the target side's transitions push forward, the source side's pull back
+    (lambda fx: _raised(lambda: assemble_matrix(_edited(
+        fx.N, transition=fx.M.transition))),
+     "IncompatibleActionData: entries and transitions do not assemble: "
+     "'(id_1,0<=0@0)'"),
+    (lambda fx: _raised(lambda: block_multiply(fx.M, fx.N)),
+     "CompositionMismatch: block product needs N anchored by source and M "
+     "by target"),
+    (lambda fx: _raised(lambda: block_multiply(fx.N, fx.M2)),
+     "CompositionMismatch: block product needs a shared middle collage"),
+    (_blockmul_anchored_on_the_wrong_side,
+     "exit 2: validation failed: profunctor source is not the collage "
+     "total\n"),
+], ids=["restrict-profunctor-collage", "restrict-source", "restrict-target",
+        "assemble-profunctor-collage", "side", "missing-entry",
+        "entry-endpoints", "missing-transition", "not-assembling",
+        "block-sides", "block-collages", "blockmul-command"])
+def test_lax_matrix_errors_name_the_broken_piece(outcome, expected, tmp_path,
+                                                 capsys):
+    fx = _lax_matrices()
+    fx.tmp_path, fx.capsys = tmp_path, capsys
+    assert outcome(fx) == expected

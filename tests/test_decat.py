@@ -9,10 +9,8 @@ from laxcat.decat import (CardMatrix, cardinality_matrix,
 from laxcat.errors import ShapeMismatch
 from laxcat.fincat import standard_category
 from laxcat.k0chain import as_matrix
-from laxcat.profunctor import (build_profunctor, hom_profunctor,
-                               opposite_profunctor)
-from laxcat.rand import (_z2_monoid, rand_category, rand_profunctor,
-                         rng_from_seed)
+from laxcat.profunctor import build_profunctor, hom_profunctor
+from laxcat.rand import rand_category, rand_profunctor, rng_from_seed
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -36,36 +34,6 @@ def test_cardinality_raw():
     assert cm.entry("0", "0") == 1
     assert cm.entry("1", "0") == 1
     assert cm.entry("0", "1") == 0
-
-
-def test_cardinality_pi0_collapses_orbits():
-    # t swaps a and b, so the cell has two elements but one orbit
-    Z2 = _z2_monoid()
-    P = build_profunctor(Z2, PT, {("0", "m"): ["a", "b"]},
-                         {}, {"t": {"a": "b", "b": "a"}})
-    assert cardinality_matrix(P, "raw").entry("0", "m") == 2
-    assert cardinality_matrix(P, "pi0").entry("0", "m") == 1
-
-
-def test_cardinality_pi0_joins_both_actions():
-    # t swaps a, b and c, d on the left and a, c and b, d on the right: two
-    # orbits for either action alone, one for both
-    Z2 = _z2_monoid()
-    P = build_profunctor(Z2, Z2, {("m", "m"): ["a", "b", "c", "d"]},
-                         {"t": {"a": "b", "b": "a", "c": "d", "d": "c"}},
-                         {"t": {"a": "c", "c": "a", "b": "d", "d": "b"}})
-    assert cardinality_matrix(P, "pi0").entry("m", "m") == 1
-    rng = rng_from_seed(9)
-    for _ in range(10):
-        Q = rand_profunctor(rng, rand_category(rng, 3), rand_category(rng, 3), 4)
-        counts = cardinality_matrix(Q, "pi0")
-        mirrored = cardinality_matrix(opposite_profunctor(Q), "pi0")
-        assert mirrored.data == tuple(zip(*counts.data))
-
-
-def test_cardinality_mode_checked():
-    with pytest.raises(ShapeMismatch):
-        cardinality_matrix(hom_profunctor(I), "weird")
 
 
 def test_multiply_cards_checks_middle():

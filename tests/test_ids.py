@@ -2,7 +2,9 @@
 
 import itertools
 
+from laxcat.fincat import build_category
 from laxcat.ids import join_id, pair_id, pair_ids
+from laxcat.rand import free_profunctor
 
 
 def words(alphabet, longest):
@@ -35,3 +37,22 @@ def test_pair_ids_is_pair_id_over_a_table():
     table = pair_ids(xs, ys)
     assert list(table) == [(x, y) for x in xs for y in ys]
     assert all(name == pair_id(*pair) for pair, name in table.items())
+
+
+def parallel_pair(f, g):
+    """Two objects and two parallel arrows f, g from 0 to 1."""
+    src = {"id0": "0", "id1": "1", f: "0", g: "0"}
+    dst = {"id0": "0", "id1": "1", f: "1", g: "1"}
+    comp = {("id0", "id0"): "id0", ("id1", "id1"): "id1"}
+    for h in (f, g):
+        comp.update({(h, "id0"): h, ("id1", h): h})
+    return build_category(("0", "1"), src, src, dst, {"0": "id0", "1": "id1"},
+                          comp)
+
+
+def test_free_profunctor_names_paths_with_separators_apart():
+    # 'a' then 'b;c' and 'a;b' then 'c' both read 'a;b;c' when joined plainly
+    D, C = parallel_pair("a", "a;b"), parallel_pair("c", "b;c")
+    P = free_profunctor(C, D, "1", "0", "g0")
+    assert P.elements[("1", "0")] == (r"g0:a;b;b\;c", "g0:a;b;c",
+                                      r"g0:a;b\;c", "g0:a;c")

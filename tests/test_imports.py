@@ -63,7 +63,7 @@ def test_importing_the_package_and_cli_loads_no_numpy():
     assert not loaded & NEVER
     assert {m for m in loaded if m.startswith("laxcat.")} == {
         "laxcat.cli", "laxcat.jsonio", "laxcat.decat", "laxcat.errors",
-        "laxcat.report", "laxcat.unionfind"}
+        "laxcat.report"}
 
 
 def test_category_commands_load_no_numpy(tmp_path):

@@ -288,6 +288,28 @@ def test_cocontinuity_in_both_variables(seed):
     assert rep.ok, rep.failures
 
 
+MIDDLE_DIFFERS = ("middle categories differ: target of the right factor "
+                  "must equal source of the left factor")
+
+
+def test_cocontinuity_failure_lines_name_each_check_and_variable():
+    pt = standard_category("discrete", 1)
+    I = standard_category("interval")
+    M1 = build_profunctor(pt, I, {("0", "0"): ["a"], ("1", "0"): ["b"]},
+                          {"u": {"a": "b"}}, {})
+    # N does not compose with M1: every composite of the four checks fails
+    N = build_profunctor(pt, pt, {("0", "0"): ["n"]}, {}, {})
+    assert check_cocontinuity(N, M1, M1).failures == [
+        f"{check}: {MIDDLE_DIFFERS}"
+        for check in ("coproduct/right", "coproduct/left",
+                      "coequalizer/right", "coequalizer/left")]
+    # M2 has another source, so only the coproduct M1 + M2 is refused
+    N = build_profunctor(I, pt, {("0", "0"): ["n"]}, {}, {})
+    M2 = build_profunctor(standard_category("discrete", 2), I, {}, {}, {})
+    assert check_cocontinuity(N, M1, M2).failures == [
+        "coproduct/right: coproduct operands have different endpoints"]
+
+
 def test_coequalizer_check_composes_each_pair_once(monkeypatch):
     # one composite with each of alpha.source, alpha.target and the
     # coequalizer; both whiskerings share the first two
@@ -303,8 +325,10 @@ def test_coequalizer_check_composes_each_pair_once(monkeypatch):
     N = rand_profunctor(rng, D, E, 3)
     M = rand_profunctor(rng, C, D, 3)
     _, inl, inr = coproduct_injections(M, M)
-    _, jnl, jnr = coproduct_injections(N, N)
-    for args in ((N, inl, inr, "right"), (M, jnl, jnr, "left")):
+    # the left variable is the right one on the opposites
+    Mop, Nop = opposite_profunctor(M), opposite_profunctor(N)
+    _, jnl, jnr = coproduct_injections(Nop, Nop)
+    for args in ((N, inl, inr), (Mop, jnl, jnr)):
         calls.clear()
         rep = profunctor.check_cocontinuity_coequalizer(*args)
         assert rep.ok, rep.failures

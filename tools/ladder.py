@@ -4,9 +4,9 @@
 its total, the loading of the hom profunctor from JSON, the validation of
 a finite group loaded from JSON and of a hom profunctor, the coend
 composite of a finite group's hom profunctor with itself, the Grothendieck
-total and the blockwise coend of a diagram, the monoid-laws check, Smith
-normal form (elimination, and the self-check `SmithDecomposition.verify`),
-and the chain-map constructions.
+total and the blockwise coend of a diagram, the monoid-laws and
+cocontinuity checks, Smith normal form (elimination, and the self-check
+`SmithDecomposition.verify`), and the chain-map constructions.
 
     python3 tools/ladder.py [SRC] [--repeats 5]
 
@@ -18,12 +18,13 @@ profunctor's own validation) and the seed-1 groups of orders 12, 24 and 36
 (their hom profunctors validated and composed with themselves, and the
 check of `laxcat check monoid-laws` on the groups); for `chains`, the
 seed-1 matrices of sizes 16, 32, 48 and 56 (entries in [-5, 5]).  The
-diagram rungs time `grothendieck` and `block_multiply` on the
-interval-shaped diagram with fibers Δ2×Δk and Δ3×Δk, k = 1, 2, 3, and
-transition F×id for the face map F: Δ2 -> Δ3 that skips 1 (product fibers,
-as in the workload's `prod_diagram`); the block product squares the hom
-profunctor of the total, cut into blocks on both sides.  To show the
-scaling past the workload, the ladder also loads, through
+check of `laxcat check cocontinuity` runs on the triple (H, H, H) for
+H = hom(Δk), k = 2, 3, 4.  The diagram rungs time `grothendieck` and
+`block_multiply` on the interval-shaped diagram with fibers Δ2×Δk and
+Δ3×Δk, k = 1, 2, 3, and transition F×id for the face map F: Δ2 -> Δ3 that
+skips 1 (product fibers, as in the workload's `prod_diagram`); the block
+product squares the hom profunctor of the total, cut into blocks on both
+sides.  To show the scaling past the workload, the ladder also loads, through
 `category_from_json`, the groups that the workload's `abelian_group` draws
 from one seed-1 generator for orders 60, 120 and 240, and eliminates one
 64×64 matrix drawn at seed 64.  Each timed `build_profunctor` call gets a
@@ -223,11 +224,15 @@ def main(argv=None):
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
     sys.path.insert(0, str(ROOT / "bench"))
-    # looked up through the property table, which names the check in
+    # looked up through the property table, which names the checks in
     # every tree this script times
     from laxcat.cli import CHECKS
-    _, module, name = CHECKS["monoid-laws"]
-    check_monoid_laws = getattr(import_module(f"laxcat.{module}"), name)
+
+    def check(prop):
+        _, module, name = CHECKS[prop]
+        return getattr(import_module(f"laxcat.{module}"), name)
+    check_monoid_laws = check("monoid-laws")
+    check_cocontinuity = check("cocontinuity")
     from laxcat.collage import (block_multiply, build_diagram,
                                 collage_of_profunctor, grothendieck,
                                 restrict_matrix)
@@ -254,7 +259,8 @@ def main(argv=None):
     out = {"build_category_ms": {}, "category_load_ms": {},
            "collage_ms": {}, "profunctor_load_ms": {},
            "build_profunctor_ms": {}, "compose_group_hom_ms": {},
-           "monoid_laws_ms": {}, "snf_elimination_ms": {},
+           "monoid_laws_ms": {}, "cocontinuity_ms": {},
+           "snf_elimination_ms": {},
            "snf_verify_ms": {}, "chain_maps_ms": {},
            "grothendieck_ms": {}, "block_multiply_ms": {},
            "canonical_dump_ms": {}, "canonical_dump_peak_kib": {},
@@ -328,6 +334,12 @@ def main(argv=None):
             "median": median_ms(lambda: compose_with_pairing(H, H), args.repeats)}
         out["monoid_laws_ms"][f"group_{order}"] = {
             "median": median_ms(lambda: check_monoid_laws(C), args.repeats)}
+    for k in (2, 3, 4):
+        H = hom_profunctor(standard_category("simplex", k))
+        out["cocontinuity_ms"][f"simplex_{k}"] = {
+            "elements": H.total_size(),
+            "median": median_ms(lambda: check_cocontinuity(H, H, H),
+                                args.repeats)}
     rng = random.Random(1)
     snf_runs = {}
     for n in SNF_LADDER + (64,):
