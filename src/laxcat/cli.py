@@ -8,7 +8,8 @@ streamed to the output as jsonio.write_canonical makes it.
 
 Exit codes: 0 success, 1 a checked property failed, 2 invalid input or
 usage (an output that cannot be opened or written included), 3 an input
-breached the size caps, 4 an internal error (a failed result guard or a
+breached the size caps, 4 an internal error (a failed result guard, a
+broken kernel invariant, an error on a randomized check's own draws, or a
 bug, the output encoder's included), reported in one line, with the
 traceback only under --debug.  After an exit 4 while writing, stdout may
 hold a partial document; a partly written --out file is removed.
@@ -258,7 +259,11 @@ def cmd_check(args, ws):
         rng = rng_from_seed(args.seed)
         trials = args.count
         for i in range(trials):
-            rep = check(*_draw(prop, rng, ws.caps))
+            # the inputs are our own draws: an error here is a bug
+            try:
+                rep = check(*_draw(prop, rng, ws.caps))
+            except LaxcatError as e:
+                raise AssertionError(f"trial {i}: {e}") from e
             failures.extend(f"trial {i}: {msg}" for msg in rep.failures)
     else:
         if len(args.refs) != len(kinds):

@@ -24,8 +24,7 @@ arrows are the generators of each fiber, inside one entry, and the canonical
 transitions along the generators of the shape.
 """
 
-from .errors import (CompositionMismatch, IncompatibleActionData,
-                     InvalidParameter, LaxcatError, NotACollage)
+from .errors import LaxcatError
 from .fincat import (CatFunctor, FinCategory, _index, build_category,
                      compose_functors, identity_functor, opposite, product,
                      standard_category, validate_functor)
@@ -52,26 +51,26 @@ def build_diagram(shape: FinCategory, fiber, transition) -> Diagram:
     fiber = dict(fiber)
     transition = dict(transition)
     if set(fiber) != set(shape.objects):
-        raise InvalidParameter("diagram fibers must be keyed by shape objects")
+        raise LaxcatError("diagram fibers must be keyed by shape objects")
     for s in shape.objects:
         transition.setdefault(shape.identity[s], identity_functor(fiber[s]))
     if set(transition) != set(shape.morphisms):
-        raise InvalidParameter("diagram transitions must be keyed by shape morphisms")
+        raise LaxcatError("diagram transitions must be keyed by shape morphisms")
     for gamma, F in transition.items():
         if F.source != fiber[shape.src[gamma]] or F.target != fiber[shape.dst[gamma]]:
-            raise InvalidParameter(f"transition {gamma!r} has wrong endpoints")
+            raise LaxcatError(f"transition {gamma!r} has wrong endpoints")
         rep = validate_functor(F)
         if not rep.ok:
-            raise InvalidParameter(
+            raise LaxcatError(
                 f"transition {gamma!r} is not a functor: {rep.failures[0]}")
     for s in shape.objects:
         F = transition[shape.identity[s]]
         if F != identity_functor(fiber[s]):
-            raise InvalidParameter(f"identity transition at {s!r} is not the identity")
+            raise LaxcatError(f"identity transition at {s!r} is not the identity")
     for g, f in shape.composable_pairs():
         if transition[shape.comp[(g, f)]] != compose_functors(
                 transition[g], transition[f]):
-            raise InvalidParameter(
+            raise LaxcatError(
                 f"transitions not strictly functorial on ({g!r}, {f!r})")
     return Diagram(shape, fiber, transition)
 
@@ -115,7 +114,7 @@ def _total(S: FinCategory, fibers, arrows, compose, diagram=None) -> Collage:
     mor_parts, src, dst, mid_of = {}, {}, {}, {}
     for mid, parts, a, b in arrows:
         if mid in mor_parts:
-            raise InvalidParameter("duplicate morphism ids")
+            raise LaxcatError("duplicate morphism ids")
         mor_parts[mid], src[mid], dst[mid] = parts, ob[a], ob[b]
         mid_of[parts] = mid
     objects = list(ob.values())
@@ -274,24 +273,24 @@ class LaxMatrix(Record):
 def restrict_matrix(M: Profunctor, G: Collage, side: str) -> LaxMatrix:
     """Slice an ambient profunctor over a diagram collage into blocks."""
     if G.diagram is None:
-        raise NotACollage("matrix restriction needs a diagram collage")
+        raise LaxcatError("matrix restriction needs a diagram collage")
     total = G.total
     if side == "source":
         if M.source != total:
-            raise NotACollage("profunctor source is not the collage total")
+            raise LaxcatError("profunctor source is not the collage total")
         other_id = identity_functor(M.target)
         entries = {s: restrict_along(M, inj, other_id)
                    for s, inj in G.injections.items()}
         acts = M.ract
     elif side == "target":
         if M.target != total:
-            raise NotACollage("profunctor target is not the collage total")
+            raise LaxcatError("profunctor target is not the collage total")
         other_id = identity_functor(M.source)
         entries = {s: restrict_along(M, other_id, inj)
                    for s, inj in G.injections.items()}
         acts = M.lact
     else:
-        raise InvalidParameter(f"side must be source or target, got {side!r}")
+        raise LaxcatError(f"side must be source or target, got {side!r}")
     S = G.shape
     mid_of = {parts: mid for mid, parts in G.mor_parts.items()}
     transition = {}
@@ -311,21 +310,21 @@ def assemble_matrix(data: LaxMatrix) -> Profunctor:
 
     Every ambient action factors as a fiber leg (inside one entry) after a
     canonical transition leg, so the blockwise data determines the ambient
-    table completely.  Raises IncompatibleActionData if the result fails
-    profunctor validation.
+    table completely.  Raises LaxcatError if a transition lacks an element or
+    the result fails profunctor validation.
     """
     G, side, other = data.collage, data.side, data.other
     if G.diagram is None:
-        raise NotACollage("matrix assembly needs a diagram collage")
+        raise LaxcatError("matrix assembly needs a diagram collage")
     S, total = G.shape, G.total
     for s in S.objects:
         entry = data.entries.get(s)
         if entry is None:
-            raise IncompatibleActionData(f"missing entry for fiber {s!r}")
+            raise LaxcatError(f"missing entry for fiber {s!r}")
         want_src = G.fiber[s] if side == "source" else other
         want_dst = other if side == "source" else G.fiber[s]
         if entry.source != want_src or entry.target != want_dst:
-            raise IncompatibleActionData(f"entry {s!r} has wrong endpoints")
+            raise LaxcatError(f"entry {s!r} has wrong endpoints")
 
     elements = {}
     for oid, (s, x) in G.obj_parts.items():
@@ -347,52 +346,64 @@ def assemble_matrix(data: LaxMatrix) -> Profunctor:
         try:
             return data.transition[gamma][x]
         except KeyError:
-            raise IncompatibleActionData(
+            raise LaxcatError(
                 f"missing transition data for {gamma!r} at {x!r}")
+
+    def carried(trans, e, gamma, x):
+        if e not in trans:
+            raise LaxcatError("entries and transitions do not assemble: "
+                              f"transition {gamma!r} at {x!r} lacks {e!r}")
+        return trans[e]
 
     # The two sides are not mirrors: the opposite reverses the total
     # category but not the shape, so an ambient action pulls back along a
     # fiber leg and then a transition on one side, and pushes forward along
     # a transition and then a fiber leg on the other.
+    if side == "source":
+        lact = {g: {e: data.entries[s].lact[g][e]
+                    for s in S.objects
+                    for x in G.fiber[s].objects
+                    for e in data.entries[s].elements[(other.src[g], x)]}
+                for g in other.morphisms}
+        ract = {}
+        for mid, (gamma, x, f) in G.mor_parts.items():
+            t = S.dst[gamma]
+            trans = transition_leg(gamma, x)
+            entry_t = data.entries[t]
+            table = {}
+            for d in other.objects:
+                for e in entry_t.elements[(d, G.fiber[t].dst[f])]:
+                    table[e] = carried(trans, entry_t.ract[f][e], gamma, x)
+            ract[mid] = table
+        source, target = total, other
+    else:
+        ract = {g: {e: data.entries[s].ract[g][e]
+                    for s in S.objects
+                    for x in G.fiber[s].objects
+                    for e in data.entries[s].elements[(x, other.dst[g])]}
+                for g in other.morphisms}
+        lact = {}
+        for mid, (gamma, x, f) in G.mor_parts.items():
+            s, t = S.src[gamma], S.dst[gamma]
+            trans = transition_leg(gamma, x)
+            entry_t = data.entries[t]
+            table = {}
+            for c in other.objects:
+                for e in data.entries[s].elements[(x, c)]:
+                    moved = carried(trans, e, gamma, x)
+                    if moved not in entry_t.lact[f]:
+                        raise LaxcatError(
+                            "entries and transitions do not assemble: "
+                            f"transition {gamma!r} at {x!r} sends {e!r} to "
+                            f"{moved!r}, which {f!r} does not act on")
+                    table[e] = entry_t.lact[f][moved]
+            lact[mid] = table
+        source, target = other, total
     try:
-        if side == "source":
-            lact = {g: {e: data.entries[s].lact[g][e]
-                        for s in S.objects
-                        for x in G.fiber[s].objects
-                        for e in data.entries[s].elements[(other.src[g], x)]}
-                    for g in other.morphisms}
-            ract = {}
-            for mid, (gamma, x, f) in G.mor_parts.items():
-                t = S.dst[gamma]
-                trans = transition_leg(gamma, x)
-                entry_t = data.entries[t]
-                table = {}
-                for d in other.objects:
-                    for e in entry_t.elements[(d, G.fiber[t].dst[f])]:
-                        table[e] = trans[entry_t.ract[f][e]]
-                ract[mid] = table
-            ambient = build_profunctor(total, other, elements, lact, ract)
-        else:
-            ract = {g: {e: data.entries[s].ract[g][e]
-                        for s in S.objects
-                        for x in G.fiber[s].objects
-                        for e in data.entries[s].elements[(x, other.dst[g])]}
-                    for g in other.morphisms}
-            lact = {}
-            for mid, (gamma, x, f) in G.mor_parts.items():
-                s, t = S.src[gamma], S.dst[gamma]
-                trans = transition_leg(gamma, x)
-                entry_t = data.entries[t]
-                table = {}
-                for c in other.objects:
-                    for e in data.entries[s].elements[(x, c)]:
-                        table[e] = entry_t.lact[f][trans[e]]
-                lact[mid] = table
-            ambient = build_profunctor(other, total, elements, lact, ract)
-    except (KeyError, InvalidParameter) as exc:
-        raise IncompatibleActionData(
+        return build_profunctor(source, target, elements, lact, ract)
+    except LaxcatError as exc:
+        raise LaxcatError(
             f"entries and transitions do not assemble: {exc}") from exc
-    return ambient
 
 
 def check_bilimit_roundtrip(X: Diagram, T: FinCategory, M: Profunctor) -> Report:
@@ -441,10 +452,10 @@ def block_multiply(N: LaxMatrix, M: LaxMatrix) -> CoendComposite:
     morphisms, and gluing along the shape's generators suffices.
     """
     if N.side != "source" or M.side != "target":
-        raise CompositionMismatch(
+        raise LaxcatError(
             "block product needs N anchored by source and M by target")
     if N.collage != M.collage:
-        raise CompositionMismatch("block product needs a shared middle collage")
+        raise LaxcatError("block product needs a shared middle collage")
     G = N.collage
     S = G.shape
     C, E = M.other, N.other

@@ -13,7 +13,7 @@ module (as the command line does) loads no category code.
 
 from __future__ import annotations
 
-from .errors import CompositionMismatch, ShapeMismatch
+from .errors import LaxcatError
 from .report import Record, Report
 
 
@@ -48,7 +48,7 @@ def cardinality_matrix(P: Profunctor) -> CardMatrix:
 def multiply_cards(N: CardMatrix, M: CardMatrix) -> CardMatrix:
     """Plain integer matrix product, with the middle index checked."""
     if N.cols != M.rows:
-        raise ShapeMismatch("middle object lists do not match")
+        raise LaxcatError("middle object lists do not match")
     columns = [[row[j] for row in M.data] for j in range(len(M.cols))]
     return CardMatrix(N.rows, M.cols,
                       [[sum(a * b for a, b in zip(row, col)) for col in columns]
@@ -64,7 +64,7 @@ def composite_vs_product(N: Profunctor,
     """(raw counts of the coend composite, matrix product of the counts)."""
     from .profunctor import compose_profunctors
     if M.target != N.source:
-        raise CompositionMismatch("middle categories do not match")
+        raise LaxcatError("middle categories do not match")
     return (cardinality_matrix(compose_profunctors(N, M)),
             multiply_cards(cardinality_matrix(N), cardinality_matrix(M)))
 

@@ -1,13 +1,20 @@
-"""Exception hierarchy.
+"""Exception classes, one per exit code and stderr prefix of the CLI.
 
-Every validator raises a subclass of LaxcatError whose message names the
-offending object, morphism pair, or matrix entry, so failures are
-reproducible from the message alone.
+Every validator raises LaxcatError with a message that names the offending
+object, morphism pair, or matrix entry, so failures are reproducible from
+the message alone.  The CLI tells exactly these three apart:
+
+  SchemaError   exit 2, "invalid input: ..."
+  CapExceeded   exit 3, "cap exceeded: ..."
+  LaxcatError   exit 2, "validation failed: ..." (any other)
+
+A broken kernel invariant raises AssertionError instead, which the CLI
+reports as exit 4, "internal error: ...".
 """
 
 
 class LaxcatError(Exception):
-    """Base class for all laxcat errors."""
+    """Invalid input or a failed precondition of a command."""
 
 
 class SchemaError(LaxcatError):
@@ -16,71 +23,3 @@ class SchemaError(LaxcatError):
 
 class CapExceeded(LaxcatError):
     """An input breaches a configured size cap."""
-
-
-# -- finite categories ------------------------------------------------------
-
-class MissingComposite(LaxcatError):
-    """A composable pair has no entry in the composition table."""
-
-
-class NonAssociative(LaxcatError):
-    """h(gf) != (hg)f for some composable triple."""
-
-
-class UnitLawViolation(LaxcatError):
-    """An identity fails id . f = f or f . id = f, or is wrongly typed."""
-
-
-class InvalidParameter(LaxcatError):
-    """Bad argument to a standard-category constructor."""
-
-
-class SearchBoundExceeded(LaxcatError):
-    """Isomorphism search refused: category exceeds the configured bound."""
-
-
-# -- profunctors -------------------------------------------------------------
-
-class CompositionMismatch(LaxcatError):
-    """Endpoint categories do not line up for composition."""
-
-
-class ShapeMismatch(LaxcatError):
-    """Colimit operands disagree on source or target."""
-
-
-# -- collages and lax matrices -----------------------------------------------
-
-class NotACollage(LaxcatError):
-    """The profunctor is not anchored to the given collage on the given side."""
-
-
-class IncompatibleActionData(LaxcatError):
-    """Matrix entries and transition data do not assemble to a profunctor."""
-
-
-# -- chain complexes ----------------------------------------------------------
-
-class DifferentialSquareNonzero(LaxcatError):
-    """d . d != 0 in some degree."""
-
-
-class DimensionMismatch(LaxcatError):
-    """Matrix shape disagrees with declared ranks."""
-
-
-class UnboundedComplex(LaxcatError):
-    """Only bounded complexes are supported."""
-
-
-class CompositeNonzero(LaxcatError):
-    """Consecutive maps of a tower do not compose to zero."""
-
-
-class BlockMismatch(LaxcatError):
-    """Graded block matrices disagree on their shared index set."""
-
-
-class NotANullHomotopy(LaxcatError):
-    """dH + Hd does not equal the prescribed composite."""

@@ -19,13 +19,7 @@ full scan runs only on failure, to report its first violation.
 
 import itertools
 
-from .errors import (
-    InvalidParameter,
-    MissingComposite,
-    NonAssociative,
-    SearchBoundExceeded,
-    UnitLawViolation,
-)
+from .errors import LaxcatError
 from .ids import join_id, pair_ids
 from .report import Record, Report
 
@@ -135,34 +129,34 @@ def build_category(objects, morphisms, src, dst, identity, comp) -> FinCategory:
     """Assemble and validate a finite category, associativity along generators.
 
     morphisms may be any iterable of ids; src/dst/identity/comp as in
-    FinCategory.  Raises InvalidParameter for structural malformation,
-    MissingComposite / UnitLawViolation / NonAssociative for law failures.
+    FinCategory.  Raises LaxcatError naming the first structural malformation
+    or law failure.
     """
     # canonical sorted storage, so equal tables compare equal
     objects = tuple(sorted(objects))
     morphisms = tuple(sorted(morphisms))
     if len(set(objects)) != len(objects):
-        raise InvalidParameter("duplicate object ids")
+        raise LaxcatError("duplicate object ids")
     if len(set(morphisms)) != len(morphisms):
-        raise InvalidParameter("duplicate morphism ids")
+        raise LaxcatError("duplicate morphism ids")
     obset, morset = set(objects), set(morphisms)
     for m in morphisms:
         if m not in src or m not in dst:
-            raise InvalidParameter(f"morphism {m!r} lacks src or dst")
+            raise LaxcatError(f"morphism {m!r} lacks src or dst")
         if src[m] not in obset or dst[m] not in obset:
-            raise InvalidParameter(f"morphism {m!r} has unknown endpoint")
+            raise LaxcatError(f"morphism {m!r} has unknown endpoint")
     if set(src) != morset or set(dst) != morset:
-        raise InvalidParameter("src/dst defined on unknown morphisms")
+        raise LaxcatError("src/dst defined on unknown morphisms")
     for x in objects:
         if x not in identity:
-            raise UnitLawViolation(f"object {x!r} has no identity")
+            raise LaxcatError(f"object {x!r} has no identity")
         i = identity[x]
         if i not in morset:
-            raise InvalidParameter(f"identity of {x!r} is unknown morphism {i!r}")
+            raise LaxcatError(f"identity of {x!r} is unknown morphism {i!r}")
         if src[i] != x or dst[i] != x:
-            raise UnitLawViolation(f"identity {i!r} of {x!r} is not an endomorphism")
+            raise LaxcatError(f"identity {i!r} of {x!r} is not an endomorphism")
     if set(identity) != obset:
-        raise InvalidParameter("identity map defined on unknown objects")
+        raise LaxcatError("identity map defined on unknown objects")
 
     cat = FinCategory(objects, morphisms, dict(src), dict(dst),
                       dict(identity), {})
@@ -171,26 +165,26 @@ def build_category(objects, morphisms, src, dst, identity, comp) -> FinCategory:
     for key in comp:
         g, f = key
         if f not in morset or g not in morset:
-            raise MissingComposite(f"composition entry {key!r} uses unknown morphism")
+            raise LaxcatError(f"composition entry {key!r} uses unknown morphism")
         if dst[f] != src[g]:
-            raise MissingComposite(f"composition entry {key!r} is not composable")
+            raise LaxcatError(f"composition entry {key!r} is not composable")
     for f in morphisms:
         for g in cat.leaving(dst[f]):
             gf = cat.comp[(g, f)] = comp.get((g, f))
             if gf is None:
-                raise MissingComposite(f"no composite for ({g!r}, {f!r})")
+                raise LaxcatError(f"no composite for ({g!r}, {f!r})")
             if gf not in morset:
-                raise MissingComposite(f"composite of ({g!r}, {f!r}) is unknown: {gf!r}")
+                raise LaxcatError(f"composite of ({g!r}, {f!r}) is unknown: {gf!r}")
             if src[gf] != src[f] or dst[gf] != dst[g]:
-                raise MissingComposite(
+                raise LaxcatError(
                     f"composite {gf!r} of ({g!r}, {f!r}) has wrong endpoints")
 
     # unit laws, by enumeration
     for m in morphisms:
         if cat.comp[(m, identity[src[m]])] != m:
-            raise UnitLawViolation(f"{m!r} . id != {m!r}")
+            raise LaxcatError(f"{m!r} . id != {m!r}")
         if cat.comp[(identity[dst[m]], m)] != m:
-            raise UnitLawViolation(f"id . {m!r} != {m!r}")
+            raise LaxcatError(f"id . {m!r} != {m!r}")
 
     # associativity: the triples (h, g, f) with g in middle, f by f as in comp
     def nonassociative(middle):
@@ -201,7 +195,7 @@ def build_category(objects, morphisms, src, dst, identity, comp) -> FinCategory:
                         yield h, g, f
 
     for h, g, f in along_generators(nonassociative, set(cat.generators()), morset):
-        raise NonAssociative(f"h(gf) != (hg)f for ({h!r}, {g!r}, {f!r})")
+        raise LaxcatError(f"h(gf) != (hg)f for ({h!r}, {g!r}, {f!r})")
     return cat
 
 
@@ -222,11 +216,11 @@ def from_poset(elements, relation) -> FinCategory:
     """
     elements = tuple(elements)
     if len(set(elements)) != len(elements):
-        raise InvalidParameter("duplicate poset elements")
+        raise LaxcatError("duplicate poset elements")
     below = {x: {x} for x in elements}
     for x, y in relation:
         if x not in below or y not in below:
-            raise InvalidParameter(f"relation pair ({x!r}, {y!r}) off the carrier")
+            raise LaxcatError(f"relation pair ({x!r}, {y!r}) off the carrier")
         below[x].add(y)
     # transitive closure
     changed = True
@@ -242,7 +236,7 @@ def from_poset(elements, relation) -> FinCategory:
     for x in elements:
         for y in below[x]:
             if x != y and x in below[y]:
-                raise InvalidParameter(f"relation is not antisymmetric at ({x!r}, {y!r})")
+                raise LaxcatError(f"relation is not antisymmetric at ({x!r}, {y!r})")
 
     mor = {(x, y): join_id(x, y, "<=") for x in elements for y in below[x]}
     src = {m: x for (x, _), m in mor.items()}
@@ -263,7 +257,7 @@ def standard_category(kind: str, *args) -> FinCategory:
     """
     if kind == "discrete":
         if len(args) != 1 or not isinstance(args[0], int) or args[0] < 0:
-            raise InvalidParameter("discrete expects a nonnegative object count")
+            raise LaxcatError("discrete expects a nonnegative object count")
         n = args[0]
         objects = tuple(str(i) for i in range(n))
         morphisms = tuple(f"id_{i}" for i in range(n))
@@ -273,7 +267,7 @@ def standard_category(kind: str, *args) -> FinCategory:
         return build_category(objects, morphisms, src, dict(src), identity, comp)
     if kind == "interval":
         if args:
-            raise InvalidParameter("interval takes no arguments")
+            raise LaxcatError("interval takes no arguments")
         src = {"id_0": "0", "id_1": "1", "u": "0"}
         dst = {"id_0": "0", "id_1": "1", "u": "1"}
         comp = {("id_0", "id_0"): "id_0", ("id_1", "id_1"): "id_1",
@@ -282,16 +276,16 @@ def standard_category(kind: str, *args) -> FinCategory:
                               {"0": "id_0", "1": "id_1"}, comp)
     if kind == "poset":
         if len(args) != 2:
-            raise InvalidParameter("poset expects (elements, relation)")
+            raise LaxcatError("poset expects (elements, relation)")
         return from_poset(args[0], args[1])
     if kind == "simplex":
         if len(args) != 1 or not isinstance(args[0], int) or args[0] < 0:
-            raise InvalidParameter("simplex expects a nonnegative dimension")
+            raise LaxcatError("simplex expects a nonnegative dimension")
         n = args[0]
         elems = [str(i) for i in range(n + 1)]
         rel = [(str(i), str(j)) for i in range(n + 1) for j in range(i, n + 1)]
         return from_poset(elems, rel)
-    raise InvalidParameter(f"unknown standard category kind {kind!r}")
+    raise LaxcatError(f"unknown standard category kind {kind!r}")
 
 
 def product(C: FinCategory, D: FinCategory) -> FinCategory:
@@ -347,7 +341,7 @@ def identity_functor(C: FinCategory) -> CatFunctor:
 def compose_functors(G: CatFunctor, F: CatFunctor) -> CatFunctor:
     """G after F."""
     if F.target != G.source:
-        raise InvalidParameter("functor composition endpoints do not match")
+        raise LaxcatError("functor composition endpoints do not match")
     return CatFunctor(F.source, G.target,
                       {x: G.obmap[F.obmap[x]] for x in F.source.objects},
                       {m: G.mormap[F.mormap[m]] for m in F.source.morphisms})
@@ -442,10 +436,10 @@ def find_isomorphism(C: FinCategory, D: FinCategory,
     the size of every hom-set.  Such a functor is an isomorphism: it maps
     each hom-set injectively into one of the same finite size, so it is
     bijective on morphisms as on objects, and the inverse of a bijective
-    functor is a functor.  Raises SearchBoundExceeded past the object bound.
+    functor is a functor.  Raises LaxcatError past the object bound.
     """
     if len(C.objects) > bound or len(D.objects) > bound:
-        raise SearchBoundExceeded(
+        raise LaxcatError(
             f"isomorphism search bound {bound} exceeded "
             f"({len(C.objects)} vs {len(D.objects)} objects)")
     if len(C.objects) != len(D.objects) or len(C.morphisms) != len(D.morphisms):

@@ -10,7 +10,7 @@ or overwrites a block.
 from itertools import chain
 from operator import add, mul, sub
 
-from .errors import DimensionMismatch
+from .errors import LaxcatError
 
 
 class Matrix:
@@ -65,7 +65,7 @@ class Matrix:
         rows = range(*i.indices(len(self.rows)))
         want = (len(rows), len(range(*j.indices(self.ncols))))
         if value.shape != want:
-            raise DimensionMismatch(
+            raise LaxcatError(
                 f"block of shape {value.shape} placed into {want}")
         for r, src in zip(rows, value.rows):
             self.rows[r][j] = src
@@ -85,7 +85,7 @@ class Matrix:
 
     def _entrywise(self, op, other):
         if self.shape != other.shape:
-            raise DimensionMismatch(
+            raise LaxcatError(
                 f"cannot add {self.shape} and {other.shape}")
         return Matrix([list(map(op, r, s))
                        for r, s in zip(self.rows, other.rows)], self.ncols)
@@ -107,7 +107,7 @@ class Matrix:
 
     def __matmul__(self, other):
         if self.ncols != len(other.rows):
-            raise DimensionMismatch(
+            raise LaxcatError(
                 f"cannot multiply {self.shape} by {other.shape}")
         cols = list(zip(*other.rows)) if other.rows else [()] * other.ncols
         return Matrix([[sum(map(mul, r, c)) for c in cols] for r in self.rows],
@@ -126,14 +126,14 @@ def as_matrix(data, rows=None, cols=None) -> Matrix:
     if cols is None:
         cols = len(data[0]) if data else 0
     if len(data) != rows:
-        raise DimensionMismatch(f"expected {rows} rows, got {len(data)}")
+        raise LaxcatError(f"expected {rows} rows, got {len(data)}")
     for i, r in enumerate(data):
         if len(r) != cols:
-            raise DimensionMismatch(
+            raise LaxcatError(
                 f"row {i} has {len(r)} entries, expected {cols}")
         for j, v in enumerate(r):
             if not isinstance(v, int) or isinstance(v, bool):
-                raise DimensionMismatch(f"entry ({i},{j}) is not an int: {v!r}")
+                raise LaxcatError(f"entry ({i},{j}) is not an int: {v!r}")
     return Matrix(data, cols)
 
 
@@ -152,7 +152,7 @@ def hstack(mats: list[Matrix]) -> Matrix:
     """Side by side; all must have the same number of rows."""
     height = mats[0].shape[0]
     if any(m.shape[0] != height for m in mats):
-        raise DimensionMismatch("hstack needs equal row counts")
+        raise LaxcatError("hstack needs equal row counts")
     return Matrix([list(chain.from_iterable(m.rows[i] for m in mats))
                    for i in range(height)], sum(m.ncols for m in mats))
 
@@ -161,7 +161,7 @@ def vstack(mats: list[Matrix]) -> Matrix:
     """One above the other; all must have the same number of columns."""
     width = mats[0].ncols
     if any(m.ncols != width for m in mats):
-        raise DimensionMismatch("vstack needs equal column counts")
+        raise LaxcatError("vstack needs equal column counts")
     return Matrix([list(r) for m in mats for r in m.rows], width)
 
 

@@ -43,7 +43,7 @@ import json
 from collections import namedtuple
 from itertools import chain
 
-from .errors import CapExceeded, SchemaError, UnboundedComplex
+from .errors import CapExceeded, LaxcatError, SchemaError
 
 # the length of the pieces write_canonical hands on
 FLUSH = 1 << 16
@@ -174,23 +174,6 @@ def category_from_json(data, resolve=None, caps=_NO_CAPS) -> FinCategory:
                 f"category.composition[{i}]: conflicting entries for ({g}, {f})")
         comp[(g, f)] = gf
     return build_category(objects, mor_ids, src, dst, identities, comp)
-
-
-# -- functors -----------------------------------------------------------------
-
-def functor_from_json(data, resolve=default_resolver,
-                      caps=_NO_CAPS) -> CatFunctor:
-    from .fincat import CatFunctor, validate_functor
-    _expect(data, "functor", ("source", "target", "obmap", "mormap"))
-    C = _resolve(data["source"], "category", resolve, "functor.source")
-    D = _resolve(data["target"], "category", resolve, "functor.target")
-    obmap = _str_dict(data["obmap"], "functor.obmap")
-    mormap = _str_dict(data["mormap"], "functor.mormap")
-    F = CatFunctor(C, D, obmap, mormap)
-    rep = validate_functor(F)
-    if not rep.ok:
-        raise SchemaError("functor: " + "; ".join(rep.failures))
-    return F
 
 
 # -- profunctors ----------------------------------------------------------------
@@ -361,7 +344,7 @@ def complex_from_json(data, resolve=None, caps=_NO_CAPS) -> ChainComplex:
     _expect(data, "complex", ("window", "ranks", "differentials"))
     window = data["window"]
     if window is None:
-        raise UnboundedComplex("complex: a null window is declared unbounded; "
+        raise LaxcatError("complex: a null window is declared unbounded; "
                                "only bounded complexes are supported")
     if (not isinstance(window, list) or len(window) != 2
             or any(not isinstance(v, int) or isinstance(v, bool) for v in window)):
@@ -470,7 +453,6 @@ def collage_to_json(G: Collage) -> dict:
 
 LOADERS = {
     "category": category_from_json,
-    "functor": functor_from_json,
     "profunctor": profunctor_from_json,
     "diagram": diagram_from_json,
     "complex": complex_from_json,
@@ -494,6 +476,7 @@ def sniff_kind(data) -> str:
         return "diagram"
     if "ranks" in data:
         return "complex"
+    # no command reads a functor, but naming one makes the mismatch clear
     if "obmap" in data:
         return "functor"
     if "complexes" in data:

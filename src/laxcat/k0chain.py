@@ -25,9 +25,7 @@ Conventions fixed here and relied on everywhere else:
 
 import math
 
-from .errors import (BlockMismatch, CompositeNonzero,
-                     DifferentialSquareNonzero, DimensionMismatch,
-                     InvalidParameter, NotANullHomotopy)
+from .errors import LaxcatError
 from .intmat import (Matrix, as_matrix, eye, hstack, is_zero_matrix, vstack,
                      zeros)
 from .report import Record, Report
@@ -37,7 +35,7 @@ def det_exact(a: Matrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     n = a.shape[0]
     if a.shape != (n, n):
-        raise DimensionMismatch("determinant needs a square matrix")
+        raise LaxcatError("determinant needs a square matrix")
     if n == 0:
         return 1
     m = a.tolist()
@@ -118,7 +116,7 @@ def build_complex(ranks: dict[int, int], diffs: dict[int, object]) -> ChainCompl
     clean_ranks = {}
     for n, r in ranks.items():
         if not isinstance(n, int) or not isinstance(r, int) or r < 0:
-            raise InvalidParameter(f"bad rank entry {n!r}: {r!r}")
+            raise LaxcatError(f"bad rank entry {n!r}: {r!r}")
         if r > 0:
             clean_ranks[n] = r
     clean_diffs = _components(
@@ -128,7 +126,7 @@ def build_complex(ranks: dict[int, int], diffs: dict[int, object]) -> ChainCompl
             clean_diffs[n] = zeros(clean_ranks[n - 1], clean_ranks[n])
     for n, d in clean_diffs.items():
         if n - 1 in clean_diffs and not is_zero_matrix(clean_diffs[n - 1] @ d):
-            raise DifferentialSquareNonzero(f"d.d != 0 from degree {n}")
+            raise LaxcatError(f"d.d != 0 from degree {n}")
     return ChainComplex(clean_ranks, clean_diffs)
 
 
@@ -219,11 +217,11 @@ def build_chain_map(source: ChainComplex, target: ChainComplex,
         clean[n] = as_matrix(matrices.get(n, zeros(rows, cols)), rows, cols)
     for n, m in matrices.items():
         if n not in clean and not is_zero_matrix(as_matrix(m)):
-            raise DimensionMismatch(f"component at {n} off the support")
+            raise LaxcatError(f"component at {n} off the support")
     f = ChainMap(source, target, clean)
     for n in set(source.ranks) | set(target.ranks):
         if not is_zero_matrix(f.boundary(n)):
-            raise InvalidParameter(f"not a chain map: square at degree {n}")
+            raise LaxcatError(f"not a chain map: square at degree {n}")
     return f
 
 
@@ -237,7 +235,7 @@ def identity_chain_map(A: ChainComplex) -> ChainMap:
 
 def compose_chain_maps(g: ChainMap, f: ChainMap) -> ChainMap:
     if f.target != g.source:
-        raise DimensionMismatch("chain map composition endpoints do not match")
+        raise LaxcatError("chain map composition endpoints do not match")
     return ChainMap(f.source, g.target, {
         n: g.matrices[n] @ f.matrices[n]
         if n in g.matrices and n in f.matrices
@@ -247,7 +245,7 @@ def compose_chain_maps(g: ChainMap, f: ChainMap) -> ChainMap:
 
 def add_chain_maps(f: ChainMap, g: ChainMap) -> ChainMap:
     if f.source != g.source or f.target != g.target:
-        raise DimensionMismatch("chain map sum endpoints do not match")
+        raise LaxcatError("chain map sum endpoints do not match")
     both = {n: f.matrices[n] + m for n, m in g.matrices.items() if n in f.matrices}
     return ChainMap(f.source, f.target, {**f.matrices, **g.matrices, **both})
 
@@ -269,12 +267,12 @@ def build_homotopy(source_map: ChainMap, target_map: ChainMap,
     """H_n: A_n -> B_{n+1} with D H = dH + Hd = target_map - source_map."""
     if (source_map.source != target_map.source
             or source_map.target != target_map.target):
-        raise DimensionMismatch("homotopy endpoints do not match")
+        raise LaxcatError("homotopy endpoints do not match")
     A, B = source_map.source, source_map.target
     H = _graded_map(A, B, 1, matrices)
     for n in set(A.ranks) | set(B.ranks):
         if H.boundary(n) != target_map.mat(n) - source_map.mat(n):
-            raise NotANullHomotopy(f"dH + Hd misses the difference at degree {n}")
+            raise LaxcatError(f"dH + Hd misses the difference at degree {n}")
     return H
 
 
@@ -318,7 +316,7 @@ def cone_to_data(f: ChainMap, phi: ChainMap):
     A, B = f.source, f.target
     cx = cone_complex(f)
     if phi.source != cx:
-        raise DimensionMismatch("map does not start at the cone")
+        raise LaxcatError("map does not start at the cone")
     C = phi.target
     g = build_chain_map(B, C, {
         n: phi.mat(n)[:, A.rank(n - 1):] for n in B.ranks if C.rank(n)})
@@ -333,13 +331,13 @@ def cone_from_data(f: ChainMap, g: ChainMap, H: GradedMap) -> ChainMap:
     D H = g.f."""
     A, B = f.source, f.target
     if g.source != B:
-        raise DimensionMismatch("g must start at the target of f")
+        raise LaxcatError("g must start at the target of f")
     C = g.target
     gf = compose_chain_maps(g, f)
     if (H.source != A or H.target != C or H.degree != 1
             or any(H.boundary(n) != gf.mat(n)
                    for n in set(A.ranks) | set(C.ranks))):
-        raise NotANullHomotopy("H must run from the zero map to g.f")
+        raise LaxcatError("H must run from the zero map to g.f")
     cx = cone_complex(f)
     return build_chain_map(cx, C, {
         n: hstack([-H.mat(n - 1), g.mat(n)]) for n in cx.ranks if C.rank(n)})
@@ -407,14 +405,14 @@ def tot(complexes: list[ChainComplex], maps: list[ChainMap]) -> ChainComplex:
     vertical differential (-1)^p d and horizontal component the given maps.
     """
     if len(maps) != max(len(complexes) - 1, 0):
-        raise DimensionMismatch("need exactly one map per consecutive pair")
+        raise LaxcatError("need exactly one map per consecutive pair")
     for p, m in enumerate(maps):
         if m.source != complexes[p] or m.target != complexes[p + 1]:
-            raise DimensionMismatch(f"map {p} does not join X_{p} to X_{p+1}")
+            raise LaxcatError(f"map {p} does not join X_{p} to X_{p+1}")
     for p in range(len(maps) - 1):
         comp = compose_chain_maps(maps[p + 1], maps[p])
         if any(not is_zero_matrix(m) for m in comp.matrices.values()):
-            raise CompositeNonzero(f"maps {p} and {p+1} do not compose to zero")
+            raise LaxcatError(f"maps {p} and {p+1} do not compose to zero")
 
     P = len(complexes)
     ranks = {}
@@ -480,13 +478,13 @@ class BlockGradedMatrix(Record):
         rnames = {r.name: r for r in self.rows}
         cnames = {c.name: c for c in self.cols}
         if len(rnames) != len(self.rows) or len(cnames) != len(self.cols):
-            raise BlockMismatch("duplicate block labels")
+            raise LaxcatError("duplicate block labels")
         for (rn, cn), m in self.blocks.items():
             if rn not in rnames or cn not in cnames:
-                raise BlockMismatch(f"block ({rn!r}, {cn!r}) off the index sets")
+                raise LaxcatError(f"block ({rn!r}, {cn!r}) off the index sets")
             want = (rnames[rn].size, cnames[cn].size)
             if m.shape != want:
-                raise DimensionMismatch(
+                raise LaxcatError(
                     f"block ({rn!r}, {cn!r}) has shape {m.shape}, expected {want}")
 
     def block(self, rn: str, cn: str) -> Matrix:
@@ -511,7 +509,7 @@ class BlockGradedMatrix(Record):
 def star_multiply(N: BlockGradedMatrix, M: BlockGradedMatrix) -> BlockGradedMatrix:
     """Alternating block product: entry (u,s) = sum_t (-1)^grade(t) N[u,t] M[t,s]."""
     if N.cols != M.rows:
-        raise BlockMismatch("inner index sets differ")
+        raise LaxcatError("inner index sets differ")
     blocks = {}
     for u in N.rows:
         for s in M.cols:

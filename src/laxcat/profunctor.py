@@ -47,7 +47,7 @@ matrix are such restrictions.
 
 from itertools import product
 
-from .errors import CompositionMismatch, InvalidParameter, ShapeMismatch
+from .errors import LaxcatError
 from .fincat import CatFunctor, FinCategory, along_generators, opposite
 from .ids import composite_id, join_id
 from .report import Record, Report
@@ -94,15 +94,15 @@ def build_profunctor(source: FinCategory, target: FinCategory,
              for d in target.objects for c in source.objects}
     for key in elements:
         if key not in cells:
-            raise InvalidParameter(f"element cell {key!r} is not a (target, source) pair")
+            raise LaxcatError(f"element cell {key!r} is not a (target, source) pair")
 
     seen: dict[str, tuple[str, str]] = {}
     for pair, es in cells.items():
         if len(set(es)) != len(es):
-            raise InvalidParameter(f"duplicate element id in cell {pair!r}")
+            raise LaxcatError(f"duplicate element id in cell {pair!r}")
         for e in es:
             if e in seen:
-                raise InvalidParameter(
+                raise LaxcatError(
                     f"element id {e!r} appears in cells {seen[e]!r} and {pair!r}")
             seen[e] = pair
 
@@ -122,7 +122,7 @@ def build_profunctor(source: FinCategory, target: FinCategory,
 
 
 def _validate_profunctor(P: Profunctor) -> None:
-    """Raise InvalidParameter naming the first violated law.
+    """Raise LaxcatError naming the first violated law.
 
     The laws of an action are written once, in _left_action_laws, and run on
     P and on its opposite, whose left action is P's right action: each stage
@@ -132,10 +132,10 @@ def _validate_profunctor(P: Profunctor) -> None:
     for left, right in zip(_left_action_laws(P),
                            _left_action_laws(opposite_profunctor(P))):
         for text, *fields in left:
-            raise InvalidParameter(text.format(*fields, side="left", legs="target"))
+            raise LaxcatError(text.format(*fields, side="left", legs="target"))
         for text, *fields in right:
             fields = [f[::-1] if isinstance(f, tuple) else f for f in fields]
-            raise InvalidParameter(text.format(*fields, side="right", legs="source"))
+            raise LaxcatError(text.format(*fields, side="right", legs="source"))
 
     C, D = P.source, P.target
 
@@ -149,7 +149,7 @@ def _validate_profunctor(P: Profunctor) -> None:
     for gamma, sigma, e in along_generators(
             uncommuting, product(D.generators(), C.generators()),
             product(D.morphisms, C.morphisms)):
-        raise InvalidParameter(
+        raise LaxcatError(
             f"actions of {gamma!r} and {sigma!r} do not commute at {e!r}")
 
 
@@ -286,23 +286,23 @@ def build_protransformation(source: Profunctor, target: Profunctor,
                             components) -> ProTransformation:
     """Validate totality, typing, and naturality against both actions."""
     if source.source != target.source or source.target != target.target:
-        raise ShapeMismatch("transformation endpoints do not match")
+        raise LaxcatError("transformation endpoints do not match")
     comps = {pair: dict(components.get(pair, {})) for pair in source.elements}
     for pair in components:
         if pair not in comps:
-            raise InvalidParameter(f"component at unknown cell {pair!r}")
+            raise LaxcatError(f"component at unknown cell {pair!r}")
     for pair, es in source.elements.items():
         table = comps[pair]
         if set(table) != set(es):
-            raise InvalidParameter(f"component at {pair!r} has wrong domain")
+            raise LaxcatError(f"component at {pair!r} has wrong domain")
         for e in es:
             if table[e] not in target.elements[pair]:
-                raise InvalidParameter(
+                raise LaxcatError(
                     f"component at {pair!r} sends {e!r} outside the target cell")
     t = ProTransformation(source, target, comps)
     rep = naturality_report(t)
     if not rep.ok:
-        raise InvalidParameter("; ".join(rep.failures))
+        raise LaxcatError("; ".join(rep.failures))
     return t
 
 
@@ -364,7 +364,7 @@ def compose_with_pairing(N: Profunctor, M: Profunctor) -> CoendComposite:
     the relations along composites follow, as the module docstring shows.
     """
     if M.target != N.source:
-        raise CompositionMismatch(
+        raise LaxcatError(
             "middle categories differ: target of the right factor must "
             "equal source of the left factor")
     C, D, E = M.source, M.target, N.target
@@ -408,6 +408,8 @@ def _glue(source: FinCategory, target: FinCategory, classes, name,
     act_right(sigma, members) move the members of one class along an outer
     morphism.  Along outer generators every member must land in one class,
     so the actions are well defined on the quotient and read off least members.
+    Gluing valid profunctors cannot break this, so a break is an
+    AssertionError.
     """
     C, E = source, target
     class_of, rep_of, elements = {}, {}, {}
@@ -429,7 +431,7 @@ def _glue(source: FinCategory, target: FinCategory, classes, name,
     for side, a, cid in along_generators(
             ill_defined, {*E.generators(), *C.generators()},
             {*E.morphisms, *C.morphisms}):
-        raise CompositionMismatch(
+        raise AssertionError(
             f"outer {side} action of {a!r} ill-defined on {cid!r}")
     lact = {eps: {class_of[r]: class_of[act_left(eps, (r,))[0]]
                   for c in C.objects for r in classes[(E.src[eps], c)]}
@@ -496,7 +498,7 @@ def check_monoid_laws(C: FinCategory) -> Report:
 def coproduct(M1: Profunctor, M2: Profunctor) -> Profunctor:
     """Cellwise disjoint union, elements tagged inl:/inr:."""
     if M1.source != M2.source or M1.target != M2.target:
-        raise ShapeMismatch("coproduct operands have different endpoints")
+        raise LaxcatError("coproduct operands have different endpoints")
 
     def tag(prefix, table):
         return {f"{prefix}{k}": f"{prefix}{v}" for k, v in table.items()}
@@ -536,7 +538,7 @@ def quotient_by_relation(P: Profunctor, pairs):
     queue = []
     for a, b in pairs:
         if P.cell_of(a) != P.cell_of(b):
-            raise ShapeMismatch(
+            raise LaxcatError(
                 f"cannot relate {a!r} and {b!r}: different cells")
         queue.append((a, b))
     while queue:
@@ -561,7 +563,7 @@ def quotient_by_relation(P: Profunctor, pairs):
 def coequalizer(alpha: ProTransformation, beta: ProTransformation):
     """Coequalizer of a parallel pair, with the projection."""
     if alpha.source != beta.source or alpha.target != beta.target:
-        raise ShapeMismatch("coequalizer needs a parallel pair")
+        raise LaxcatError("coequalizer needs a parallel pair")
     M2 = alpha.target
     pairs = [(alpha.components[pair][e], beta.components[pair][e])
              for pair, es in alpha.source.elements.items() for e in es]
@@ -592,7 +594,7 @@ def check_cocontinuity_coproduct(N: Profunctor, M1: Profunctor,
                 cell[f"{tag}:{inner}"] = right.class_of[(d, n, f"{tag}:{m}")]
         rep.merge(is_natural_iso(
             build_protransformation(L, right.profunctor, lift)))
-    except (CompositionMismatch, ShapeMismatch, InvalidParameter) as exc:
+    except LaxcatError as exc:
         rep.fail(str(exc))
     return rep
 
@@ -617,7 +619,7 @@ def check_cocontinuity_coequalizer(N: Profunctor, alpha: ProTransformation,
             CQ, target.profunctor,
             {pair: {cid: lift(*middle.rep_of[cid]) for cid in ids}
              for pair, ids in CQ.elements.items()})))
-    except (CompositionMismatch, ShapeMismatch, InvalidParameter) as exc:
+    except LaxcatError as exc:
         rep.fail(str(exc))
     return rep
 

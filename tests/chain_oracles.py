@@ -11,7 +11,7 @@ two complexes assembled block by block.
 
 import math
 
-from laxcat.errors import BlockMismatch
+from laxcat.errors import LaxcatError
 from laxcat.intmat import Matrix, hstack
 from laxcat.k0chain import (BlockGradedMatrix, ChainComplex, ChainMap,
                             SmithDecomposition, as_matrix, det_exact, eye,
@@ -84,7 +84,7 @@ def direct_sum_blocks(A: ChainComplex, B: ChainComplex) -> ChainComplex:
 
 def block_plain_multiply(N: BlockGradedMatrix, M: BlockGradedMatrix) -> BlockGradedMatrix:
     if N.cols != M.rows:
-        raise BlockMismatch("inner index sets differ")
+        raise LaxcatError("inner index sets differ")
     blocks = {}
     for u in N.rows:
         for s in M.cols:

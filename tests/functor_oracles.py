@@ -7,7 +7,7 @@ verdicts.
 
 import itertools
 
-from laxcat.errors import SearchBoundExceeded
+from laxcat.errors import LaxcatError
 from laxcat.fincat import (ISO_SEARCH_BOUND, CatFunctor, FinCategory,
                            validate_functor)
 
@@ -64,10 +64,10 @@ def find_isomorphism(C: FinCategory, D: FinCategory,
     """Search for an isomorphism of categories; None if there is none.
 
     Exhaustive over object bijections, then hom-set bijections with
-    composition pruning.  Raises SearchBoundExceeded past the object bound.
+    composition pruning.  Raises LaxcatError past the object bound.
     """
     if len(C.objects) > bound or len(D.objects) > bound:
-        raise SearchBoundExceeded(
+        raise LaxcatError(
             f"isomorphism search bound {bound} exceeded "
             f"({len(C.objects)} vs {len(D.objects)} objects)")
     if len(C.objects) != len(D.objects) or len(C.morphisms) != len(D.morphisms):

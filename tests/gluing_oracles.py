@@ -10,7 +10,6 @@ abelian group as a one-object category, whose generators the greedy step of
 generators() chooses.
 """
 
-from laxcat.errors import CompositionMismatch
 from laxcat.fincat import build_category
 from laxcat.ids import composite_id
 from laxcat.profunctor import CoendComposite, _glue, build_profunctor
@@ -116,7 +115,7 @@ def glue_checking_every_outer_morphism(source, target, classes, name,
                 for a in along:
                     images = {class_of[g] for g in act(a, members)}
                     if len(images) != 1:
-                        raise CompositionMismatch(
+                        raise AssertionError(
                             f"outer {side} action of {a!r} ill-defined on {cid!r}")
                     table[a][cid] = images.pop()
     return CoendComposite(build_profunctor(C, E, elements, lact, ract),

@@ -8,7 +8,7 @@ the quaternion group as one-object categories.
 
 import itertools
 
-from laxcat.errors import InvalidParameter
+from laxcat.errors import LaxcatError
 from laxcat.fincat import build_category
 
 
@@ -47,7 +47,7 @@ def quaternion_group():
 
 
 def associativity_violation(C, comp):
-    """The NonAssociative message of the first triple (h, g, f) of the full
+    """The associativity message of the first triple (h, g, f) of the full
     scan over C's ids with composition table comp, or None: f in morphisms
     order, then g out of dst f, then h out of dst g.  comp must be total
     and unital."""
@@ -93,27 +93,27 @@ def first_violation(source, target, elements, lact, ract):
                     table.setdefault(e, e)
     try:
         _validate_two_sided(C, D, cells, lact, ract)
-    except InvalidParameter as exc:
+    except LaxcatError as exc:
         return str(exc)
     return None
 
 
 def _validate_two_sided(C, D, cells, lact, ract):
     if set(lact) != set(D.morphisms):
-        raise InvalidParameter("left action keyed off the target morphisms")
+        raise LaxcatError("left action keyed off the target morphisms")
     if set(ract) != set(C.morphisms):
-        raise InvalidParameter("right action keyed off the source morphisms")
+        raise LaxcatError("right action keyed off the source morphisms")
 
     for gamma in D.morphisms:
         d, d2 = D.src[gamma], D.dst[gamma]
         table = lact[gamma]
         domain = {e for c in C.objects for e in cells[(d, c)]}
         if set(table) != domain:
-            raise InvalidParameter(f"left action of {gamma!r} has wrong domain")
+            raise LaxcatError(f"left action of {gamma!r} has wrong domain")
         for c in C.objects:
             for e in cells[(d, c)]:
                 if table[e] not in cells[(d2, c)]:
-                    raise InvalidParameter(
+                    raise LaxcatError(
                         f"left action of {gamma!r} sends {e!r} outside cell "
                         f"({d2!r}, {c!r})")
     for sigma in C.morphisms:
@@ -121,41 +121,41 @@ def _validate_two_sided(C, D, cells, lact, ract):
         table = ract[sigma]
         domain = {e for d in D.objects for e in cells[(d, c2)]}
         if set(table) != domain:
-            raise InvalidParameter(f"right action of {sigma!r} has wrong domain")
+            raise LaxcatError(f"right action of {sigma!r} has wrong domain")
         for d in D.objects:
             for e in cells[(d, c2)]:
                 if table[e] not in cells[(d, c)]:
-                    raise InvalidParameter(
+                    raise LaxcatError(
                         f"right action of {sigma!r} sends {e!r} outside cell "
                         f"({d!r}, {c!r})")
 
     for x in D.objects:
         for e, img in lact[D.identity[x]].items():
             if img != e:
-                raise InvalidParameter(f"identity left action moves {e!r}")
+                raise LaxcatError(f"identity left action moves {e!r}")
     for x in C.objects:
         for e, img in ract[C.identity[x]].items():
             if img != e:
-                raise InvalidParameter(f"identity right action moves {e!r}")
+                raise LaxcatError(f"identity right action moves {e!r}")
 
     for f in D.morphisms:
         for g in D.leaving(D.dst[f]):
             gf = D.comp[(g, f)]
             for e in lact[f]:
                 if lact[gf][e] != lact[g][lact[f][e]]:
-                    raise InvalidParameter(
+                    raise LaxcatError(
                         f"left action not functorial on ({g!r}, {f!r}) at {e!r}")
     for f in C.morphisms:
         for g in C.leaving(C.dst[f]):
             gf = C.comp[(g, f)]
             for e in ract[gf]:
                 if ract[gf][e] != ract[f][ract[g][e]]:
-                    raise InvalidParameter(
+                    raise LaxcatError(
                         f"right action not functorial on ({g!r}, {f!r}) at {e!r}")
 
     for gamma in D.morphisms:
         for sigma in C.morphisms:
             for e in cells[(D.src[gamma], C.dst[sigma])]:
                 if ract[sigma][lact[gamma][e]] != lact[gamma][ract[sigma][e]]:
-                    raise InvalidParameter(
+                    raise LaxcatError(
                         f"actions of {gamma!r} and {sigma!r} do not commute at {e!r}")

@@ -471,6 +471,33 @@ def test_failed_self_verification_exits_4_in_one_line(ws, monkeypatch, capsys):
                         "self-verification: ['forced']\n")
 
 
+@pytest.mark.parametrize("prop", ["bilimit-roundtrip", "absoluteness"])
+def test_randomized_check_errors_exit_4_in_one_line(prop, monkeypatch,
+                                                    capsys):
+    """A randomized check draws its own inputs, so an error raised while
+    drawing or checking a trial is a bug, not invalid input."""
+    generators = FinCategory.generators
+    monkeypatch.setattr(FinCategory, "generators",
+                        lambda self: generators(self)[:-1])
+    assert main(["check", prop, "--randomized", "--count", "40",
+                 "--seed", "3"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("internal error: AssertionError: trial 0: diagram "
+                   "transitions must be keyed by shape morphisms\n")
+
+
+def test_a_functor_where_a_profunctor_is_expected_exits_2(tmp_path, capsys):
+    I = standard_category("interval")
+    (tmp_path / "f.json").write_text(dumps_canonical(
+        {"source": category_to_json(I), "target": category_to_json(I),
+         "obmap": {"0": "0", "1": "1"}, "mormap": {"u": "u"}}))
+    assert main(["--workspace", str(tmp_path), "collage", "f"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "invalid input: 'f' holds a functor, expected a profunctor\n"
+
+
 def test_cap_breach_exits_3(ws, tmp_path):
     r = run("--workspace", str(ws), "--max-objects", "1", "collage", "m")
     assert r.returncode == 3

@@ -11,7 +11,7 @@ from laxcat.collage import (Collage, LaxMatrix, assemble_matrix,
                             check_bilimit_roundtrip, check_block_multiply,
                             check_semiorthogonal, collage_of_profunctor,
                             grothendieck, restrict_matrix)
-from laxcat.errors import InvalidParameter, LaxcatError
+from laxcat.errors import LaxcatError
 from laxcat.fincat import (CatFunctor, build_category, identity_functor,
                            standard_category)
 from laxcat.jsonio import diagram_to_json, dumps_canonical, profunctor_to_json
@@ -90,7 +90,9 @@ def test_diagram_requires_strict_composites():
     f12 = f01
     wrong02 = CatFunctor(I, I, {"0": "0", "1": "0"},
                          {"id_0": "id_0", "id_1": "id_0", "u": "id_0"})
-    with pytest.raises(InvalidParameter):
+    with pytest.raises(LaxcatError,
+                       match=r"^transitions not strictly functorial on "
+                             r"\('1<=2', '0<=1'\)$"):
         build_diagram(D2, {"0": I, "1": I, "2": I},
                       {"0<=1": f01, "1<=2": f12, "0<=2": wrong02})
 
@@ -266,11 +268,11 @@ def _edited(data, **fields):
 
 
 def _raised(call):
-    """'<error class>: <message>' of the error that call() raises."""
+    """The message of the LaxcatError that call() raises."""
     try:
         call()
     except LaxcatError as exc:
-        return f"{type(exc).__name__}: {exc}"
+        return str(exc)
     return "nothing raised"
 
 
@@ -292,40 +294,53 @@ I_HOM = hom_profunctor(standard_category("interval"))
 @pytest.mark.parametrize("outcome, expected", [
     (lambda fx: _raised(lambda: restrict_matrix(
         hom_profunctor(fx.Gp.total), fx.Gp, "source")),
-     "NotACollage: matrix restriction needs a diagram collage"),
+     "matrix restriction needs a diagram collage"),
     (lambda fx: _raised(lambda: restrict_matrix(I_HOM, fx.G, "source")),
-     "NotACollage: profunctor source is not the collage total"),
+     "profunctor source is not the collage total"),
     (lambda fx: _raised(lambda: restrict_matrix(I_HOM, fx.G, "target")),
-     "NotACollage: profunctor target is not the collage total"),
+     "profunctor target is not the collage total"),
     (lambda fx: _raised(lambda: assemble_matrix(_edited(fx.N, collage=fx.Gp))),
-     "NotACollage: matrix assembly needs a diagram collage"),
+     "matrix assembly needs a diagram collage"),
     (lambda fx: _raised(lambda: restrict_matrix(
         hom_profunctor(fx.G.total), fx.G, "middle")),
-     "InvalidParameter: side must be source or target, got 'middle'"),
+     "side must be source or target, got 'middle'"),
     (lambda fx: _raised(lambda: assemble_matrix(_edited(
         fx.N, entries={"1": fx.N.entries["1"]}))),
-     "IncompatibleActionData: missing entry for fiber '0'"),
+     "missing entry for fiber '0'"),
     (lambda fx: _raised(lambda: assemble_matrix(_edited(
         fx.N, entries={"0": fx.N.entries["1"], "1": fx.N.entries["1"]}))),
-     "IncompatibleActionData: entry '0' has wrong endpoints"),
+     "entry '0' has wrong endpoints"),
     (lambda fx: _raised(lambda: assemble_matrix(_edited(fx.N, transition={}))),
-     "IncompatibleActionData: missing transition data for 'u' at '0'"),
+     "missing transition data for 'u' at '0'"),
     # the target side's transitions push forward, the source side's pull back
     (lambda fx: _raised(lambda: assemble_matrix(_edited(
         fx.N, transition=fx.M.transition))),
-     "IncompatibleActionData: entries and transitions do not assemble: "
+     "entries and transitions do not assemble: transition 'u' at '0' lacks "
      "'(id_1,0<=0@0)'"),
+    (lambda fx: _raised(lambda: assemble_matrix(_edited(
+        fx.M, transition=fx.N.transition))),
+     "entries and transitions do not assemble: transition 'u' at '0' lacks "
+     "'(id_0,id_0@0)'"),
+    (lambda fx: _raised(lambda: assemble_matrix(_edited(fx.M, transition={
+        "u": {**fx.M.transition["u"], "0": {"(id_0,id_0@0)": "(u,2<=2@1)"}}}))),
+     "entries and transitions do not assemble: transition 'u' at '0' sends "
+     "'(id_0,id_0@0)' to '(u,2<=2@1)', which '0<=0' does not act on"),
+    (lambda fx: _raised(lambda: assemble_matrix(_edited(fx.N, transition={
+        "u": {**fx.N.transition["u"], "0": {
+            **fx.N.transition["u"]["0"], "(id_1,0<=0@0)": "(u,0<=1@0)"}}}))),
+     "entries and transitions do not assemble: right action of "
+     "'(u,0<=0@0)' sends '(id_1,0<=0@0)' outside cell ('(1,0)', '(0,0)')"),
     (lambda fx: _raised(lambda: block_multiply(fx.M, fx.N)),
-     "CompositionMismatch: block product needs N anchored by source and M "
-     "by target"),
+     "block product needs N anchored by source and M by target"),
     (lambda fx: _raised(lambda: block_multiply(fx.N, fx.M2)),
-     "CompositionMismatch: block product needs a shared middle collage"),
+     "block product needs a shared middle collage"),
     (_blockmul_anchored_on_the_wrong_side,
      "exit 2: validation failed: profunctor source is not the collage "
      "total\n"),
 ], ids=["restrict-profunctor-collage", "restrict-source", "restrict-target",
         "assemble-profunctor-collage", "side", "missing-entry",
         "entry-endpoints", "missing-transition", "not-assembling",
+        "not-assembling-target", "transition-off-entry", "not-a-profunctor",
         "block-sides", "block-collages", "blockmul-command"])
 def test_lax_matrix_errors_name_the_broken_piece(outcome, expected, tmp_path,
                                                  capsys):

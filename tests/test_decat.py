@@ -6,7 +6,7 @@ from laxcat.decat import (CardMatrix, cardinality_matrix,
                           check_discrete_multiplication,
                           check_lax_multiplicativity, check_multiplicativity,
                           composite_vs_product, is_discrete, multiply_cards)
-from laxcat.errors import ShapeMismatch
+from laxcat.errors import LaxcatError
 from laxcat.fincat import standard_category
 from laxcat.k0chain import as_matrix
 from laxcat.profunctor import build_profunctor, hom_profunctor
@@ -40,7 +40,8 @@ def test_multiply_cards_checks_middle():
     a = CardMatrix(("x",), ("y",), as_matrix([[1]]))
     b = CardMatrix(("z",), ("x",), as_matrix([[1]]))
     assert multiply_cards(b, a).entry("z", "y") == 1
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(LaxcatError,
+                       match=r"^middle object lists do not match$"):
         multiply_cards(a, b)
 
 

@@ -8,32 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laxcat.collage import collage_of_profunctor
-from laxcat.errors import SchemaError, UnboundedComplex
+from laxcat.errors import LaxcatError, SchemaError
 from laxcat.fincat import build_category, standard_category
 from laxcat.jsonio import (category_from_json, category_to_json,
                            chainmap_from_json, chainmap_to_json,
                            collage_to_json, complex_from_json,
                            complex_to_json, diagram_from_json,
                            diagram_to_json, dumps_canonical,
-                           functor_from_json, homology_to_json,
+                           homology_to_json,
                            matrix_from_json, parse_degree,
                            profunctor_from_json, profunctor_to_json,
                            sniff_kind, snf_to_json, tower_from_json)
 from laxcat.k0chain import (as_matrix, build_complex, homology_all,
                             smith_normal_form)
 from laxcat.rand import (rand_category, rand_chain_map, rand_complex,
-                         rand_diagram, rand_functor, rand_profunctor,
+                         rand_diagram, rand_profunctor,
                          rng_from_seed)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
-
-
-def functor_to_json(F):
-    """The document functor_from_json reads; functors are input only, so
-    the package writes none."""
-    return {"source": category_to_json(F.source),
-            "target": category_to_json(F.target),
-            "obmap": dict(F.obmap), "mormap": dict(F.mormap)}
 
 
 # -- roundtrips -----------------------------------------------------------------
@@ -43,18 +35,6 @@ def functor_to_json(F):
 def test_category_roundtrip(seed):
     C = rand_category(rng_from_seed(seed))
     assert category_from_json(category_to_json(C)) == C
-
-
-@settings(max_examples=30, deadline=None)
-@given(seeds)
-def test_functor_roundtrip(seed):
-    rng = rng_from_seed(seed)
-    F = rand_functor(rng, rand_category(rng, 3), rand_category(rng, 3))
-    if F is None:
-        return
-    G = functor_from_json(functor_to_json(F))
-    assert G.source == F.source and G.target == F.target
-    assert G.obmap == F.obmap and G.mormap == F.mormap
 
 
 @settings(max_examples=30, deadline=None)
@@ -143,7 +123,10 @@ def test_bool_rank_rejected():
 def test_null_window_is_unbounded():
     data = complex_to_json(build_complex({0: 1}, {}))
     data["window"] = None
-    with pytest.raises(UnboundedComplex):
+    with pytest.raises(LaxcatError,
+                       match=r"^complex: a null window is declared "
+                             r"unbounded; only bounded complexes are "
+                             r"supported$"):
         complex_from_json(data)
 
 
@@ -152,16 +135,6 @@ def test_rank_outside_window_rejected():
     data["ranks"]["7"] = 2
     with pytest.raises(SchemaError):
         complex_from_json(data)
-
-
-def test_bad_functor_rejected():
-    F = functor_to_json(rand_functor(rng_from_seed(1),
-                                     standard_category("interval"),
-                                     standard_category("interval")))
-    F["obmap"]["0"] = "1"
-    F["obmap"]["1"] = "0"
-    with pytest.raises(SchemaError):
-        functor_from_json(F)
 
 
 # -- cell keys --------------------------------------------------------------------

@@ -4,6 +4,9 @@ A name is reached when other code of the package uses it, when the
 package exports it (laxcat._EXPORTS), when it runs a `check` property
 (cli.CHECKS), or when it is on ALLOWED below with its reason.  A
 function that only tests call belongs under tests/.
+
+Every error class is caught by name somewhere in the package: a class
+that is only raised tells a caller nothing its base class does not.
 """
 
 import ast
@@ -65,3 +68,23 @@ def test_every_public_definition_is_reached():
     assert not dead, f"public definitions nothing in laxcat reaches: {dead}"
     stale = sorted(set(ALLOWED) - unreached)
     assert not stale, f"ALLOWED entries that need no entry: {stale}"
+
+
+def _caught_names(trees):
+    """Every name in the type of an except clause."""
+    caught = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught.update(n.id for n in ast.walk(node.type)
+                              if isinstance(n, ast.Name))
+    return caught
+
+
+def test_every_error_class_is_caught_by_name():
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    classes = [node.name for node in trees["errors"].body
+               if isinstance(node, ast.ClassDef)]
+    uncaught = sorted(set(classes) - _caught_names(trees))
+    assert not uncaught, f"error classes no except clause names: {uncaught}"
