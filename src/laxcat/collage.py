@@ -22,6 +22,13 @@ the middle.  It runs the union loop of profunctor.compose_with_pairing,
 profunctor._coend, on the middle total presented by its fibers: the middle
 arrows are the generators of each fiber, inside one entry, and the canonical
 transitions along the generators of the shape.
+
+One rule serves both sides of a lax matrix.  A total morphism (gamma, x, f)
+is its fiber leg (id, f) after its canonical leg (gamma, id@x), so the
+ambient action along it is entry dst(gamma)'s action along f and the
+transition at (gamma, x): the canonical leg first where the total acts
+covariantly (profunctors into it, the lax limit), last where it acts
+contravariantly (profunctors out of it, the lax colimit).
 """
 
 from .errors import LaxcatError
@@ -260,8 +267,16 @@ class LaxMatrix(Record):
 
     side "target": the ambient maps into the collage; transition[gamma][x]
     pushes entry src(gamma) elements at x forward (the ambient left
-    action).  Entry element ids are the ambient ids, so restriction and
-    assembly are mutually inverse on the nose.
+    action).
+
+    On both sides the ambient action along (gamma, x, f) is
+    transition[gamma][x] and entry dst(gamma)'s action along f, the
+    transition first on the target side and last on the source side.  The
+    transition keys are exactly the non-identity shape morphisms, each keyed
+    by exactly the objects of its source fiber, and each table moves exactly
+    the elements its canonical morphism moves.  Entry element ids are the
+    ambient ids, so restriction and assembly are mutually inverse on the
+    nose.
     """
     collage: Collage
     side: str
@@ -308,102 +323,84 @@ def restrict_matrix(M: Profunctor, G: Collage, side: str) -> LaxMatrix:
 def assemble_matrix(data: LaxMatrix) -> Profunctor:
     """Rebuild the ambient profunctor from blocks and transition actions.
 
-    Every ambient action factors as a fiber leg (inside one entry) after a
-    canonical transition leg, so the blockwise data determines the ambient
-    table completely.  Raises LaxcatError if a transition lacks an element or
-    the result fails profunctor validation.
+    One loop over the total morphisms serves both sides.  Each entry is
+    seen from its fiber, on the source side through its opposite, so its
+    cells are keyed (x, d) and it acts along the fiber by lact and along
+    the other leg by ract; the canonical leg of an identity shape morphism
+    is skipped.  Raises LaxcatError if an entry or a transition is missing,
+    wrong or stray, or the result fails profunctor validation.
     """
-    G, side, other = data.collage, data.side, data.other
+    G, covariant, other = data.collage, data.side == "target", data.other
     if G.diagram is None:
         raise LaxcatError("matrix assembly needs a diagram collage")
-    S, total = G.shape, G.total
+    if data.side not in ("source", "target"):
+        raise LaxcatError(f"side must be source or target, got {data.side!r}")
+    S = G.shape
+    view = {}
     for s in S.objects:
         entry = data.entries.get(s)
         if entry is None:
             raise LaxcatError(f"missing entry for fiber {s!r}")
-        want_src = G.fiber[s] if side == "source" else other
-        want_dst = other if side == "source" else G.fiber[s]
-        if entry.source != want_src or entry.target != want_dst:
+        ends = (other, G.fiber[s]) if covariant else (G.fiber[s], other)
+        if (entry.source, entry.target) != ends:
             raise LaxcatError(f"entry {s!r} has wrong endpoints")
-
-    elements = {}
-    for oid, (s, x) in G.obj_parts.items():
-        for d in other.objects:
-            if side == "source":
-                elements[(d, oid)] = data.entries[s].elements[(d, x)]
-            else:
-                elements[(oid, d)] = data.entries[s].elements[(x, d)]
-
-    def transition_leg(gamma, x):
-        if S.is_identity(gamma):
-            entry = data.entries[S.src[gamma]]
-            table = {}
-            for pair, es in entry.elements.items():
-                fiber_ob = pair[1] if side == "source" else pair[0]
-                if fiber_ob == x:
-                    table.update({e: e for e in es})
-            return table
-        try:
-            return data.transition[gamma][x]
-        except KeyError:
-            raise LaxcatError(
-                f"missing transition data for {gamma!r} at {x!r}")
-
-    def carried(trans, e, gamma, x):
-        if e not in trans:
-            raise LaxcatError("entries and transitions do not assemble: "
-                              f"transition {gamma!r} at {x!r} lacks {e!r}")
-        return trans[e]
-
-    # The two sides are not mirrors: the opposite reverses the total
-    # category but not the shape, so an ambient action pulls back along a
-    # fiber leg and then a transition on one side, and pushes forward along
-    # a transition and then a fiber leg on the other.
-    if side == "source":
-        lact = {g: {e: data.entries[s].lact[g][e]
-                    for s in S.objects
-                    for x in G.fiber[s].objects
-                    for e in data.entries[s].elements[(other.src[g], x)]}
-                for g in other.morphisms}
-        ract = {}
-        for mid, (gamma, x, f) in G.mor_parts.items():
-            t = S.dst[gamma]
-            trans = transition_leg(gamma, x)
-            entry_t = data.entries[t]
-            table = {}
-            for d in other.objects:
-                for e in entry_t.elements[(d, G.fiber[t].dst[f])]:
-                    table[e] = carried(trans, entry_t.ract[f][e], gamma, x)
-            ract[mid] = table
-        source, target = total, other
-    else:
-        ract = {g: {e: data.entries[s].ract[g][e]
-                    for s in S.objects
-                    for x in G.fiber[s].objects
-                    for e in data.entries[s].elements[(x, other.dst[g])]}
-                for g in other.morphisms}
-        lact = {}
-        for mid, (gamma, x, f) in G.mor_parts.items():
-            s, t = S.src[gamma], S.dst[gamma]
-            trans = transition_leg(gamma, x)
-            entry_t = data.entries[t]
-            table = {}
-            for c in other.objects:
-                for e in data.entries[s].elements[(x, c)]:
-                    moved = carried(trans, e, gamma, x)
-                    if moved not in entry_t.lact[f]:
+        view[s] = entry if covariant else opposite_profunctor(entry)
+    unfit = "entries and transitions do not assemble: "
+    for gamma, tables in data.transition.items():
+        if gamma not in S.morphisms or S.is_identity(gamma):
+            raise LaxcatError(f"{unfit}stray transition {gamma!r}")
+        for x in tables:
+            if x not in G.fiber[S.src[gamma]].objects:
+                raise LaxcatError(
+                    f"{unfit}stray transition {gamma!r} at {x!r}")
+    O, T = ((other, G.total) if covariant
+            else (opposite(other), opposite(G.total)))
+    elements = {(oid, d): view[s].elements[(x, d)]
+                for oid, (s, x) in G.obj_parts.items() for d in O.objects}
+    along_other = {g: {e: view[s].ract[g][e] for s in S.objects
+                       for x in G.fiber[s].objects
+                       for e in view[s].elements[(x, O.dst[g])]}
+                   for g in O.morphisms}
+    along_total = {}
+    for mid, (gamma, x, f) in G.mor_parts.items():
+        t = S.dst[gamma]
+        legs, canonical = [view[t].lact[f]], None
+        if not S.is_identity(gamma):
+            canonical = data.transition.get(gamma, {}).get(x)
+            if canonical is None:
+                raise LaxcatError(
+                    f"missing transition data for {gamma!r} at {x!r}")
+            # first where the total acts covariantly, last via its opposite
+            legs.insert(0 if covariant else 1, canonical)
+        s, z = G.obj_parts[T.src[mid]]  # the end whose elements are moved
+        table = {}
+        for d in O.objects:
+            for e in view[s].elements[(z, d)]:
+                moved = e
+                for leg in legs:
+                    if moved not in leg:
                         raise LaxcatError(
-                            "entries and transitions do not assemble: "
-                            f"transition {gamma!r} at {x!r} sends {e!r} to "
-                            f"{moved!r}, which {f!r} does not act on")
-                    table[e] = entry_t.lact[f][moved]
-            lact[mid] = table
-        source, target = other, total
+                            f"{unfit}transition {gamma!r} at {x!r} " + (
+                                f"lacks {moved!r}" if leg is canonical else
+                                f"sends {e!r} to {moved!r}, which {f!r} "
+                                "does not act on"))
+                    moved = leg[moved]
+                table[e] = moved
+        # at the canonical morphism the table moves exactly these elements
+        if (canonical is not None and G.fiber[t].is_identity(f)
+                and len(canonical) != len(table)):
+            stray = next(e for e in canonical if e not in table)
+            raise LaxcatError(f"{unfit}stray element {stray!r} in transition "
+                              f"{gamma!r} at {x!r}")
+        along_total[mid] = table
+    M = Profunctor(O, T, elements, along_total, along_other)
+    if not covariant:
+        M = opposite_profunctor(M)
     try:
-        return build_profunctor(source, target, elements, lact, ract)
+        return build_profunctor(M.source, M.target, M.elements, M.lact,
+                                M.ract)
     except LaxcatError as exc:
-        raise LaxcatError(
-            f"entries and transitions do not assemble: {exc}") from exc
+        raise LaxcatError(f"{unfit}{exc}") from exc
 
 
 def check_bilimit_roundtrip(X: Diagram, T: FinCategory, M: Profunctor) -> Report:

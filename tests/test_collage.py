@@ -21,6 +21,7 @@ from laxcat.profunctor import (build_profunctor, compose_profunctors,
 from laxcat.rand import (rand_category, rand_diagram, rand_profunctor,
                          rng_from_seed)
 from gluing_oracles import block_multiply_along_every_morphism
+from matrix_oracles import assemble_matrix_by_side
 
 
 def interval_diagram():
@@ -305,6 +306,9 @@ I_HOM = hom_profunctor(standard_category("interval"))
         hom_profunctor(fx.G.total), fx.G, "middle")),
      "side must be source or target, got 'middle'"),
     (lambda fx: _raised(lambda: assemble_matrix(_edited(
+        fx.N, side="middle"))),
+     "side must be source or target, got 'middle'"),
+    (lambda fx: _raised(lambda: assemble_matrix(_edited(
         fx.N, entries={"1": fx.N.entries["1"]}))),
      "missing entry for fiber '0'"),
     (lambda fx: _raised(lambda: assemble_matrix(_edited(
@@ -330,6 +334,18 @@ I_HOM = hom_profunctor(standard_category("interval"))
             **fx.N.transition["u"]["0"], "(id_1,0<=0@0)": "(u,0<=1@0)"}}}))),
      "entries and transitions do not assemble: right action of "
      "'(u,0<=0@0)' sends '(id_1,0<=0@0)' outside cell ('(1,0)', '(0,0)')"),
+    # transition data that assembly would not use is refused, not dropped
+    (lambda fx: _raised(lambda: assemble_matrix(_edited(
+        fx.N, transition={**fx.N.transition, "nope": {}}))),
+     "entries and transitions do not assemble: stray transition 'nope'"),
+    (lambda fx: _raised(lambda: assemble_matrix(_edited(fx.N, transition={
+        "u": {**fx.N.transition["u"], "zz": {}}}))),
+     "entries and transitions do not assemble: stray transition 'u' at 'zz'"),
+    (lambda fx: _raised(lambda: assemble_matrix(_edited(fx.N, transition={
+        "u": {**fx.N.transition["u"], "0": {
+            **fx.N.transition["u"]["0"], "nope": "(u,0<=0@0)"}}}))),
+     "entries and transitions do not assemble: stray element 'nope' in "
+     "transition 'u' at '0'"),
     (lambda fx: _raised(lambda: block_multiply(fx.M, fx.N)),
      "block product needs N anchored by source and M by target"),
     (lambda fx: _raised(lambda: block_multiply(fx.N, fx.M2)),
@@ -338,12 +354,115 @@ I_HOM = hom_profunctor(standard_category("interval"))
      "exit 2: validation failed: profunctor source is not the collage "
      "total\n"),
 ], ids=["restrict-profunctor-collage", "restrict-source", "restrict-target",
-        "assemble-profunctor-collage", "side", "missing-entry",
-        "entry-endpoints", "missing-transition", "not-assembling",
-        "not-assembling-target", "transition-off-entry", "not-a-profunctor",
-        "block-sides", "block-collages", "blockmul-command"])
+        "assemble-profunctor-collage", "side", "assemble-side",
+        "missing-entry", "entry-endpoints", "missing-transition",
+        "not-assembling", "not-assembling-target", "transition-off-entry",
+        "not-a-profunctor", "stray-transition", "stray-fiber-object",
+        "stray-element", "block-sides", "block-collages", "blockmul-command"])
 def test_lax_matrix_errors_name_the_broken_piece(outcome, expected, tmp_path,
                                                  capsys):
     fx = _lax_matrices()
     fx.tmp_path, fx.capsys = tmp_path, capsys
     assert outcome(fx) == expected
+
+
+# A lax matrix written by hand over the simplex-2 shape, with one-object
+# fibers and other leg: an entry is a set of elements, a transition a map.
+# The source side pulls back along each shape arrow and the target side
+# pushes forward, so along 0<=2 the composite runs in the other order.
+COCONE_ENTRIES = {"0": ("a0", "a1"), "1": ("b0", "b1"), "2": ("c0", "c1")}
+COCONE = {
+    "source": {"0<=1": {"b0": "a1", "b1": "a0"},
+               "1<=2": {"c0": "b0", "c1": "b0"},
+               "composite": {"c0": "a1", "c1": "a1"},
+               "broken": {"c0": "a1", "c1": "a0"}},
+    "target": {"0<=1": {"a0": "b1", "a1": "b1"},
+               "1<=2": {"b0": "c0", "b1": "c1"},
+               "composite": {"a0": "c1", "a1": "c1"},
+               "broken": {"a0": "c0", "a1": "c1"}},
+}
+
+
+def _simplex2_cocone(side, along_02):
+    S = standard_category("simplex", 2)
+    pt = standard_category("discrete", 1)
+    G = grothendieck(build_diagram(
+        S, {s: pt for s in S.objects},
+        {g: identity_functor(pt) for g in ("0<=1", "1<=2", "0<=2")}))
+    hand = COCONE[side]
+    entries = {s: build_profunctor(pt, pt, {("0", "0"): es}, {}, {})
+               for s, es in COCONE_ENTRIES.items()}
+    transition = {g: {"0": hand[g]} for g in ("0<=1", "1<=2")}
+    transition["0<=2"] = {"0": hand[along_02]}
+    return LaxMatrix(G, side, pt, entries, transition)
+
+
+@pytest.mark.parametrize("side, failure", [
+    ("source", "entries and transitions do not assemble: right action not "
+     "functorial on ('(1<=2,id_0@0)', '(0<=1,id_0@0)') at 'c1'"),
+    ("target", "entries and transitions do not assemble: left action not "
+     "functorial on ('(1<=2,id_0@0)', '(0<=1,id_0@0)') at 'a0'"),
+], ids=["source", "target"])
+def test_a_hand_made_simplex_2_cocone_assembles_when_functorial(side,
+                                                                failure):
+    data = _simplex2_cocone(side, "composite")
+    assert restrict_matrix(assemble_matrix(data), data.collage, side) == data
+    assert _raised(lambda: assemble_matrix(
+        _simplex2_cocone(side, "broken"))) == failure
+
+
+def _outcome(assemble, data):
+    """What assemble(data) returns, or the message of its LaxcatError."""
+    try:
+        return assemble(data)
+    except LaxcatError as exc:
+        return str(exc)
+
+
+def _perturbed(data, rng):
+    """data with one transition element dropped, and data with one
+    transition element sent to another element of the entry it maps into,
+    at one site drawn by rng."""
+    S = data.collage.shape
+    sites = [(g, x, e) for g, tables in data.transition.items()
+             for x, table in tables.items() for e in table]
+    if not sites:
+        return []
+    g, x, e = rng.choice(sites)
+    into = data.entries[S.src[g] if data.side == "source" else S.dst[g]]
+    tables = data.transition[g]
+    others = sorted({e2 for es in into.elements.values() for e2 in es}
+                    - {tables[x][e]})
+    dropped = {k: v for k, v in tables[x].items() if k != e}
+    out = [_edited(data, transition={**data.transition,
+                                     g: {**tables, x: dropped}})]
+    if others:
+        redirected = {**tables[x], e: rng.choice(others)}
+        out.append(_edited(data, transition={**data.transition,
+                                             g: {**tables, x: redirected}}))
+    return out
+
+
+def test_assembly_agrees_with_the_two_branch_reference():
+    # the draws of criterion 3, over all three shapes; the perturbations
+    # come from a stream of their own
+    seen = {"equal": 0, "lacks": 0, "refused": 0}
+    for shape in ("interval", "cospan", "simplex2"):
+        for seed in range(100):
+            rng = rng_from_seed(2000 + seed)
+            X = rand_diagram(rng, shape_kind=shape, max_fiber_objects=2)
+            G = grothendieck(X)
+            T = rand_category(rng, 2)
+            out = rand_profunctor(rng, G.total, T, max_cell=3)
+            into = rand_profunctor(rng, T, G.total, max_cell=3)
+            pick = rng_from_seed(seed)
+            for side, M in (("source", out), ("target", into)):
+                data = restrict_matrix(M, G, side)
+                assert assemble_matrix(data) == M
+                for case in _perturbed(data, pick):
+                    got = _outcome(assemble_matrix, case)
+                    assert got == _outcome(assemble_matrix_by_side, case)
+                    kind = ("equal" if not isinstance(got, str) else
+                            "lacks" if " lacks " in got else "refused")
+                    seen[kind] += 1
+    assert all(seen.values()), seen

@@ -4,9 +4,10 @@
 its total, the loading of the hom profunctor from JSON, the validation of
 a finite group loaded from JSON and of a hom profunctor, the coend
 composite of a finite group's hom profunctor with itself, the Grothendieck
-total and the blockwise coend of a diagram, the monoid-laws and
-cocontinuity checks, Smith normal form (elimination, and the self-check
-`SmithDecomposition.verify`), and the chain-map constructions.
+total, the lax-matrix assembly and the blockwise coend of a diagram, the
+monoid-laws and cocontinuity checks, Smith normal form (elimination, and
+the self-check `SmithDecomposition.verify`), and the chain-map
+constructions.
 
     python3 tools/ladder.py [SRC] [--repeats 5]
 
@@ -19,12 +20,13 @@ profunctor's own validation) and the seed-1 groups of orders 12, 24 and 36
 check of `laxcat check monoid-laws` on the groups); for `chains`, the
 seed-1 matrices of sizes 16, 32, 48 and 56 (entries in [-5, 5]).  The
 check of `laxcat check cocontinuity` runs on the triple (H, H, H) for
-H = hom(Δk), k = 2, 3, 4.  The diagram rungs time `grothendieck` and
-`block_multiply` on the interval-shaped diagram with fibers Δ2×Δk and
-Δ3×Δk, k = 1, 2, 3, and transition F×id for the face map F: Δ2 -> Δ3 that
-skips 1 (product fibers, as in the workload's `prod_diagram`); the block
-product squares the hom profunctor of the total, cut into blocks on both
-sides.  To show the scaling past the workload, the ladder also loads, through
+H = hom(Δk), k = 2, 3, 4.  The diagram rungs time `grothendieck`,
+`assemble_matrix` and `block_multiply` on the interval-shaped diagram with
+fibers Δ2×Δk and Δ3×Δk, k = 1, 2, 3, and transition F×id for the face map
+F: Δ2 -> Δ3 that skips 1 (product fibers, as in the workload's
+`prod_diagram`); the hom profunctor of the total, cut into blocks on both
+sides, is assembled back from each side's blocks, and the block product
+squares it.  To show the scaling past the workload, the ladder also loads, through
 `category_from_json`, the groups that the workload's `abelian_group` draws
 from one seed-1 generator for orders 60, 120 and 240, and eliminates one
 64×64 matrix drawn at seed 64.  Each timed `build_profunctor` call gets a
@@ -233,9 +235,9 @@ def main(argv=None):
         return getattr(import_module(f"laxcat.{module}"), name)
     check_monoid_laws = check("monoid-laws")
     check_cocontinuity = check("cocontinuity")
-    from laxcat.collage import (block_multiply, build_diagram,
-                                collage_of_profunctor, grothendieck,
-                                restrict_matrix)
+    from laxcat.collage import (assemble_matrix, block_multiply,
+                                build_diagram, collage_of_profunctor,
+                                grothendieck, restrict_matrix)
     from laxcat.fincat import (CatFunctor, FinCategory, build_category,
                                product, standard_category)
     import laxcat.jsonio
@@ -262,7 +264,8 @@ def main(argv=None):
            "monoid_laws_ms": {}, "cocontinuity_ms": {},
            "snf_elimination_ms": {},
            "snf_verify_ms": {}, "chain_maps_ms": {},
-           "grothendieck_ms": {}, "block_multiply_ms": {},
+           "grothendieck_ms": {}, "assemble_matrix_ms": {},
+           "block_multiply_ms": {},
            "canonical_dump_ms": {}, "canonical_dump_peak_kib": {},
            "startup_ms": startup_ms(args.src, args.repeats)}
     routes = dump_routes(laxcat.jsonio)
@@ -316,6 +319,9 @@ def main(argv=None):
             "median": median_ms(lambda: grothendieck(X), args.repeats)}
         H = hom_profunctor(G.total)
         N, M = restrict_matrix(H, G, "source"), restrict_matrix(H, G, "target")
+        out["assemble_matrix_ms"][f"simplex_2x{k}"] = {
+            side: median_ms(lambda: assemble_matrix(data), args.repeats)
+            for side, data in (("source", N), ("target", M))}
         out["block_multiply_ms"][f"simplex_2x{k}"] = {
             "median": median_ms(lambda: block_multiply(N, M), args.repeats)}
     rng = random.Random(1)
