@@ -4,7 +4,10 @@ Inputs are JSON files: either paths ending in .json or bare names looked
 up as NAME.json inside --workspace.  Every command writes a single JSON
 document (stdout by default, --out FILE otherwise) with sorted keys and
 fixed indentation, so equal inputs give byte-equal outputs; the text is
-streamed to the output as jsonio.write_canonical makes it.
+streamed to the output as jsonio.write_canonical makes it.  The inputs
+are released before the output document is built: each command returns
+its result with the converter that makes the document of it, and the
+workspace that holds the inputs dies first.
 
 Exit codes: 0 success, 1 a checked property failed, 2 invalid input or
 usage (an output that cannot be opened or written included), 3 an input
@@ -33,8 +36,8 @@ from importlib import import_module
 # (bench/spans.py) expect laxcat.decat loaded once laxcat.cli is
 from . import decat  # noqa: F401
 from .errors import CapExceeded, LaxcatError, SchemaError
-from .jsonio import (DIGIT_CAP, LOADERS, _Caps, chainmap_to_json,
-                     collage_to_json, complex_to_json, homology_to_json,
+from .jsonio import (DIGIT_CAP, LOADERS, _Caps, collage_to_json,
+                     complex_to_json, cone_to_json, homology_to_json,
                      profunctor_to_json, sniff_kind, snf_to_json,
                      write_canonical)
 
@@ -43,8 +46,16 @@ from .jsonio import (DIGIT_CAP, LOADERS, _Caps, chainmap_to_json,
 RANK_CAP = 32
 DEGREE_CAP = 16
 MATRIX_CAP = 64
+# the most rows x columns x bit length of the largest entry of an snf
+# input, a bound on its elimination: it admits a 64x64 matrix of entries in
+# [-5, 5] (12 288) and a 1x1 matrix of a 5 000-digit entry (16 610).  At
+# the cap, elimination and verification take at most about 3.5 s for a
+# square matrix of 8 rows or more, but about 17 s for 2x2, whose
+# transforms grow with the square of the entries' bit length
+SNF_CAP = 17_000
 # the most bytes of an input file, checked before it is opened: reading
-# and parsing take about 6 bytes of memory per input byte
+# and parsing peak at about 6 bytes of memory per input byte (2.0 MiB for
+# the 340 KB hom document of the benchmark's Δ5×Δ4)
 INPUT_CAP = 1 << 21
 
 
@@ -73,7 +84,7 @@ class Workspace:
 
     def _load(self, data, kind, label):
         caps = _Caps(label, self.caps["objects"], self.caps["elements"],
-                     DEGREE_CAP, RANK_CAP, MATRIX_CAP)
+                     DEGREE_CAP, RANK_CAP, MATRIX_CAP, SNF_CAP)
         return LOADERS[kind](data, self.resolve, caps)
 
     def resolve(self, ref, kind):
@@ -107,6 +118,11 @@ class Workspace:
         actual = sniff_kind(data)
         if actual != kind:
             raise SchemaError(f"{ref!r} holds a {actual}, expected a {kind}")
+        # a hom document holds its category inline twice: one parse of it
+        # is kept, the other freed before anything is built from it
+        if (kind == "profunctor" and "source" in data and "target" in data
+                and data["target"] == data["source"]):
+            data["target"] = data["source"]
         obj = self._load(data, kind, ref)
         self._cache[key] = obj
         return obj
@@ -114,23 +130,26 @@ class Workspace:
 
 # -- commands ---------------------------------------------------------------------
 
+# each command returns (to_json, result, exit code), and _run converts the
+# result; a result that is already a document passes through dict
+
 def cmd_compose(args, ws):
     from .profunctor import compose_profunctors
     N = ws.resolve(args.outer, "profunctor")
     M = ws.resolve(args.inner, "profunctor")
-    return profunctor_to_json(compose_profunctors(N, M)), 0
+    return profunctor_to_json, compose_profunctors(N, M), 0
 
 
 def cmd_collage(args, ws):
     from .collage import collage_of_profunctor
     P = ws.resolve(args.profunctor, "profunctor")
-    return collage_to_json(collage_of_profunctor(P)), 0
+    return collage_to_json, collage_of_profunctor(P), 0
 
 
 def cmd_grothendieck(args, ws):
     from .collage import grothendieck
     X = ws.resolve(args.diagram, "diagram")
-    return collage_to_json(grothendieck(X)), 0
+    return collage_to_json, grothendieck(X), 0
 
 
 def cmd_blockmul(args, ws):
@@ -141,35 +160,32 @@ def cmd_blockmul(args, ws):
     G = grothendieck(X)
     Ndata = restrict_matrix(N, G, "source")
     Mdata = restrict_matrix(M, G, "target")
-    return profunctor_to_json(block_multiply(Ndata, Mdata).profunctor), 0
+    return profunctor_to_json, block_multiply(Ndata, Mdata).profunctor, 0
 
 
 def cmd_cone(args, ws):
     from .k0chain import cone
     f = ws.resolve(args.chainmap, "chainmap")
-    mc = cone(f)
-    return {"complex": complex_to_json(mc.complex),
-            "inclusion": chainmap_to_json(mc.inclusion),
-            "projection": chainmap_to_json(mc.projection)}, 0
+    return cone_to_json, cone(f), 0
 
 
 def cmd_hom_complex(args, ws):
     from .k0chain import hom_complex
     A = ws.resolve(args.source, "complex")
     B = ws.resolve(args.target, "complex")
-    return complex_to_json(hom_complex(A, B)), 0
+    return complex_to_json, hom_complex(A, B), 0
 
 
 def cmd_tot(args, ws):
     from .k0chain import tot
     complexes, maps = ws.resolve(args.tower, "tower")
-    return complex_to_json(tot(complexes, maps)), 0
+    return complex_to_json, tot(complexes, maps), 0
 
 
 def cmd_homology(args, ws):
     from .k0chain import homology_all
     C = ws.resolve(args.complex, "complex")
-    return homology_to_json(homology_all(C)), 0
+    return homology_to_json, homology_all(C), 0
 
 
 def cmd_quasi_iso(args, ws):
@@ -179,7 +195,7 @@ def cmd_quasi_iso(args, ws):
     via_cone = is_acyclic(cone_complex(f))
     if direct != via_cone:
         raise AssertionError("the two quasi-isomorphism routes disagree")
-    return {"quasi_iso": direct, "cone_acyclic": via_cone}, 0
+    return dict, {"quasi_iso": direct, "cone_acyclic": via_cone}, 0
 
 
 def cmd_snf(args, ws):
@@ -190,7 +206,7 @@ def cmd_snf(args, ws):
     if not rep.ok:
         raise AssertionError(
             f"decomposition failed self-verification: {rep.failures}")
-    return snf_to_json(dec), 0
+    return snf_to_json, dec, 0
 
 
 # -- property checks ---------------------------------------------------------------
@@ -275,7 +291,7 @@ def cmd_check(args, ws):
         failures = check(*loaded).failures
     doc = {"property": prop, "trials": trials,
            "ok": not failures, "failures": failures}
-    return doc, (0 if not failures else 1)
+    return dict, doc, (0 if not failures else 1)
 
 
 # -- wiring -----------------------------------------------------------------------
@@ -377,6 +393,16 @@ def _write(doc, out):
         raise
 
 
+def _run(args):
+    """The output document and exit code of the command.  The workspace,
+    and with it every input, dies when the command returns, before the
+    document is built; the result dies once converted."""
+    caps = {"objects": args.max_objects, "elements": args.max_elements}
+    to_json, result, code = COMMANDS[args.command][0](
+        args, Workspace(args.workspace, caps))
+    return to_json(result), code
+
+
 def main(argv=None) -> int:
     # exact results outgrow the default 4300-digit int <-> str limit
     if hasattr(sys, "set_int_max_str_digits"):
@@ -386,10 +412,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
-    caps = {"objects": args.max_objects, "elements": args.max_elements}
-    ws = Workspace(args.workspace, caps)
     try:
-        doc, code = COMMANDS[args.command][0](args, ws)
+        doc, code = _run(args)
     except CapExceeded as e:
         print(f"cap exceeded: {e}", file=sys.stderr)
         return 3

@@ -18,6 +18,7 @@ full scan runs only on failure, to report its first violation.
 """
 
 import itertools
+import weakref
 
 from .errors import LaxcatError
 from .ids import join_id, pair_ids
@@ -309,16 +310,30 @@ def product(C: FinCategory, D: FinCategory) -> FinCategory:
 def opposite(C: FinCategory) -> FinCategory:
     """Reverse all arrows, keeping every id string; an involution on the nose.
 
-    Cached on C and remembering C, so opposite(opposite(C)) is C.  It shares
-    C's ids, src, dst and identity maps and generators, which generate C^op
-    too; only the composition table is rebuilt, its pairs swapped.  The laws
-    are self-dual, so it is a category because C is, without validation.
+    Cached on C, and the opposite remembers C through a weak reference, so
+    opposite(opposite(C)) is C and the two form no reference cycle: C
+    dies with its last name, its opposite with it.  Should C die while its
+    opposite lives, the opposite's opposite is rebuilt here, equal to C,
+    its composable pairs in C's order.  It shares C's ids, src, dst and
+    identity maps and generators, which generate C^op too; only the
+    composition table is rebuilt, its pairs swapped.  The laws are
+    self-dual, so it is a category because C is, without validation.
     """
-    if C._opposite is None:
+    op = _cached_opposite(C)
+    if op is None:
         op = FinCategory(C.objects, C.morphisms, C.dst, C.src, C.identity,
                          {(f, g): h for (g, f), h in C.comp.items()})
-        op._opposite, C._opposite, op._generators = C, op, C.generators()
-    return C._opposite
+        op._opposite, C._opposite, op._generators = (
+            weakref.ref(C), op, C.generators())
+    return op
+
+
+def _cached_opposite(value):
+    """The opposite cached on a category or profunctor: held strongly by
+    the value it was taken of, weakly by that opposite; None when none was
+    taken, or when the value it was taken of has died."""
+    op = value._opposite
+    return op() if isinstance(op, weakref.ref) else op
 
 
 # -- functors -----------------------------------------------------------------

@@ -58,8 +58,9 @@ _PIECE = 640
 
 # the caps a loader checks, each compared with >, and the label its cap
 # lines name the input by: a file's ref, or "inline <kind>"
-_Caps = namedtuple("_Caps", "label objects elements degrees rank matrix")
-_NO_CAPS = _Caps(None, *[float("inf")] * 5)
+_Caps = namedtuple("_Caps",
+                   "label objects elements degrees rank matrix snf")
+_NO_CAPS = _Caps(None, *[float("inf")] * 6)
 
 # json.dumps(obj, sort_keys=True, indent=2) is the join of its iterencode
 _ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
@@ -389,6 +390,12 @@ def chainmap_from_json(data, resolve=default_resolver,
         A, B, _matrices(data["matrices"], "chainmap.matrices", caps))
 
 
+def cone_to_json(mc: MappingCone) -> dict:
+    return {"complex": complex_to_json(mc.complex),
+            "inclusion": chainmap_to_json(mc.inclusion),
+            "projection": chainmap_to_json(mc.projection)}
+
+
 def tower_from_json(data, resolve=default_resolver, caps=_NO_CAPS):
     """[(complexes), (maps)] for the total-complex builder; each map entry
     carries only its matrices, endpoints are implied by position."""
@@ -419,7 +426,15 @@ def matrix_from_json(data, resolve=None, caps=_NO_CAPS):
             raise CapExceeded(f"{caps.label}: a {len(data)}x{cols} matrix "
                               f"exceeds the cap of {caps.matrix} rows and "
                               f"columns")
-    return as_matrix(_int_matrix(data, "matrix"))
+    rows = _int_matrix(data, "matrix")
+    bits = max((abs(v).bit_length() for row in rows for v in row), default=0)
+    work = len(rows) * cols * bits
+    if work > caps.snf:
+        raise CapExceeded(f"{caps.label}: a {len(rows)}x{cols} matrix of "
+                          f"{bits}-bit entries measures {work} (rows x "
+                          f"columns x largest bit length), over the cap of "
+                          f"{caps.snf}")
+    return as_matrix(rows)
 
 
 # -- outputs only ---------------------------------------------------------------

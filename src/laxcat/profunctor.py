@@ -45,10 +45,12 @@ functors, P(G-, F-); the blocks of a collage's hom and the entries of a lax
 matrix are such restrictions.
 """
 
+import weakref
 from itertools import product
 
 from .errors import LaxcatError
-from .fincat import CatFunctor, FinCategory, along_generators, opposite
+from .fincat import (CatFunctor, FinCategory, _cached_opposite,
+                     along_generators, opposite)
 from .ids import composite_id, join_id
 from .report import Record, Report
 from .unionfind import UnionFind
@@ -236,19 +238,22 @@ def opposite_profunctor(P: Profunctor) -> Profunctor:
     the same elements, whose left action is P's right action and whose right
     action is P's left action.
 
-    The result is cached on P and remembers P, so applying it twice gives
-    back P itself.  It shares P's element tuples and action tables and only
-    transposes the cell keys.  It is not validated again: the profunctor
-    laws are self-dual, so P's opposite is valid exactly when P is.
-    Together with opposite() on categories it turns every statement about
-    left actions into its mirror about right actions.
+    The result is cached on P and remembers P through a weak reference, as
+    opposite() does for categories: applying it twice gives back P itself,
+    and P and its opposite form no reference cycle.  An opposite that
+    outlives P rebuilds an equal P here.  It shares P's element tuples and
+    action tables and only transposes the cell keys.  It is not validated
+    again: the profunctor laws are self-dual, so P's opposite is valid
+    exactly when P is.  Together with opposite() on categories it turns
+    every statement about left actions into its mirror about right actions.
     """
-    if P._opposite is None:
+    op = _cached_opposite(P)
+    if op is None:
         op = Profunctor(opposite(P.target), opposite(P.source),
                         {(c, d): es for (d, c), es in P.elements.items()},
                         P.ract, P.lact)
-        op._opposite, P._opposite = P, op
-    return P._opposite
+        op._opposite, P._opposite = weakref.ref(P), op
+    return op
 
 
 def restrict_along(P: Profunctor, F: CatFunctor, G: CatFunctor) -> Profunctor:

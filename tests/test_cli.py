@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import weakref
 
 import pytest
 
@@ -224,7 +225,7 @@ def test_unwritable_out_exits_2_in_one_line(ws, tmp_path):
 def unserializable(args, ws):
     """A command result whose second key cannot be encoded, after more
     text than one flush."""
-    return {"a": ["x" * 64] * 2000, "b": [1, object()]}, 0
+    return dict, {"a": ["x" * 64] * 2000, "b": [1, object()]}, 0
 
 
 def test_unserializable_result_exits_4_and_leaves_no_out_file(
@@ -244,6 +245,33 @@ def test_unserializable_result_exits_4_and_leaves_no_out_file(
     out, err = capsys.readouterr()
     assert out.startswith('{\n  "a": [\n') and len(out) >= 65536
     assert err.count("\n") == 1 and err.startswith("internal error: ")
+
+
+@pytest.mark.parametrize("command", [["collage", "h"], ["compose", "h", "h"]],
+                         ids=["collage", "compose"])
+def test_inputs_are_freed_before_the_output_is_written(
+        tmp_path, monkeypatch, gc_disabled, command):
+    (tmp_path / "h.json").write_text(dumps_canonical(profunctor_to_json(
+        hom_profunctor(standard_category("simplex", 3)))))
+    loaded, alive = [], []
+    load, write = cli.Workspace._load, cli.write_canonical
+
+    def recording_load(self, data, kind, label):
+        obj = load(self, data, kind, label)
+        loaded.append(weakref.ref(obj))
+        return obj
+
+    def checking_write(doc, out):
+        if not alive:
+            alive.append([r() for r in loaded if r() is not None])
+        write(doc, out)
+    monkeypatch.setattr(cli.Workspace, "_load", recording_load)
+    monkeypatch.setattr(cli, "write_canonical", checking_write)
+    assert main(["--workspace", str(tmp_path),
+                 "--out", str(tmp_path / "out.json"), *command]) == 0
+    # the profunctor and the one category its document holds twice
+    assert len(loaded) == 2
+    assert alive == [[]]
 
 
 def test_compose_with_comma_cell_keys_exits_0(tmp_path, capsys):
@@ -587,6 +615,18 @@ def _sparse(path, n):
     os.truncate(path, n)
 
 
+def _snf_work(path, n):
+    """A 1x1 matrix whose one entry has n bits, so it measures n."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        path.write_text(f"[[{1 << (n - 1)}]]")
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
 _PARSER = cli._build_parser()
 # per cap: the command that reads the input, the cap's value, and a writer
 # of an input that measures n on the capped field and stays within every
@@ -607,8 +647,11 @@ CAP_CASES = {
              _json_of(lambda n: complex_to_json(build_complex({0: n}, {})))),
     "matrix_rows": (["snf"], cli.MATRIX_CAP, _json_of(lambda n: [[1]] * n)),
     "matrix_columns": (["snf"], cli.MATRIX_CAP, _json_of(lambda n: [[1] * n])),
-    "literal_digits": (["snf"], DIGIT_CAP,
-                       lambda path, n: path.write_text(f"[[{'7' * n}]]")),
+    "snf_work": (["snf"], cli.SNF_CAP, _snf_work),
+    "literal_digits": (["homology"], DIGIT_CAP,
+                       lambda path, n: path.write_text(
+                           '{"window": [0, 1], "ranks": {"0": 1, "1": 1}, '
+                           f'"differentials": {{"1": [[{"7" * n}]]}}}}')),
     "degree_key_digits": (["homology"], DIGIT_CAP, _json_of(lambda n: {
         "window": [0, 0], "ranks": {"0": 1},
         "differentials": {"1" * n: []}})),

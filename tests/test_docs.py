@@ -31,7 +31,7 @@ def test_readme_caps_table_holds_the_values_of_the_code():
             "`--max-elements`": parser.get_default("max_elements"),
             **{f"`cli.{name}`": getattr(laxcat.cli, name)
                for name in ("RANK_CAP", "DEGREE_CAP", "MATRIX_CAP",
-                            "INPUT_CAP")},
+                            "SNF_CAP", "INPUT_CAP")},
             "`jsonio.DIGIT_CAP`": laxcat.jsonio.DIGIT_CAP}
     table = {}
     for cap, default, name, field in rows[2:]:

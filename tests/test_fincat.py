@@ -1,5 +1,6 @@
 import ast
 import itertools
+import weakref
 
 import pytest
 
@@ -99,6 +100,32 @@ def test_opposite_is_cached_and_matches_the_validated_build():
         # the opposite meets C's composable pairs, swapped, in C's order
         assert list(Cop.composable_pairs()) == [
             (f, g) for g, f in C.composable_pairs()]
+
+
+def test_a_category_and_its_opposite_die_with_the_last_name(gc_disabled):
+    C = product(standard_category("simplex", 2), standard_category("interval"))
+    Cop = opposite(C)
+    assert opposite(Cop) is C
+    refs = [weakref.ref(C), weakref.ref(Cop)]
+    del C, Cop
+    assert [r() for r in refs] == [None, None]
+
+
+def test_an_opposite_that_outlives_its_category_rebuilds_it(gc_disabled):
+    rng = rng_from_seed(31)
+    for _ in range(10):
+        C = rand_category(rng, 4)
+        first = FinCategory(C.objects, C.morphisms, C.src, C.dst, C.identity,
+                            dict(C.comp))
+        pairs = list(C.composable_pairs())
+        Cop = opposite(C)
+        dead = weakref.ref(C)
+        del C
+        assert dead() is None
+        rebuilt = opposite(Cop)
+        assert rebuilt == first
+        assert list(rebuilt.composable_pairs()) == pairs
+        assert opposite(rebuilt) is Cop and opposite(Cop) is rebuilt
 
 
 def test_composition_table_lists_pairs_f_by_f():

@@ -7,15 +7,18 @@ string of the separators of derived ids) and run in process
 through `cli.main`, under an object cap of 1 to 6.
 Whatever the damage, the run must end as the README's exit codes say: 0
 or 1 with nothing on stderr, or 2 or 3 with one line, and never with a
-traceback or an internal error (exit 4).
+traceback or an internal error (exit 4).  Seeded matrices just over the
+`snf` work cap must be refused at once, before any elimination.
 """
 
+import json
 import random
 import re
+import time
 
 import pytest
 
-from laxcat.cli import main
+from laxcat.cli import MATRIX_CAP, SNF_CAP, main
 from laxcat.collage import grothendieck
 from laxcat.fincat import standard_category
 from laxcat.jsonio import (category_to_json, chainmap_to_json,
@@ -154,3 +157,29 @@ def test_damaged_inputs_exit_in_one_line(ws, capsys, seed):
         codes.add(code)
     # the damage is not all fatal, nor all harmless
     assert 0 in codes and 2 in codes
+
+
+def test_matrices_just_over_the_snf_cap_exit_3_at_once(tmp_path, capsys):
+    rng = random.Random(0)
+    path = tmp_path / "over.json"
+    for _ in range(20):
+        # small and large shapes, of two entries at least, so the largest
+        # entry stays within the int/str limit of Python 3.11 when written
+        rows = rng.randint(1, rng.choice((4, MATRIX_CAP)))
+        cols = rng.randint(2, rng.choice((4, MATRIX_CAP)))
+        bits = SNF_CAP // (rows * cols) + 1
+        matrix = [[rng.randrange(1 - (1 << bits), 1 << bits)
+                   for _ in range(cols)] for _ in range(rows)]
+        matrix[rng.randrange(rows)][rng.randrange(cols)] = rng.choice(
+            (-1, 1)) * rng.randrange(1 << (bits - 1), 1 << bits)
+        path.write_text(json.dumps(matrix))
+        start = time.perf_counter()
+        code = main(["snf", str(path)])
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert code == 3 and out == "", (rows, cols, bits, err)
+        assert elapsed < 0.1, (rows, cols, bits, elapsed)
+        assert err.count("\n") == 1
+        assert err.startswith(f"cap exceeded: {path}: a {rows}x{cols} matrix "
+                              f"of {bits}-bit entries measures "
+                              f"{rows * cols * bits} ")

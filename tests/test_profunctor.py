@@ -1,6 +1,7 @@
 import ast
 import itertools
 import re
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from laxcat.errors import LaxcatError
 from laxcat.fincat import (CatFunctor, identity_functor, opposite, product,
                            standard_category)
 from laxcat.ids import composite_id
-from laxcat.profunctor import (ProTransformation, associator,
+from laxcat.profunctor import (Profunctor, ProTransformation, associator,
                                build_profunctor, build_protransformation,
                                naturality_report, restrict_along,
                                check_cocontinuity, compose_profunctors,
@@ -108,6 +109,34 @@ def test_opposite_profunctor_is_a_cached_view():
         assert Pop.lact is P.ract and Pop.ract is P.lact
         assert Pop.source is opposite(D) and Pop.target is opposite(C)
         assert Pop.elements == {(c, d): es for (d, c), es in P.elements.items()}
+
+
+def test_a_hom_profunctor_and_its_opposites_die_with_the_last_name(
+        gc_disabled):
+    C = product(standard_category("simplex", 2), standard_category("interval"))
+    H = hom_profunctor(C)
+    Hop = opposite_profunctor(H)
+    assert opposite_profunctor(Hop) is H
+    refs = [weakref.ref(x) for x in (C, opposite(C), H, Hop)]
+    del C, H, Hop
+    assert [r() for r in refs] == [None] * 4
+
+
+def test_an_opposite_that_outlives_its_profunctor_rebuilds_it(gc_disabled):
+    rng = rng_from_seed(9)
+    for _ in range(10):
+        C, D = rand_category(rng, 3), rand_category(rng, 3)
+        P = rand_profunctor(rng, C, D, 3)
+        first = Profunctor(C, D, dict(P.elements), P.lact, P.ract)
+        Pop = opposite_profunctor(P)
+        dead = weakref.ref(P)
+        del P
+        assert dead() is None
+        rebuilt = opposite_profunctor(Pop)
+        assert rebuilt == first
+        assert list(rebuilt.elements) == list(first.elements)
+        assert opposite_profunctor(rebuilt) is Pop
+        assert opposite_profunctor(Pop) is rebuilt
 
 
 def _corruptions(rng, P, count):

@@ -53,9 +53,10 @@ PYTHONDONTWRITEBYTECODE=1) and from a `compileall`ed copy.  The
 the elimination rungs), each started by `bench/launcher.py`, the small
 parent the benchmark measures through, from the copy without bytecode;
 the `collage_peak_rss_mb` rung is the same for `collage` of the hom
-documents of the ladder, under the caps the workload gives them.  Prints
-one JSON object of per-rung medians in milliseconds (in MB for the two
-`_peak_rss_mb` rungs).
+documents of the ladder, under the caps the workload gives them, and the
+`check_peak_rss_mb` rung for `check cocontinuity --randomized --count 60
+--seed 3`, which reads no input.  Prints one JSON object of per-rung
+medians in milliseconds (in MB for the three `_peak_rss_mb` rungs).
 """
 
 import argparse
@@ -140,16 +141,19 @@ def startup_ms(src, repeats):
 
 def peak_rss_mb(src, runs, repeats):
     """Median peak RSS, in MB, of one fresh `python -m laxcat ARGS PATH`
-    for each named run (ARGS, doc), PATH holding doc, started by
-    bench/launcher.py from a copy of src without bytecode."""
+    for each named run (ARGS, doc), PATH holding doc (no PATH where doc is
+    None), started by bench/launcher.py from a copy of src without
+    bytecode."""
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         env = env_for(src_copy(src, tmp / "pycache_free", False))
         for name, (args, doc) in runs.items():
-            path = tmp / f"{name}.json"
-            path.write_text(json.dumps(doc, sort_keys=True))
-            argv = ["--out", str(tmp / "out.json"), *args, str(path)]
+            argv = ["--out", str(tmp / "out.json"), *args]
+            if doc is not None:
+                path = tmp / f"{name}.json"
+                path.write_text(json.dumps(doc, sort_keys=True))
+                argv.append(str(path))
             peaks = []
             for _ in range(repeats):
                 p = subprocess.run(
@@ -367,6 +371,10 @@ def main(argv=None):
     out["snf_peak_rss_mb"] = peak_rss_mb(args.src, snf_runs, args.repeats)
     out["collage_peak_rss_mb"] = peak_rss_mb(args.src, collage_runs,
                                              args.repeats)
+    out["check_peak_rss_mb"] = peak_rss_mb(args.src, {
+        "cocontinuity_60": (["check", "cocontinuity", "--randomized",
+                             "--count", "60", "--seed", "3"], None)},
+        args.repeats)
     dump_rungs(out, "tables_outputs", tables_outputs(), routes,
                args.repeats)
     cases = [rand_universal_case(rng_from_seed(seed)) for seed in range(10)]
