@@ -88,10 +88,10 @@ class Workspace:
         return LOADERS[kind](data, self.resolve, caps)
 
     def resolve(self, ref, kind):
-        if isinstance(ref, (dict, list)):
+        # ref is an argv string, or what jsonio._resolve admits: a string
+        # or an inline dict
+        if isinstance(ref, dict):
             return self._load(ref, kind, f"inline {kind}")
-        if not isinstance(ref, str):
-            raise SchemaError(f"expected a name or inline {kind}, got {ref!r}")
         key = (ref, kind)
         if key in self._cache:
             return self._cache[key]

@@ -249,7 +249,7 @@ def from_poset(elements, relation) -> FinCategory:
 
 
 def standard_category(kind: str, *args) -> FinCategory:
-    """Stock categories: discrete n, interval, poset, simplex n.
+    """Stock categories: discrete n, interval, simplex n.
 
     >>> standard_category("discrete", 3).morphisms
     ('id_0', 'id_1', 'id_2')
@@ -275,10 +275,6 @@ def standard_category(kind: str, *args) -> FinCategory:
                 ("u", "id_0"): "u", ("id_1", "u"): "u"}
         return build_category(("0", "1"), ("id_0", "id_1", "u"), src, dst,
                               {"0": "id_0", "1": "id_1"}, comp)
-    if kind == "poset":
-        if len(args) != 2:
-            raise LaxcatError("poset expects (elements, relation)")
-        return from_poset(args[0], args[1])
     if kind == "simplex":
         if len(args) != 1 or not isinstance(args[0], int) or args[0] < 0:
             raise LaxcatError("simplex expects a nonnegative dimension")
@@ -408,24 +404,28 @@ def _extend(C: FinCategory, D: FinCategory, obmaps, injective: bool = False):
     for (g, f), gf in C.comp.items():
         if g in step and f in step:
             checks[max(step[g], step[f], step.get(gf, -1))].append((g, f, gf))
-
-    def place(i):
-        if i == len(nonid):
-            yield CatFunctor(C, D, dict(obmap), dict(mormap))
-            return
-        m = nonid[i]
-        for image in D.hom(obmap[C.src[m]], obmap[C.dst[m]]):
-            if injective and image in mormap.values():
-                continue
-            mormap[m] = image
-            if all(mormap[gf] == D.comp[(mormap[g], mormap[f])]
-                   for g, f, gf in checks[i]):
-                yield from place(i + 1)
-            del mormap[m]
-
     for obmap in obmaps:
         mormap = {C.identity[x]: D.identity[obmap[x]] for x in C.objects}
-        yield from place(0)
+        yield from _place(C, D, nonid, checks, injective, obmap, mormap, 0)
+
+
+def _place(C, D, nonid, checks, injective, obmap, mormap, i):
+    """The functors that extend mormap by images of nonid[i:].  A module
+    function, not a closure: a nested generator that calls itself holds
+    its own cell, a reference cycle that would keep C and D alive."""
+    if i == len(nonid):
+        yield CatFunctor(C, D, dict(obmap), dict(mormap))
+        return
+    m = nonid[i]
+    for image in D.hom(obmap[C.src[m]], obmap[C.dst[m]]):
+        if injective and image in mormap.values():
+            continue
+        mormap[m] = image
+        if all(mormap[gf] == D.comp[(mormap[g], mormap[f])]
+               for g, f, gf in checks[i]):
+            yield from _place(C, D, nonid, checks, injective, obmap, mormap,
+                              i + 1)
+        del mormap[m]
 
 
 def enumerate_functors(C: FinCategory, D: FinCategory):

@@ -58,16 +58,14 @@ def det_exact(a: Matrix) -> int:
 
 # -- chain complexes ----------------------------------------------------------
 
-class ChainComplex:
+class ChainComplex(Record):
     """ranks[n] > 0 for the supported degrees; diff(n): C_n -> C_{n-1}.
 
     Stored data is normalized (no zero ranks, differentials exactly where
     both endpoint ranks are positive), so == is meaningful equality.
     """
-
-    def __init__(self, ranks: dict[int, int], diffs: dict[int, Matrix]):
-        self.ranks = dict(ranks)
-        self.diffs = dict(diffs)
+    ranks: dict[int, int]
+    diffs: dict[int, Matrix]
 
     def rank(self, n: int) -> int:
         return self.ranks.get(n, 0)
@@ -88,13 +86,6 @@ class ChainComplex:
             return range(0)
         lo, hi = self.window
         return range(lo, hi + 1)
-
-    def __eq__(self, other):
-        if not isinstance(other, ChainComplex):
-            return NotImplemented
-        if self.ranks != other.ranks:
-            return False
-        return all(self.diffs[n] == other.diffs[n] for n in self.diffs)
 
     def __repr__(self):
         if not self.ranks:
@@ -451,95 +442,56 @@ def tot(complexes: list[ChainComplex], maps: list[ChainMap]) -> ChainComplex:
     return build_complex(ranks, diffs)
 
 
-# -- graded block matrices and the star product -----------------------------------
+# -- the star product over a graded basis ------------------------------------------
 
-class GradedIndex(Record):
-    name: str
-    grade: int
-    size: int
-
-    def __hash__(self):
-        return hash(self._values(self))
-
-
-class BlockGradedMatrix(Record):
-    """Integer matrix split into blocks along graded index sets.
-
-    Missing blocks are zero.  The star product inserts (-1)^grade on the
-    summation index; conjugating by the diagonal sign matrix turns it back
-    into the plain block product.
-    """
-    rows: tuple[GradedIndex, ...]
-    cols: tuple[GradedIndex, ...]
-    blocks: dict[tuple[str, str], Matrix]
-
-    def __init__(self, rows, cols, blocks=None):
-        super().__init__(rows, cols, {} if blocks is None else blocks)
-        rnames = {r.name: r for r in self.rows}
-        cnames = {c.name: c for c in self.cols}
-        if len(rnames) != len(self.rows) or len(cnames) != len(self.cols):
-            raise LaxcatError("duplicate block labels")
-        for (rn, cn), m in self.blocks.items():
-            if rn not in rnames or cn not in cnames:
-                raise LaxcatError(f"block ({rn!r}, {cn!r}) off the index sets")
-            want = (rnames[rn].size, cnames[cn].size)
-            if m.shape != want:
-                raise LaxcatError(
-                    f"block ({rn!r}, {cn!r}) has shape {m.shape}, expected {want}")
-
-    def block(self, rn: str, cn: str) -> Matrix:
-        if (rn, cn) in self.blocks:
-            return self.blocks[(rn, cn)]
-        rsize = next(r.size for r in self.rows if r.name == rn)
-        csize = next(c.size for c in self.cols if c.name == cn)
-        return zeros(rsize, csize)
+class GradedMatrix(Record):
+    """An integer matrix over one graded basis: grades[i] is the degree of
+    basis vector i.  The star product inserts (-1)^grade on the summation
+    index; conjugating by the diagonal sign matrix turns it back into the
+    plain product."""
+    matrix: Matrix
+    grades: tuple[int, ...]
 
     def is_zero(self) -> bool:
-        return all(is_zero_matrix(m) for m in self.blocks.values())
-
-    def __eq__(self, other):
-        if not isinstance(other, BlockGradedMatrix):
-            return NotImplemented
-        if self.rows != other.rows or self.cols != other.cols:
-            return False
-        return all(self.block(r.name, c.name) == other.block(r.name, c.name)
-                   for r in self.rows for c in self.cols)
+        return is_zero_matrix(self.matrix)
 
 
-def star_multiply(N: BlockGradedMatrix, M: BlockGradedMatrix) -> BlockGradedMatrix:
-    """Alternating block product: entry (u,s) = sum_t (-1)^grade(t) N[u,t] M[t,s]."""
-    if N.cols != M.rows:
+def star_multiply(N: GradedMatrix, M: GradedMatrix) -> GradedMatrix:
+    """Alternating product: entry (u,s) = sum_t (-1)^grade(t) N[u,t] M[t,s],
+    that is N times M with the rows of M of odd grade negated."""
+    if N.grades != M.grades:
         raise LaxcatError("inner index sets differ")
-    blocks = {}
-    for u in N.rows:
-        for s in M.cols:
-            acc = zeros(u.size, s.size)
-            for t in N.cols:
-                term = N.block(u.name, t.name) @ M.block(t.name, s.name)
-                acc = acc + (term if t.grade % 2 == 0 else -term)
-            if not is_zero_matrix(acc):
-                blocks[(u.name, s.name)] = acc
-    return BlockGradedMatrix(N.rows, M.cols, blocks)
+    signed = Matrix([[-v for v in row] if g % 2 else row
+                     for row, g in zip(M.matrix.rows, M.grades)], M.matrix.ncols)
+    return GradedMatrix(N.matrix @ signed, M.grades)
 
 
-def cone_star_matrix(f: ChainMap) -> BlockGradedMatrix:
-    """The unsigned cone block matrix [[d, 0], [f, d]] over the index set
-    of all degrees of A and B, each graded by its homological degree.
-    Star-squaring it is zero precisely because f is a chain map."""
+def cone_star_matrix(f: ChainMap) -> GradedMatrix:
+    """The unsigned cone matrix [[d, 0], [f, d]] over the basis of all
+    degrees of A, in order, then those of B, each vector graded by its
+    homological degree.  Star-squaring it is zero precisely because f is a
+    chain map."""
     A, B = f.source, f.target
-    indices = tuple(
-        [GradedIndex(f"A{n}", n, A.rank(n)) for n in sorted(A.ranks)] +
-        [GradedIndex(f"B{n}", n, B.rank(n)) for n in sorted(B.ranks)])
-    blocks = {}
+    start, grades = {}, []
+    for side, X in (("A", A), ("B", B)):
+        for n in sorted(X.ranks):
+            start[side, n] = len(grades)
+            grades += [n] * X.ranks[n]
+    m = zeros(len(grades), len(grades))
+
+    def place(row, col, block):
+        r, c = start[row], start[col]
+        m[r:r + block.shape[0], c:c + block.shape[1]] = block
+
     for n in A.ranks:
         if A.rank(n - 1):
-            blocks[(f"A{n-1}", f"A{n}")] = A.diff(n)
+            place(("A", n - 1), ("A", n), A.diff(n))
         if B.rank(n):
-            blocks[(f"B{n}", f"A{n}")] = f.mat(n)
+            place(("B", n), ("A", n), f.mat(n))
     for n in B.ranks:
         if B.rank(n - 1):
-            blocks[(f"B{n-1}", f"B{n}")] = B.diff(n)
-    return BlockGradedMatrix(indices, indices, blocks)
+            place(("B", n - 1), ("B", n), B.diff(n))
+    return GradedMatrix(m, tuple(grades))
 
 
 # -- Smith normal form -------------------------------------------------------------

@@ -4,19 +4,17 @@ U and V as it eliminates (the reference for the transforms), the
 self-check of a Smith decomposition by two Bareiss determinants, the
 surjectivity of H_n(f) decided through a left inverse of a kernel basis
 (the reference for is_quasi_iso), the coordinate vector of a graded map
-and its degree-wise sign change, the plain block
-product that the star product is compared against, and the direct sum of
-two complexes assembled block by block.
+and its degree-wise sign change, the star product summed entry by entry,
+which star_multiply is compared against, and the direct sum of two
+complexes assembled block by block.
 """
 
 import math
 
-from laxcat.errors import LaxcatError
 from laxcat.intmat import Matrix, hstack
-from laxcat.k0chain import (BlockGradedMatrix, ChainComplex, ChainMap,
+from laxcat.k0chain import (ChainComplex, ChainMap, GradedMatrix,
                             SmithDecomposition, as_matrix, det_exact, eye,
-                            hom_basis, is_zero_matrix, smith_normal_form,
-                            zeros)
+                            hom_basis, smith_normal_form, zeros)
 from laxcat.report import Report
 
 
@@ -82,27 +80,16 @@ def direct_sum_blocks(A: ChainComplex, B: ChainComplex) -> ChainComplex:
     return ChainComplex({n: r for n, r in ranks.items() if r}, diffs)
 
 
-def block_plain_multiply(N: BlockGradedMatrix, M: BlockGradedMatrix) -> BlockGradedMatrix:
-    if N.cols != M.rows:
-        raise LaxcatError("inner index sets differ")
-    blocks = {}
-    for u in N.rows:
-        for s in M.cols:
-            acc = zeros(u.size, s.size)
-            for t in N.cols:
-                acc = acc + N.block(u.name, t.name) @ M.block(t.name, s.name)
-            if not is_zero_matrix(acc):
-                blocks[(u.name, s.name)] = acc
-    return BlockGradedMatrix(N.rows, M.cols, blocks)
-
-
-def sign_scale_rows(M: BlockGradedMatrix) -> BlockGradedMatrix:
-    """Multiply each block row by (-1)^grade; star equals plain after this."""
-    blocks = {}
-    for (rn, cn), m in M.blocks.items():
-        grade = next(r.grade for r in M.rows if r.name == rn)
-        blocks[(rn, cn)] = m if grade % 2 == 0 else -m
-    return BlockGradedMatrix(M.rows, M.cols, blocks)
+def star_entrywise(N: GradedMatrix, M: GradedMatrix) -> Matrix:
+    """Entry (u,s) = sum_t (-1)^grade(t) N[u,t] M[t,s], one entry at a
+    time, with the sign taken from the grade of the summation index t."""
+    rows, inner = N.matrix.shape
+    cols = M.matrix.shape[1]
+    sign = [-1 if g % 2 else 1 for g in M.grades]
+    return Matrix([[sum(sign[t] * N.matrix[u, t] * M.matrix[t, s]
+                        for t in range(inner))
+                    for s in range(cols)]
+                   for u in range(rows)], cols)
 
 
 def snf_diagonal_naive(matrix) -> list[int]:

@@ -1,5 +1,6 @@
 """Collages, the lax matrix calculus, and their round trips."""
 
+import itertools
 from types import SimpleNamespace
 
 import pytest
@@ -263,9 +264,10 @@ def _lax_matrices():
         M2=restrict_matrix(hom_profunctor(G2.total), G2, "target"))
 
 
-def _edited(data, **fields):
-    return LaxMatrix(**{**{name: getattr(data, name)
-                           for name in LaxMatrix._fields}, **fields})
+def _edited(value, **fields):
+    """value, a Record, with the given fields replaced."""
+    return type(value)(**{**{name: getattr(value, name)
+                             for name in value._fields}, **fields})
 
 
 def _raised(call):
@@ -466,3 +468,98 @@ def test_assembly_agrees_with_the_two_branch_reference():
                             "lacks" if " lacks " in got else "refused")
                     seen[kind] += 1
     assert all(seen.values()), seen
+
+
+# -- the failure lines of the collage checks, one planted defect each --------------
+
+def _with_stray(P, field):
+    """P with a stray key in one of its tables, which no restriction reads."""
+    return _edited(P, **{field: {**getattr(P, field), "stray": ()}})
+
+
+def _planted_raise(*_):
+    raise LaxcatError("planted")
+
+
+def _on_call(k, real, edit):
+    """real, except that its k-th result is edited."""
+    calls = itertools.count(1)
+
+    def planted(*args):
+        out = real(*args)
+        return edit(out) if next(calls) == k else out
+    return planted
+
+
+def _collapsed_fiber(G):
+    """G with the injection of fiber '1' sending every object to one."""
+    F = G.injections["1"]
+    one = F.obmap[F.source.objects[0]]
+    return _edited(G, injections={
+        **G.injections, "1": CatFunctor(F.source, F.target,
+                                        {x: one for x in F.obmap}, F.mormap)})
+
+
+def _dropped_morphism(G):
+    """G with its first cross morphism gone from mor_parts."""
+    cross = next(m for m, (gamma, _, _) in G.mor_parts.items()
+                 if not G.shape.is_identity(gamma))
+    return _edited(G, mor_parts={
+        m: parts for m, parts in G.mor_parts.items() if m != cross})
+
+
+def _bilimit(fx):
+    return check_bilimit_roundtrip(fx.X, fx.G.total, hom_profunctor(fx.G.total))
+
+
+def _block(fx):
+    return check_block_multiply(fx.N, fx.M)
+
+
+@pytest.mark.parametrize("check, name, plant, failure", [
+    (_bilimit, "assemble_matrix", lambda real: _planted_raise,
+     "round trip raised: planted"),
+    (_bilimit, "assemble_matrix",
+     lambda real: lambda data: _with_stray(real(data), "elements"),
+     "assembled elements differ"),
+    (_bilimit, "assemble_matrix",
+     lambda real: lambda data: _with_stray(real(data), "lact"),
+     "assembled left action differs"),
+    (_bilimit, "assemble_matrix",
+     lambda real: lambda data: _with_stray(real(data), "ract"),
+     "assembled right action differs"),
+    (_bilimit, "restrict_matrix",
+     lambda real: _on_call(2, real, lambda data: _edited(
+         data, transition={})),
+     "re-restriction differs from the original blocks"),
+    (_block, "block_multiply", lambda real: _planted_raise,
+     "block product raised: planted"),
+    (_block, "block_multiply",
+     lambda real: lambda N, M: SimpleNamespace(
+         profunctor=_with_stray(real(N, M).profunctor, "elements")),
+     "blockwise composite differs from the global coend"),
+], ids=["roundtrip-raised", "assembled-elements", "assembled-left-action",
+        "assembled-right-action", "re-restriction", "block-raised",
+        "block-differs"])
+def test_collage_checks_report_each_planted_defect(monkeypatch, check, name,
+                                                   plant, failure):
+    fx = _lax_matrices()
+    monkeypatch.setattr(collage, name, plant(getattr(collage, name)))
+    assert check(fx).failures == [failure]
+
+
+@pytest.mark.parametrize("edit, failure, spared", [
+    (_collapsed_fiber, "comparison is not bijective on objects",
+     "comparison is not bijective on morphisms"),
+    (_dropped_morphism, "comparison is not bijective on morphisms",
+     "comparison is not bijective on objects"),
+], ids=["objects", "morphisms"])
+def test_absoluteness_reports_a_comparison_off_a_bijection(monkeypatch, edit,
+                                                           failure, spared):
+    # the defect sits in the collage of X, the first one the check builds
+    fx = _lax_matrices()
+    monkeypatch.setattr(collage, "grothendieck",
+                        _on_call(1, collage.grothendieck, edit))
+    failures = check_absoluteness(fx.X, standard_category("interval")).failures
+    # the comparison functor's own failures come first
+    assert failures[-1] == failure and spared not in failures

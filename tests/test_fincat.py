@@ -221,6 +221,15 @@ def test_enumerate_functors_interval_endo():
     assert all(validate_functor(F).ok for F in found)
 
 
+def test_enumerated_functors_die_with_their_categories(gc_disabled):
+    C, D = standard_category("simplex", 2), standard_category("simplex", 2)
+    functors = list(enumerate_functors(C, D))
+    assert len(functors) == 10
+    refs = [weakref.ref(C), weakref.ref(D)]
+    del C, D, functors
+    assert [r() for r in refs] == [None, None]
+
+
 def test_enumerate_functors_out_of_discrete():
     C = standard_category("discrete", 2)
     I = standard_category("interval")

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from laxcat.errors import LaxcatError
 import laxcat.k0chain as k0chain
-from laxcat.k0chain import (BlockGradedMatrix, GradedIndex, GradedMap,
+from laxcat.k0chain import (GradedMap, GradedMatrix,
                             add_chain_maps, as_matrix, build_chain_map,
                             build_complex, build_homotopy, compose_chain_maps,
                             cone, cone_from_data, cone_star_matrix,
@@ -22,11 +22,11 @@ from laxcat.rand import (rand_chain_map, rand_complex, rand_graded,
                          rng_from_seed)
 
 import chain_oracles
-from chain_oracles import (block_plain_multiply, direct_sum_blocks,
-                           graded_sign_reindex, graded_to_vector,
+from chain_oracles import (direct_sum_blocks, graded_sign_reindex,
+                           graded_to_vector,
                            homology_map_surjective_by_left_inverse,
-                           sign_scale_rows, smith_normal_form_in_order,
-                           snf_diagonal_naive, verify_two_bareiss)
+                           smith_normal_form_in_order, snf_diagonal_naive,
+                           star_entrywise, verify_two_bareiss)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -343,15 +343,19 @@ def test_unsigned_cone_matrix_star_squares_to_zero(seed):
     f = rand_chain_map(rng, A, B)
     N = cone_star_matrix(f)
     assert star_multiply(N, N).is_zero()
-    # scaling block rows by the grade sign turns star into the plain product
-    assert star_multiply(N, N) == block_plain_multiply(N, sign_scale_rows(N))
+    assert star_multiply(N, N).matrix == star_entrywise(N, N)
+    # off the cone, with odd grades in the sum, the two still agree
+    k = len(N.grades)
+    M = GradedMatrix(as_matrix([[rng.randint(-2, 2) for _ in range(k)]
+                                for _ in range(k)], k, k), N.grades)
+    assert star_multiply(N, M).matrix == star_entrywise(N, M)
 
 
 def test_star_needs_matching_inner_indices():
-    a = BlockGradedMatrix((GradedIndex("x", 0, 1),), (GradedIndex("y", 1, 1),),
-                          {("x", "y"): eye(1)})
-    with pytest.raises(Exception):
-        star_multiply(a, a)
+    a = GradedMatrix(eye(2), (0, 1))
+    b = GradedMatrix(eye(2), (0, 0))
+    with pytest.raises(LaxcatError, match="inner index sets differ"):
+        star_multiply(a, b)
 
 
 # -- smith normal form -----------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Each class compares field by field, in the order of its fields, and only
 when both sides have the same class; caches filled on first use take no
-part.  GradedIndex and HomologyGroup hash like the tuple of their fields;
+part.  HomologyGroup hashes like the tuple of its fields;
 every other class is unhashable.  The default repr is
 Name(field=value, ...).
 """
@@ -13,11 +13,10 @@ from laxcat.collage import (build_diagram, collage_of_profunctor,
                             grothendieck, restrict_matrix)
 from laxcat.decat import CardMatrix
 from laxcat.fincat import CatFunctor, opposite, standard_category
-from laxcat.k0chain import (BlockGradedMatrix, ChainMap, GradedIndex,
-                            GradedMap, HomologyGroup, MappingCone,
-                            build_chain_map, build_complex, cone,
+from laxcat.k0chain import (ChainMap, GradedMap, GradedMatrix, HomologyGroup,
+                            MappingCone, build_chain_map, build_complex, cone,
                             cone_star_matrix, smith_normal_form)
-from laxcat.intmat import as_matrix, eye
+from laxcat.intmat import eye
 from laxcat.profunctor import (build_protransformation, compose_with_pairing,
                                hom_profunctor, opposite_profunctor)
 from laxcat.report import Report
@@ -161,6 +160,13 @@ def disk():
     return build_complex({0: 1, 1: 1}, {1: [[2]]})
 
 
+def test_chain_complex():
+    assert_value_semantics(disk, [build_complex({0: 1, 1: 1}, {1: [[3]]}),
+                                  build_complex({0: 1, 1: 2}, {1: [[2, 0]]})])
+    assert repr(disk()) == "ChainComplex(Z^1 -> Z^1 in degrees [0,1])"
+    assert repr(build_complex({}, {})) == "ChainComplex(0)"
+
+
 def test_mapping_cone():
     make = lambda: cone(build_chain_map(disk(), disk(), {0: [[1]], 1: [[1]]}))
     zero = cone(build_chain_map(disk(), disk(), {}))
@@ -173,26 +179,14 @@ def test_mapping_cone():
         "ChainComplex(Z^1 -> Z^2 -> Z^1 in degrees [0,2]), degree 0)")
 
 
-def test_graded_index_hashes_like_its_fields():
-    make = lambda: GradedIndex("x", 0, 1)
-    assert_value_semantics(make, [GradedIndex("y", 0, 1), GradedIndex("x", 1, 1),
-                                  GradedIndex("x", 0, 2)], hashable=True)
-    assert hash(make()) == hash(("x", 0, 1))
-    assert len({make(), make(), GradedIndex("x", 0, 2)}) == 2
-    assert repr(make()) == "GradedIndex(name='x', grade=0, size=1)"
-
-
-def test_block_graded_matrix():
+def test_graded_matrix():
     f = build_chain_map(disk(), disk(), {0: [[1]], 1: [[1]]})
     make = lambda: cone_star_matrix(f)
-    assert_value_semantics(make, [cone_star_matrix(
-        build_chain_map(disk(), disk(), {}))])
-    x = (GradedIndex("x", 0, 1),)
-    explicit = BlockGradedMatrix(x, x, {("x", "x"): as_matrix([[0]])})
-    assert explicit == BlockGradedMatrix(x, x)
-    assert repr(BlockGradedMatrix(x, x)) == (
-        "BlockGradedMatrix(rows=(GradedIndex(name='x', grade=0, size=1),), "
-        "cols=(GradedIndex(name='x', grade=0, size=1),), blocks={})")
+    zero = cone_star_matrix(build_chain_map(disk(), disk(), {}))
+    assert_value_semantics(make, [zero, GradedMatrix(make().matrix, (0, 1, 0, 0))])
+    assert make().grades == (0, 1, 0, 1)
+    assert repr(GradedMatrix(eye(1), (0,))) == (
+        "GradedMatrix(matrix=Matrix([[1]], ncols=1), grades=(0,))")
 
 
 def test_smith_decomposition():

@@ -55,12 +55,18 @@ parent the benchmark measures through, from the copy without bytecode;
 the `collage_peak_rss_mb` rung is the same for `collage` of the hom
 documents of the ladder, under the caps the workload gives them, and the
 `check_peak_rss_mb` rung for `check cocontinuity --randomized --count 60
---seed 3`, which reads no input.  Prints one JSON object of per-rung
-medians in milliseconds (in MB for the three `_peak_rss_mb` rungs).
+--seed 3`, which reads no input.  The `cyclic_garbage` rung runs `check
+absoluteness` and `check bilimit-roundtrip --randomized --count 10 --seed
+3` through `laxcat.cli.main` in this process with the cyclic collector
+off, and counts the objects that `gc.collect()` then frees; argparse's
+parser alone leaves about 436.  Prints one JSON object of per-rung
+medians in milliseconds (in MB for the three `_peak_rss_mb` rungs, in
+objects for `cyclic_garbage`).
 """
 
 import argparse
 import compileall
+import gc
 import json
 import os
 import random
@@ -168,6 +174,27 @@ def peak_rss_mb(src, runs, repeats):
     return out
 
 
+def cyclic_garbage(main):
+    """The objects that gc.collect() frees after each in-process check,
+    run with the cyclic collector off."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for prop in ("absoluteness", "bilimit-roundtrip"):
+            gc.collect()
+            gc.disable()
+            try:
+                code = main(["--out", str(Path(tmp) / "out.json"), "check",
+                             prop, "--randomized", "--count", "10",
+                             "--seed", "3"])
+            finally:
+                freed = gc.collect()
+                gc.enable()
+            if code != 0:
+                raise SystemExit(f"check {prop} exited {code}")
+            out[f"check_{prop.replace('-', '_')}"] = freed
+    return out
+
+
 def dump_routes(jsonio):
     """The routes that encode a document into write, by name."""
     routes = {"json_dumps": lambda doc, write: write(
@@ -232,7 +259,7 @@ def main(argv=None):
     sys.path.insert(0, str(ROOT / "bench"))
     # looked up through the property table, which names the checks in
     # every tree this script times
-    from laxcat.cli import CHECKS
+    from laxcat.cli import CHECKS, main as laxcat_main
 
     def check(prop):
         _, module, name = CHECKS[prop]
@@ -271,7 +298,8 @@ def main(argv=None):
            "grothendieck_ms": {}, "assemble_matrix_ms": {},
            "block_multiply_ms": {},
            "canonical_dump_ms": {}, "canonical_dump_peak_kib": {},
-           "startup_ms": startup_ms(args.src, args.repeats)}
+           "startup_ms": startup_ms(args.src, args.repeats),
+           "cyclic_garbage": cyclic_garbage(laxcat_main)}
     routes = dump_routes(laxcat.jsonio)
     # exact SNF transforms outgrow the default int -> str digit limit, as
     # the command line allows them to
