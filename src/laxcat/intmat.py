@@ -7,7 +7,7 @@ the chain layer relies on: m[i, j] is an entry, and m[r0:r1, c0:c1] reads
 or overwrites a block.
 """
 
-from itertools import chain
+from itertools import accumulate, chain
 from operator import add, mul, sub
 
 from .errors import LaxcatError
@@ -157,12 +157,16 @@ def hstack(mats: list[Matrix]) -> Matrix:
                    for i in range(height)], sum(m.ncols for m in mats))
 
 
-def vstack(mats: list[Matrix]) -> Matrix:
-    """One above the other; all must have the same number of columns."""
-    width = mats[0].ncols
-    if any(m.ncols != width for m in mats):
-        raise LaxcatError("vstack needs equal column counts")
-    return Matrix([list(r) for m in mats for r in m.rows], width)
+def block_matrix(heights: dict, widths: dict, blocks: dict) -> Matrix:
+    """Zeros but for each blocks[(r, c)], placed in row band r and column
+    band c; heights and widths map each band's key to its size, in the
+    order the bands run.  A block of the wrong shape raises."""
+    top = dict(zip(heights, accumulate(heights.values(), initial=0)))
+    left = dict(zip(widths, accumulate(widths.values(), initial=0)))
+    m = zeros(sum(heights.values()), sum(widths.values()))
+    for (r, c), block in blocks.items():
+        m[top[r]:top[r] + heights[r], left[c]:left[c] + widths[c]] = block
+    return m
 
 
 def is_zero_matrix(a: Matrix) -> bool:

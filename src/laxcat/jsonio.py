@@ -90,13 +90,13 @@ def dumps_canonical(obj) -> str:
     return "".join(parts)
 
 
-def _expect(data, where: str, required, optional=()):
+def _expect(data, where: str, required):
     if not isinstance(data, dict):
         raise SchemaError(f"{where}: expected a JSON object")
     missing = [k for k in required if k not in data]
     if missing:
         raise SchemaError(f"{where}: missing keys {missing}")
-    unknown = sorted(k for k in data if k not in required and k not in optional)
+    unknown = sorted(k for k in data if k not in required)
     if unknown:
         raise SchemaError(f"{where}: unknown keys {unknown}")
 

@@ -26,8 +26,8 @@ Conventions fixed here and relied on everywhere else:
 import math
 
 from .errors import LaxcatError
-from .intmat import (Matrix, as_matrix, eye, hstack, is_zero_matrix, vstack,
-                     zeros)
+from .intmat import (Matrix, as_matrix, block_matrix, eye, hstack,
+                     is_zero_matrix, zeros)
 from .report import Record, Report
 
 
@@ -290,7 +290,8 @@ def cone(f: ChainMap) -> MappingCone:
     A, B = f.source, f.target
     cx = cone_complex(f)
     incl = build_chain_map(B, cx, {
-        n: vstack([zeros(A.rank(n - 1), B.rank(n)), eye(B.rank(n))])
+        n: block_matrix({"A": A.rank(n - 1), "B": B.rank(n)}, {"B": B.rank(n)},
+                        {("B", "B"): eye(B.rank(n))})
         for n in B.ranks if cx.rank(n)})
     proj = build_chain_map(cx, shift(A, 1), {
         n: hstack([eye(A.rank(n - 1)), zeros(A.rank(n - 1), B.rank(n))])
@@ -394,6 +395,9 @@ def tot(complexes: list[ChainComplex], maps: list[ChainMap]) -> ChainComplex:
 
     X_p sits in horizontal degree -p: Tot_n = (+)_p (X_p)_{n+p}, with
     vertical differential (-1)^p d and horizontal component the given maps.
+    The differential Tot_n -> Tot_{n-1} is a block matrix with one row and
+    one column band per p, in order: (-1)^p d of X_p on the diagonal, and
+    the map X_p -> X_{p+1} in row band p + 1, column band p.
     """
     if len(maps) != max(len(complexes) - 1, 0):
         raise LaxcatError("need exactly one map per consecutive pair")
@@ -405,40 +409,22 @@ def tot(complexes: list[ChainComplex], maps: list[ChainMap]) -> ChainComplex:
         if any(not is_zero_matrix(m) for m in comp.matrices.values()):
             raise LaxcatError(f"maps {p} and {p+1} do not compose to zero")
 
-    P = len(complexes)
     ranks = {}
     for n in set(n - p for p, X in enumerate(complexes) for n in X.ranks):
-        r = sum(complexes[p].rank(n + p) for p in range(P))
+        r = sum(X.rank(n + p) for p, X in enumerate(complexes))
         if r:
             ranks[n] = r
-
-    def offsets(n):
-        out, acc = [], 0
-        for p in range(P):
-            out.append(acc)
-            acc += complexes[p].rank(n + p)
-        return out
-
     diffs = {}
     for n in ranks:
-        rows, cols = ranks.get(n - 1, 0), ranks[n]
-        if not (rows and cols):
+        if n - 1 not in ranks:
             continue
-        m = zeros(rows, cols)
-        roff, coff = offsets(n - 1), offsets(n)
-        for p in range(P):
-            X = complexes[p]
-            if not X.rank(n + p):
-                continue
-            if X.rank(n + p - 1):
-                block = X.diff(n + p) if p % 2 == 0 else -X.diff(n + p)
-                m[roff[p]:roff[p] + X.rank(n + p - 1),
-                  coff[p]:coff[p] + X.rank(n + p)] = block
-            if p + 1 < P and complexes[p + 1].rank(n + p):
-                fm = maps[p].mat(n + p)
-                m[roff[p + 1]:roff[p + 1] + complexes[p + 1].rank(n + p),
-                  coff[p]:coff[p] + X.rank(n + p)] = fm
-        diffs[n] = m
+        blocks = {(p, p): X.diffs[n + p] if p % 2 == 0 else -X.diffs[n + p]
+                  for p, X in enumerate(complexes) if n + p in X.diffs}
+        blocks.update({(p + 1, p): f.matrices[n + p]
+                       for p, f in enumerate(maps) if n + p in f.matrices})
+        diffs[n] = block_matrix(
+            {p: X.rank(n + p - 1) for p, X in enumerate(complexes)},
+            {p: X.rank(n + p) for p, X in enumerate(complexes)}, blocks)
     return build_complex(ranks, diffs)
 
 
@@ -469,29 +455,20 @@ def star_multiply(N: GradedMatrix, M: GradedMatrix) -> GradedMatrix:
 def cone_star_matrix(f: ChainMap) -> GradedMatrix:
     """The unsigned cone matrix [[d, 0], [f, d]] over the basis of all
     degrees of A, in order, then those of B, each vector graded by its
-    homological degree.  Star-squaring it is zero precisely because f is a
-    chain map."""
+    homological degree.  Its row and column bands are ("A", n) for the
+    sorted degrees n of A, then ("B", n) for those of B, keyed by side so
+    that an endomorphism f keeps its two copies apart: d_A runs from band
+    ("A", n) to ("A", n - 1), f from ("A", n) to ("B", n) and d_B from
+    ("B", n) to ("B", n - 1).  Star-squaring it is zero precisely because
+    f is a chain map."""
     A, B = f.source, f.target
-    start, grades = {}, []
-    for side, X in (("A", A), ("B", B)):
-        for n in sorted(X.ranks):
-            start[side, n] = len(grades)
-            grades += [n] * X.ranks[n]
-    m = zeros(len(grades), len(grades))
-
-    def place(row, col, block):
-        r, c = start[row], start[col]
-        m[r:r + block.shape[0], c:c + block.shape[1]] = block
-
-    for n in A.ranks:
-        if A.rank(n - 1):
-            place(("A", n - 1), ("A", n), A.diff(n))
-        if B.rank(n):
-            place(("B", n), ("A", n), f.mat(n))
-    for n in B.ranks:
-        if B.rank(n - 1):
-            place(("B", n - 1), ("B", n), B.diff(n))
-    return GradedMatrix(m, tuple(grades))
+    bands = {(side, n): X.ranks[n]
+             for side, X in (("A", A), ("B", B)) for n in sorted(X.ranks)}
+    blocks = {**{(("A", n - 1), ("A", n)): d for n, d in A.diffs.items()},
+              **{(("B", n), ("A", n)): f.mat(n) for n in A.ranks if B.rank(n)},
+              **{(("B", n - 1), ("B", n)): d for n, d in B.diffs.items()}}
+    grades = tuple(n for (_, n), r in bands.items() for _ in range(r))
+    return GradedMatrix(block_matrix(bands, bands, blocks), grades)
 
 
 # -- Smith normal form -------------------------------------------------------------

@@ -41,12 +41,17 @@ def _idempotent_monoid() -> FinCategory:
     return build_category(("m",), ("e", "p"), src, dict(src), {"m": "e"}, comp)
 
 
-def _cospan() -> FinCategory:
-    return from_poset(("a", "b", "c"), [("a", "c"), ("b", "c")])
-
-
-def _span() -> FinCategory:
-    return from_poset(("a", "b", "c"), [("a", "b"), ("a", "c")])
+# the categories drawn by name, each built afresh on every draw
+_NAMED = {
+    "interval": lambda: standard_category("interval"),
+    "simplex2": lambda: standard_category("simplex", 2),
+    "cospan": lambda: from_poset(("a", "b", "c"), [("a", "c"), ("b", "c")]),
+    "span": lambda: from_poset(("a", "b", "c"), [("a", "b"), ("a", "c")]),
+    "z2": _z2_monoid,
+    "idem": _idempotent_monoid,
+    "square": lambda: product(standard_category("interval"),
+                              standard_category("interval")),
+}
 
 
 def _random_poset(rng: random.Random, n: int) -> FinCategory:
@@ -69,22 +74,9 @@ def rand_category(rng: random.Random, max_objects: int = 5) -> FinCategory:
     kind = rng.choice(pool)
     if kind == "discrete":
         return standard_category("discrete", rng.randint(1, min(3, max_objects)))
-    if kind == "interval":
-        return standard_category("interval")
-    if kind == "simplex2":
-        return standard_category("simplex", 2)
-    if kind == "cospan":
-        return _cospan()
-    if kind == "span":
-        return _span()
-    if kind == "z2":
-        return _z2_monoid()
-    if kind == "idem":
-        return _idempotent_monoid()
-    if kind == "square":
-        return product(standard_category("interval"),
-                       standard_category("interval"))
-    return _random_poset(rng, rng.randint(2, min(4, max_objects)))
+    if kind == "poset":
+        return _random_poset(rng, rng.randint(2, min(4, max_objects)))
+    return _NAMED[kind]()
 
 
 def rand_functor(rng: random.Random, C: FinCategory, D: FinCategory) -> CatFunctor:
@@ -101,33 +93,16 @@ def free_profunctor(C: FinCategory, D: FinCategory,
     (g, s) named 'tag:g;s' by join_id."""
     name = {(g, s): f"{tag}:" + join_id(g, s, ";")
             for g in D.leaving(d0) for s in C.arriving(c0)}
-    elements = {}
-    for d in D.objects:
-        for c in C.objects:
-            elements[(d, c)] = [name[g, s]
-                                for g in D.hom(d0, d) for s in C.hom(c, c0)]
-    lact = {}
-    for g2 in D.morphisms:
-        if D.is_identity(g2):
-            continue
-        x, y = D.src[g2], D.dst[g2]
-        table = {}
-        for c in C.objects:
-            for g in D.hom(d0, x):
-                for s in C.hom(c, c0):
-                    table[name[g, s]] = name[D.compose(g2, g), s]
-        lact[g2] = table
-    ract = {}
-    for s2 in C.morphisms:
-        if C.is_identity(s2):
-            continue
-        x, y = C.src[s2], C.dst[s2]
-        table = {}
-        for d in D.objects:
-            for g in D.hom(d0, d):
-                for s in C.hom(y, c0):
-                    table[name[g, s]] = name[g, C.compose(s, s2)]
-        ract[s2] = table
+    elements = {(d, c): [name[g, s] for g in D.hom(d0, d) for s in C.hom(c, c0)]
+                for d in D.objects for c in C.objects}
+    # g2 moves the path out of d0 of every pair it acts on, s2 the path
+    # into c0; the other end ranges over all its paths
+    lact = {g2: {name[g, s]: name[D.compose(g2, g), s]
+                 for g in D.hom(d0, D.src[g2]) for s in C.arriving(c0)}
+            for g2 in D.morphisms if not D.is_identity(g2)}
+    ract = {s2: {name[g, s]: name[g, C.compose(s, s2)]
+                 for g in D.leaving(d0) for s in C.hom(C.dst[s2], c0)}
+            for s2 in C.morphisms if not C.is_identity(s2)}
     return build_profunctor(C, D, elements, lact, ract)
 
 
@@ -174,14 +149,9 @@ def rand_diagram(rng: random.Random, shape_kind: str | None = None,
     strictness is exact (no shape has a composite of three generators)."""
     if shape_kind is None:
         shape_kind = rng.choice(DIAGRAM_SHAPES)
-    if shape_kind == "interval":
-        shape = standard_category("interval")
-    elif shape_kind == "cospan":
-        shape = _cospan()
-    elif shape_kind == "simplex2":
-        shape = standard_category("simplex", 2)
-    else:
+    if shape_kind not in DIAGRAM_SHAPES:
         raise ValueError(f"unknown shape kind {shape_kind!r}")
+    shape = _NAMED[shape_kind]()
     fibers = {s: rand_category(rng, max_fiber_objects) for s in shape.objects}
     edges = shape.generators()
     transition = {}
@@ -252,9 +222,9 @@ def rand_complex(rng: random.Random, lo: int = -1, hi: int = 3,
 
 
 def rand_graded(rng: random.Random, A: ChainComplex, B: ChainComplex,
-                degree: int = 1, density: float = 0.5,
-                lo: int = -2, hi: int = 2) -> dict:
-    """Random graded map raising degree: component A_n -> B_{n+degree}."""
+                degree: int = 1, density: float = 0.5) -> dict:
+    """Random graded map raising degree: component A_n -> B_{n+degree},
+    each entry drawn from [-2, 2] with probability density, else 0."""
     from .intmat import zeros
     h = {}
     for n in A.ranks:
@@ -264,7 +234,7 @@ def rand_graded(rng: random.Random, A: ChainComplex, B: ChainComplex,
             for i in range(rows):
                 for j in range(cols):
                     if rng.random() < density:
-                        m[i, j] = rng.randint(lo, hi)
+                        m[i, j] = rng.randint(-2, 2)
             h[n] = m
     return h
 

@@ -5,8 +5,9 @@ self-check of a Smith decomposition by two Bareiss determinants, the
 surjectivity of H_n(f) decided through a left inverse of a kernel basis
 (the reference for is_quasi_iso), the coordinate vector of a graded map
 and its degree-wise sign change, the star product summed entry by entry,
-which star_multiply is compared against, and the direct sum of two
-complexes assembled block by block.
+which star_multiply is compared against, the direct sum of two
+complexes assembled block by block, and the unsigned cone matrix written
+entry by entry, which cone_star_matrix is compared against.
 """
 
 import math
@@ -78,6 +79,30 @@ def direct_sum_blocks(A: ChainComplex, B: ChainComplex) -> ChainComplex:
             m[ar:, ac:] = B.diff(n)
             diffs[n] = m
     return ChainComplex({n: r for n, r in ranks.items() if r}, diffs)
+
+
+def cone_matrix_entrywise(f: ChainMap) -> GradedMatrix:
+    """The unsigned cone matrix [[d, 0], [f, d]] of f: A -> B, one entry
+    at a time.  Basis vector (side, n, i) is vector i of degree n on that
+    side, A's degrees ascending, then B's; column (A, n, j) holds d_A(n)
+    in the rows (A, n - 1, i) and f_n in the rows (B, n, i), and column
+    (B, n, j) holds d_B(n) in the rows (B, n - 1, i)."""
+    A, B = f.source, f.target
+    basis = [(side, n, i) for side, X in (("A", A), ("B", B))
+             for n in sorted(X.ranks) for i in range(X.ranks[n])]
+
+    def entry(row, col):
+        (rs, rn, i), (cs, cn, j) = row, col
+        if cs == rs and rn == cn - 1:
+            return (A if cs == "A" else B).diff(cn)[i, j]
+        if (cs, rs) == ("A", "B") and rn == cn:
+            return f.mat(cn)[i, j]
+        return 0
+
+    return GradedMatrix(
+        Matrix([[entry(row, col) for col in basis] for row in basis],
+               len(basis)),
+        tuple(n for _, n, _ in basis))
 
 
 def star_entrywise(N: GradedMatrix, M: GradedMatrix) -> Matrix:

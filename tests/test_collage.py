@@ -192,6 +192,14 @@ def test_bilimit_roundtrip_both_orientations():
                 assert rep.ok, rep.failures
 
 
+@pytest.mark.parametrize("kind", ["bogus", "span", "z2"])
+def test_rand_diagram_refuses_a_shape_outside_its_kinds(kind):
+    # span and z2 are named categories that rand_category draws, but no
+    # diagram shape
+    with pytest.raises(ValueError, match=rf"^unknown shape kind '{kind}'$"):
+        rand_diagram(rng_from_seed(0), shape_kind=kind)
+
+
 def test_block_multiply_equals_global_composite():
     rng = rng_from_seed(24)
     for _ in range(15):

@@ -14,7 +14,8 @@ from laxcat.jsonio import (category_from_json, category_to_json,
                            chainmap_from_json, chainmap_to_json,
                            collage_to_json, complex_from_json,
                            complex_to_json, diagram_from_json,
-                           diagram_to_json, dumps_canonical,
+                           default_resolver, diagram_to_json,
+                           dumps_canonical,
                            homology_to_json,
                            matrix_from_json, parse_degree,
                            profunctor_from_json, profunctor_to_json,
@@ -138,6 +139,94 @@ def test_rank_outside_window_rejected():
 
 
 # -- cell keys --------------------------------------------------------------------
+
+def _edited(doc, **fields):
+    return {**doc, **fields}
+
+
+_CAT = category_to_json(standard_category("interval"))
+_POINT = category_to_json(standard_category("discrete", 1))
+_HOM = {"source": _POINT, "target": _POINT, "elements": {},
+        "left_action": {}, "right_action": {}}
+_DIAGRAM = {"shape": _POINT, "fibers": {"0": _POINT}, "transitions": {}}
+_COMPLEX = complex_to_json(build_complex({0: 1}, {}))
+
+# one malformed document per refusal of the loaders: (command, document,
+# message); the document is the command's one input
+REFUSALS = {
+    "morphism_not_an_object": (
+        ["check", "monoid-laws"], _edited(_CAT, morphisms=[5]),
+        "category.morphisms[0]: expected a JSON object"),
+    "identities_not_strings": (
+        ["check", "monoid-laws"], _edited(_CAT, identities={"0": 1}),
+        "category.identities: expected an object of strings"),
+    "morphisms_not_a_list": (
+        ["check", "monoid-laws"], _edited(_CAT, morphisms={}),
+        "category.morphisms: expected a list"),
+    "morphism_id_not_a_string": (
+        ["check", "monoid-laws"],
+        _edited(_CAT, morphisms=[{"id": 1, "src": "0", "dst": "0"}]),
+        "category.morphisms[0]: ids must be strings"),
+    "composition_not_a_list": (
+        ["check", "monoid-laws"], _edited(_CAT, composition={}),
+        "category.composition: expected a list of triples"),
+    "composition_not_a_triple": (
+        ["check", "monoid-laws"], _edited(_CAT, composition=[["u", "u"]]),
+        "category.composition[0]: expected [g, f, g.f] of strings"),
+    "source_not_a_reference": (
+        ["collage"], _edited(_HOM, source=5),
+        "profunctor.source: expected a name or an inline object"),
+    "actions_not_an_object": (
+        ["collage"], _edited(_HOM, left_action=[]),
+        "profunctor.left_action: expected an object of action tables"),
+    "elements_not_an_object": (
+        ["collage"], _edited(_HOM, elements=[]),
+        "profunctor.elements: expected an object"),
+    "fibers_not_an_object": (
+        ["grothendieck"], _edited(_DIAGRAM, fibers=[]),
+        "diagram.fibers: expected an object"),
+    "fibers_miss_a_shape_object": (
+        ["grothendieck"], _edited(_DIAGRAM, fibers={}),
+        "diagram.fibers: must cover exactly the shape objects"),
+    "transitions_not_an_object": (
+        ["grothendieck"], _edited(_DIAGRAM, transitions=[]),
+        "diagram.transitions: expected an object"),
+    "transition_off_the_shape": (
+        ["grothendieck"], _edited(_DIAGRAM, transitions={"zz": {}}),
+        "diagram.transitions['zz']: unknown shape morphism"),
+    "ranks_not_keyed_by_degree": (
+        ["homology"], _edited(_COMPLEX, ranks=[]),
+        "complex.ranks: expected an object keyed by degree"),
+    "window_not_a_pair": (
+        ["homology"], _edited(_COMPLEX, window=[0]),
+        "complex.window: expected [lo, hi]"),
+    "tower_complexes_not_a_list": (
+        ["tot"], {"complexes": {}, "maps": []},
+        "tower: complexes and maps must be lists"),
+    "tower_with_a_map_too_many": (
+        ["tot"], {"complexes": [_COMPLEX], "maps": [{"matrices": {}}]},
+        "tower: more maps than consecutive pairs"),
+    "not_an_object": (
+        ["homology"], 5, "cannot infer the kind of a non-object"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_each_malformed_input_exits_2_in_one_line(name, tmp_path, capsys):
+    from laxcat.cli import main
+    argv, doc, message = REFUSALS[name]
+    (tmp_path / "doc.json").write_text(json.dumps(doc))
+    assert main(["--workspace", str(tmp_path), *argv, "doc"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"invalid input: {message}\n"
+
+
+def test_a_name_needs_a_workspace_in_the_library():
+    with pytest.raises(SchemaError, match=r"^cannot resolve name 'c' without "
+                                          r"a workspace$"):
+        default_resolver("c", "category")
+
 
 def comma_category(names):
     objs = tuple(names)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laxcat.errors import LaxcatError
+from laxcat.intmat import block_matrix
 import laxcat.k0chain as k0chain
 from laxcat.k0chain import (GradedMap, GradedMatrix,
                             add_chain_maps, as_matrix, build_chain_map,
@@ -22,7 +23,8 @@ from laxcat.rand import (rand_chain_map, rand_complex, rand_graded,
                          rng_from_seed)
 
 import chain_oracles
-from chain_oracles import (direct_sum_blocks, graded_sign_reindex,
+from chain_oracles import (cone_matrix_entrywise, direct_sum_blocks,
+                           graded_sign_reindex,
                            graded_to_vector,
                            homology_map_surjective_by_left_inverse,
                            smith_normal_form_in_order, snf_diagonal_naive,
@@ -43,6 +45,24 @@ def test_as_matrix_rejects_bools():
     with pytest.raises(LaxcatError,
                        match=r"^entry \(0,0\) is not an int: True$"):
         as_matrix([[True]])
+
+
+def test_block_matrix_refuses_a_misshaped_block():
+    with pytest.raises(LaxcatError,
+                       match=r"^block of shape \(1, 2\) placed into \(2, 2\)$"):
+        block_matrix({0: 2}, {0: 2}, {(0, 0): zeros(1, 2)})
+
+
+def test_block_matrix_places_blocks_and_keeps_empty_bands():
+    m = block_matrix({"a": 0, "b": 2}, {"a": 3, "b": 0},
+                     {("a", "a"): zeros(0, 3), ("b", "b"): zeros(2, 0)})
+    assert m.shape == (2, 3) and m == zeros(2, 3)
+    assert block_matrix({"a": 0}, {"a": 3}, {}).shape == (0, 3)
+    assert block_matrix({"a": 3}, {"a": 0}, {}).shape == (3, 0)
+    assert block_matrix({0: 1, 1: 2}, {0: 2, 1: 1},
+                        {(1, 0): as_matrix([[1, 2], [3, 4]]),
+                         (0, 1): as_matrix([[5]])}) == as_matrix(
+        [[0, 0, 5], [1, 2, 0], [3, 4, 0]])
 
 
 def test_det_exact_small():
@@ -349,6 +369,23 @@ def test_unsigned_cone_matrix_star_squares_to_zero(seed):
     M = GradedMatrix(as_matrix([[rng.randint(-2, 2) for _ in range(k)]
                                 for _ in range(k)], k, k), N.grades)
     assert star_multiply(N, M).matrix == star_entrywise(N, M)
+
+
+def test_cone_star_matrix_matches_the_entrywise_layout():
+    # endomorphisms, whose source is the very object of their target, put
+    # d_A and d_B in bands that only the side keeps apart
+    rng = rng_from_seed(71)
+    cases = []
+    for _ in range(12):
+        A, _ = rand_complex(rng)
+        B, _ = rand_complex(rng)
+        cases.append(rand_chain_map(rng, A, B))
+        cases.append(rand_chain_map(rng, A, A))
+        cases.append(identity_chain_map(A))
+        cases.append(build_chain_map(A, A, {n: 2 * eye(r)
+                                            for n, r in A.ranks.items()}))
+    for f in cases:
+        assert cone_star_matrix(f) == cone_matrix_entrywise(f)
 
 
 def test_star_needs_matching_inner_indices():

@@ -33,7 +33,13 @@ from one seed-1 generator for orders 60, 120 and 240, and eliminates one
 fresh, unvalidated copy of the category, so no per-category cache outlives
 a repeat.  The chain-map rungs run over the ten `rand_universal_case` draws
 (f, g, H) of seeds 0-9: `build_chain_map` of f and of g, `cone(f)`, and the
-round trip `cone_to_data(f, cone_from_data(f, g, H))`.  The canonical-dump
+round trip `cone_to_data(f, cone_from_data(f, g, H))`.  The `tot_ms`
+rung builds `tot` of the seed-1 `chains` tower `tower_f`, as
+`tower_from_json` loads it: a perturbed identity of a sheared complex in
+degrees 0-3 of ranks up to 16 (`tower_rank` is the sum of the ranks).
+The `draw_ms` rung times `laxcat.cli._draw`, the seeded inputs of `check
+--randomized`, for each property over seeds 0-9 under the command line's
+default caps.  The canonical-dump
 rungs encode the seed-1 `snf` documents of sizes 32, 48, 56 and 64 (the
 last from the seed-64 matrix), the collage documents of the hom ladder and
 the output documents of a whole seed-1 `tables` pass, each read back from
@@ -250,6 +256,15 @@ def tables_outputs():
     return docs
 
 
+def chains_tower():
+    """The document of the seed-1 `chains` tower `tower_f`."""
+    from workloads import Workspace, chains
+    with tempfile.TemporaryDirectory() as tmp:
+        ws = Workspace(Path(tmp))
+        chains(1, ws)
+        return json.loads((ws.root / "tower_f.json").read_text())
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src", nargs="?", default=str(ROOT / "src"))
@@ -259,7 +274,7 @@ def main(argv=None):
     sys.path.insert(0, str(ROOT / "bench"))
     # looked up through the property table, which names the checks in
     # every tree this script times
-    from laxcat.cli import CHECKS, main as laxcat_main
+    from laxcat.cli import CHECKS, _draw, main as laxcat_main
 
     def check(prop):
         _, module, name = CHECKS[prop]
@@ -274,9 +289,9 @@ def main(argv=None):
     import laxcat.jsonio
     from laxcat.jsonio import (category_from_json, collage_to_json,
                                profunctor_from_json, profunctor_to_json,
-                               snf_to_json)
+                               snf_to_json, tower_from_json)
     from laxcat.k0chain import (build_chain_map, cone, cone_from_data,
-                                cone_to_data, smith_normal_form)
+                                cone_to_data, smith_normal_form, tot)
     from laxcat.profunctor import (build_profunctor, compose_with_pairing,
                                    hom_profunctor)
     from laxcat.rand import rand_universal_case, rng_from_seed
@@ -416,6 +431,14 @@ def main(argv=None):
     for name, run in rungs.items():
         out["chain_maps_ms"][name] = {"median": median_ms(
             lambda: [run(*case) for case in cases], args.repeats)}
+    complexes, maps = tower_from_json(chains_tower())
+    out["tot_ms"] = {"tower_f": {
+        "tower_rank": sum(sum(X.ranks.values()) for X in complexes),
+        "median": median_ms(lambda: tot(complexes, maps), args.repeats)}}
+    caps = {"objects": 6, "elements": 8}  # --max-objects, --max-elements
+    out["draw_ms"] = {prop: {"median": median_ms(
+        lambda: [_draw(prop, rng_from_seed(seed), caps) for seed in range(10)],
+        args.repeats)} for prop in CHECKS}
     print(json.dumps(out))
 
 
